@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import logging
 import re
+import string
+import sys
 from dataclasses import dataclass, field
 from urllib.parse import quote, unquote
 
-from .errors import DatasetError, SchemaError
+from .errors import DatasetError, ParseError, SchemaError
 from .mapping import MappingSet
 from .reshape import KGSchema
 from .tabular import Dataset
@@ -277,20 +279,24 @@ def _escape_literal(value: str) -> str:
     return "".join(out)
 
 
-def _unescape_literal(value: str) -> str:
+def _unescape_literal(value: str, lineno: int) -> str:
     out = []
     i = 0
     while i < len(value):
         ch = value[i]
         if ch == "\\" and i + 1 < len(value):
             nxt = value[i + 1]
-            if nxt == "u" and i + 6 <= len(value):
-                out.append(chr(int(value[i + 2 : i + 6], 16)))
-                i += 6
-                continue
-            if nxt == "U" and i + 10 <= len(value):
-                out.append(chr(int(value[i + 2 : i + 10], 16)))
-                i += 10
+            if nxt in "uU":
+                end = i + (6 if nxt == "u" else 10)
+                escape = value[i:end]
+                if (
+                    end > len(value)
+                    or not all(c in string.hexdigits for c in escape[2:])
+                    or int(escape[2:], 16) > sys.maxunicode
+                ):
+                    raise ParseError(f"bad escape {escape!r} in literal", lineno)
+                out.append(chr(int(escape[2:], 16)))
+                i = end
                 continue
             out.append({"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
             i += 2
@@ -357,7 +363,7 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
         subj_t, pred_iri, obj_t = match.groups()
         subj = subj_t if subj_t.startswith("_:") else local(subj_t)
         if obj_t.startswith('"'):
-            raw_literals.append((subj, local(f"<{pred_iri}>"), _unescape_literal(obj_t[1:-1])))
+            raw_literals.append((subj, local(f"<{pred_iri}>"), _unescape_literal(obj_t[1:-1], lineno)))
         elif pred_iri == RDF_TYPE_IRI:
             cls = obj_t[1:-1]
             cls = cls[len(base_iri):] if cls.startswith(base_iri) else cls

@@ -7,11 +7,19 @@ measured on the undirected instance graph induced by object triples;
 literal triples never contribute. The root-to-leaf depth looks out from the
 main-class entities, the global depth is the largest shortest-path distance
 found in any connected component.
+
+Both depths are exact. On a tree component a double sweep (a BFS from a
+main entity, then one from the farthest node it reached) gives the
+diameter. On any other component the double sweep and a BFS from the middle
+of its path (iFUB's 4-sweep, Crescenzi et al., TCS 2013) seed per-node
+eccentricity bounds (Takes & Kosters, CIKM 2011); more BFS run only while
+some node's upper bound exceeds the largest eccentricity found. The
+root-to-leaf depth comes from the same bounds, restricted to main-class
+nodes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .kggen import KnowledgeGraph
@@ -81,27 +89,96 @@ def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
     return (len(s.classes), len(g.object_triples), len(g.literal_triples), non_dummy)
 
 
-def _bfs_farthest(adj: list[list[int]], start: int, dist: list[int]) -> tuple[int, int]:
-    """BFS from ``start``; returns (farthest node, its distance). ``dist``
-    is a scratch array reset lazily via a visited stamp pattern."""
-    dist[start] = 0
-    queue = deque([start])
-    seen = [start]
-    far_node, far_dist = start, 0
-    while queue:
-        node = queue.popleft()
-        base = dist[node]
-        for nxt in adj[node]:
-            if dist[nxt] < 0:
-                dist[nxt] = base + 1
-                seen.append(nxt)
-                queue.append(nxt)
-                if base + 1 > far_dist:
-                    far_dist = base + 1
-                    far_node = nxt
-    for node in seen:
-        dist[node] = -1
-    return far_node, far_dist
+class _Eccentricities:
+    """Lower and upper eccentricity bounds for every node of a graph.
+
+    Each BFS tightens them (Takes & Kosters, CIKM 2011): after a BFS from a
+    node with eccentricity ``e``, a node at distance ``d`` from it has
+    eccentricity at least ``max(d, e - d)`` and at most ``e + d``. A node a
+    BFS started from has both bounds equal to its eccentricity.
+    """
+
+    def __init__(self, adj: list[list[int]]):
+        n = len(adj)
+        self.adj = adj
+        self.lo = [0] * n
+        self.hi = [n] * n
+        # distance from the source of the latest BFS in the node's component
+        self.dist = [0] * n
+        # number of the latest BFS that reached the node
+        self._seen = [0] * n
+        self.sweeps = 0
+
+    def sweep(self, start: int) -> tuple[int, int]:
+        """BFS from ``start`` over its component; tightens the bounds of
+        every node reached and returns (a farthest node, its distance)."""
+        self.sweeps += 1
+        tag = self.sweeps
+        adj, seen = self.adj, self._seen
+        seen[start] = tag
+        frontier = [start]
+        levels = [frontier]
+        while True:
+            nxt = []
+            for node in frontier:
+                for other in adj[node]:
+                    if seen[other] != tag:
+                        seen[other] = tag
+                        nxt.append(other)
+            if not nxt:
+                break
+            levels.append(nxt)
+            frontier = nxt
+        ecc = len(levels) - 1
+        lo, hi, dist = self.lo, self.hi, self.dist
+        for d, level in enumerate(levels):
+            low, high = max(d, ecc - d), ecc + d
+            for node in level:
+                dist[node] = d
+                if lo[node] < low:
+                    lo[node] = low
+                if hi[node] > high:
+                    hi[node] = high
+        return levels[-1][0], ecc
+
+
+def _component_depths(
+    ecc: _Eccentricities, comp: list[int], mains: list[int], tree: bool
+) -> tuple[int, int]:
+    """(largest eccentricity of a node in ``mains``, diameter) of one
+    connected component with at least two nodes."""
+    lo, hi = ecc.lo, ecc.hi
+    far, _ = ecc.sweep(mains[0] if mains else comp[0])
+    end, diameter = ecc.sweep(far)
+    # on a tree the double sweep is exact; elsewhere it is a lower bound
+    if not tree:
+        # iFUB's 4-sweep: the middle of the double-sweep path lies near a
+        # centre, whose BFS caps every upper bound at twice its eccentricity
+        adj, dist = ecc.adj, ecc.dist
+        centre = end
+        for _ in range(diameter // 2):
+            centre = next(v for v in adj[centre] if dist[v] == dist[centre] - 1)
+        ecc.sweep(centre)
+        widest = True
+        while True:
+            open_nodes = [v for v in comp if hi[v] > diameter]
+            if not open_nodes:
+                break
+            if widest:
+                pick = max(open_nodes, key=hi.__getitem__)
+            else:
+                pick = min(open_nodes, key=lo.__getitem__)
+            widest = not widest
+            diameter = max(diameter, ecc.sweep(pick)[1])
+    if not mains:
+        return 0, diameter
+    while True:
+        root = max(lo[v] for v in mains)
+        # no eccentricity exceeds the diameter; a tree's bounds need not know it
+        open_mains = [v for v in mains if min(hi[v], diameter) > root]
+        if not open_mains:
+            return root, diameter
+        ecc.sweep(max(open_mains, key=hi.__getitem__))
 
 
 def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
@@ -110,6 +187,7 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     Root-to-leaf is the largest distance from any main-class entity to an
     entity reachable from it; global is the largest distance between any
     two entities in the same component. An empty graph yields (0, 0).
+    Both are exact and cost a few BFS per component, not one per node.
     """
     index = {eid: i for i, eid in enumerate(g.entities)}
     n = len(index)
@@ -126,58 +204,30 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
         edge_seen.add((a, b))
         adj[a].append(b)
         adj[b].append(a)
+    is_main = [cls == mc for cls, _ in g.entities.values()]
 
-    ids = list(g.entities)
-    mc_nodes = [index[eid] for eid in ids if g.entities[eid][0] == mc]
-    dist = [-1] * n
-
-    # connected components
-    comp_of = [-1] * n
-    components: list[list[int]] = []
+    ecc = _Eccentricities(adj)
+    in_comp = [False] * n
+    root_depth = global_depth = 0
     for start in range(n):
-        if comp_of[start] >= 0:
+        if in_comp[start]:
             continue
+        in_comp[start] = True
         comp = [start]
-        comp_of[start] = len(components)
         stack = [start]
         while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if comp_of[nxt] < 0:
-                    comp_of[nxt] = len(components)
+            for nxt in adj[stack.pop()]:
+                if not in_comp[nxt]:
+                    in_comp[nxt] = True
                     comp.append(nxt)
                     stack.append(nxt)
-        components.append(comp)
-
-    root_depth = 0
-    sweep_start: dict[int, tuple[int, int]] = {}
-    for node in mc_nodes:
-        far_node, ecc = _bfs_farthest(adj, node, dist)
-        if ecc > root_depth:
-            root_depth = ecc
-        current = sweep_start.get(comp_of[node])
-        if current is None or ecc > current[1]:
-            sweep_start[comp_of[node]] = (far_node, ecc)
-
-    global_depth = 0
-    for ci, comp in enumerate(components):
-        size = len(comp)
-        if size == 1:
+        if len(comp) == 1:
             continue
         edges = sum(len(adj[node]) for node in comp) // 2
-        if edges == size - 1:
-            # tree component: double sweep is exact
-            start = sweep_start.get(ci, (comp[0], 0))[0]
-            far_node, _ = _bfs_farthest(adj, start, dist)
-            _, diameter = _bfs_farthest(adj, far_node, dist)
-        else:
-            diameter = 0
-            for node in comp:
-                _, ecc = _bfs_farthest(adj, node, dist)
-                if ecc > diameter:
-                    diameter = ecc
-        if diameter > global_depth:
-            global_depth = diameter
+        mains = [node for node in comp if is_main[node]]
+        root, diameter = _component_depths(ecc, comp, mains, edges == len(comp) - 1)
+        root_depth = max(root_depth, root)
+        global_depth = max(global_depth, diameter)
     return (root_depth, global_depth)
 
 

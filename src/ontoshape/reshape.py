@@ -469,6 +469,9 @@ def parse_schema(text: str) -> KGSchema:
     attachments: set[tuple[str, str, tuple[str, str]]] = set()
     class_keys: dict[str, tuple[str, str]] = {}
     class_tables: dict[str, str] = {}
+    # (class, line) of every attach, key and table line; classes may be
+    # declared after the lines that use them
+    used: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -484,10 +487,13 @@ def parse_schema(text: str) -> KGSchema:
             edges.add((parts[1], parts[2], parts[3]))
         elif parts[0] == "attach" and len(parts) == 4:
             attachments.add((parts[1], parts[2], _split_source(parts[3], lineno)))
+            used.append((parts[2], lineno))
         elif parts[0] == "key" and len(parts) == 3:
             class_keys[parts[1]] = _split_source(parts[2], lineno)
+            used.append((parts[1], lineno))
         elif parts[0] == "table" and len(parts) == 3:
             class_tables[parts[1]] = unquote(parts[2])
+            used.append((parts[1], lineno))
         else:
             raise ParseError(f"unrecognized directive {line!r}", lineno)
     if main_class is None:
@@ -498,4 +504,7 @@ def parse_schema(text: str) -> KGSchema:
         for name in (f, t):
             if name not in classes:
                 raise ParseError(f"undeclared class {name}")
+    for name, lineno in used:
+        if name not in classes:
+            raise ParseError(f"undeclared class {name}", lineno)
     return KGSchema(main_class, classes, edges, attachments, class_keys, class_tables)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset2
-from ontoshape.errors import DatasetError, SchemaError
+from ontoshape.errors import DatasetError, ParseError, SchemaError
 from ontoshape.kggen import (
     KnowledgeGraph,
     generate_kg,
@@ -267,6 +267,16 @@ def test_load_round_trip_keeps_blank_nodes(ontology_wx, mappings_wx, dataset_2):
 def test_load_rejects_junk():
     with pytest.raises(ValueError, match="line 1"):
         load_ntriples("this is not a triple\n")
+
+
+@pytest.mark.parametrize("escape", [r"\u12", r"\uZZZZ", r"\U00110000"])
+def test_load_rejects_bad_unicode_escape(escape):
+    text = (
+        "<http://example.org/kg#C/x> <http://example.org/kg#p> \"ok\" .\n"
+        f"<http://example.org/kg#C/x> <http://example.org/kg#q> \"a{escape}\" .\n"
+    )
+    with pytest.raises(ParseError, match="line 2: bad escape"):
+        load_ntriples(text)
 
 
 @settings(max_examples=200, deadline=None)

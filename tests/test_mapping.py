@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from conftest import MAPPINGS_WX, USERINFO_RULE
@@ -126,3 +129,14 @@ def test_serialize_userinfo_round_trip():
         fallback_relation_prefix="rel",
     )
     assert parse_userinfo(serialize_userinfo(u)) == u
+
+
+def test_readme_userinfo_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    u = parse_userinfo(block)
+    assert u.main_class == "WeldingOperation"
+    assert u.entity_rules == (EntityRule("SensorChannelCode", "SensorChannel", "hasCode"),)
+    assert u.connection_rules == (
+        ConnectionRule("WeldingOperation", "SensorChannel", "recordedBy"),
+    )

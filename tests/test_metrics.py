@@ -11,6 +11,9 @@ import csv
 import io
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ontoshape.kggen import KnowledgeGraph, generate_kg, serialize_ntriples
 from ontoshape.metrics import (
     ROW_LABELS,
@@ -23,6 +26,7 @@ from ontoshape.metrics import (
     report_text,
 )
 from ontoshape.reshape import KGSchema, baseline_schema, reshape
+from ontoshape.syndata import MAIN_CLASS, MAIN_TABLE, SynthConfig, generate_synthetic
 from ontoshape.tabular import Dataset, Table
 
 MC = "WeldingOperation"
@@ -178,6 +182,51 @@ def test_depths_match_floyd_warshall_oracle():
         g = _random_kg(rng)
         expected = _oracle_depths(g.entities, g.object_triples, "M")
         assert depth_metrics(g, "M") == expected
+
+
+def test_depths_match_oracle_when_rows_share_entities():
+    # program and machine keys drawn from 2-3 values: rows share entities.
+    # 10 rows over at most 9 key pairs means two rows share both keys, which
+    # closes a cycle through two main entities
+    ontology, dataset, mappings, userinfo = generate_synthetic(SynthConfig(3, 10, chain_depth=2))
+    table = dataset.tables[MAIN_TABLE]
+    for seed in range(4):
+        rng = random.Random(seed)
+        values = 2 + seed % 2
+        rows = [
+            {**row, "program_id": f"p{rng.randrange(values)}", "machine_id": f"m{rng.randrange(values)}"}
+            for row in table.rows
+        ]
+        shared = Dataset({MAIN_TABLE: Table(MAIN_TABLE, table.attributes, rows)}, MAIN_TABLE)
+        for schema in (
+            baseline_schema(ontology, shared, mappings, MAIN_CLASS),
+            reshape(ontology, shared, mappings, userinfo),
+        ):
+            g = generate_kg(schema, shared, mappings, MAIN_CLASS)
+            expected = _oracle_depths(g.entities, g.object_triples, MAIN_CLASS)
+            assert depth_metrics(g, MAIN_CLASS) == expected, f"seed {seed}"
+
+
+@st.composite
+def _sparse_graphs(draw):
+    """A random forest plus 0-3 chords, with 0-4 main entities."""
+    n = draw(st.integers(1, 30))
+    pairs = set()
+    for i in range(1, n):
+        parent = draw(st.integers(-1, i - 1))  # -1 starts a new tree
+        if parent >= 0:
+            pairs.add((i, parent))
+    for _ in range(draw(st.integers(0, 3))):
+        pairs.add((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    mains = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    entities = {f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}
+    return KnowledgeGraph(entities, {(f"e{a}", "r", f"e{b}") for a, b in pairs}, set())
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_sparse_graphs())
+def test_depths_match_oracle_on_sparse_graphs(g):
+    assert depth_metrics(g, "M") == _oracle_depths(g.entities, g.object_triples, "M")
 
 
 def test_root_never_exceeds_global():

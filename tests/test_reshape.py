@@ -398,3 +398,9 @@ def test_parse_schema_requires_main():
 def test_parse_schema_rejects_undeclared_edge_class():
     with pytest.raises(ParseError, match="undeclared class B"):
         parse_schema("main A\nclass A\nobjprop p A B\n")
+
+
+@pytest.mark.parametrize("line", ["attach p Ghost t.a", "key Ghost t.a", "table Ghost t"])
+def test_parse_schema_rejects_undeclared_class_in_source_lines(line):
+    with pytest.raises(ParseError, match="line 3: undeclared class Ghost"):
+        parse_schema(f"main A\nclass A\n{line}\n")
