@@ -21,7 +21,7 @@ from statistics import mean
 from . import kggen, metrics
 from .mapping import MappingSet, UserInfo
 from .ontology import Ontology
-from .reshape import baseline_schema, reshape
+from .reshape import baseline_schema, identifier_stem, reshape
 from .tabular import Dataset, subsample_attributes
 
 log = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ def key_attributes(m: MappingSet, d: Dataset) -> set[str]:
     out = set()
     for attr in d.main.attributes:
         cls = m.attribute_map.get((d.main_table, attr))
-        if cls is not None and cls.upper().endswith(("ID", "NAME")):
+        if cls is not None and identifier_stem(cls) is not None:
             out.add(attr)
     return out
 

@@ -1,16 +1,26 @@
 """Materialize entity graphs from tables under a schema; read and write N-Triples.
 
-Materialization walks the main table row by row. Each row yields one main
-entity, one entity per keyed class (identified by the row's key value and
-deduplicated globally), and one placeholder entity per keyless class.
-Attribute values become literal triples on their owner's entity; every
-schema edge whose two endpoint entities exist for the row becomes an object
-triple. Secondary tables are joined to main entities through a shared key
-attribute.
+Materialization runs the main table first, then, in name order, every
+other table a schema class is mapped to. A plan built once per table says
+what each of its rows yields:
 
-Rows could be processed in parallel as long as entity deduplication stays
-race free; the sequential implementation below is the reference behavior
-and any alternative must produce an identical graph.
+- one anchor entity, of the main class on the main table and of the
+  table's class elsewhere. It is ``<Class>/<key>`` when a column of this
+  table keys the class, and numbered otherwise: ``<Class>/row<i>`` on the
+  main table, ``<Class>/<table>_row<j>`` elsewhere;
+- one ``<Class>/<key>`` entity per other class keyed by a column of this
+  table, shared by every row with the same key;
+- on the main table only, ``<Class>/row<i>`` for each unkeyed class mapped
+  to it, and a dummy ``_:dummy_<Class>_row<i>`` for each class with
+  neither key nor table;
+- elsewhere, when the table has the main class's key column, the main
+  entity with that key (the join). It takes the anchor's place on a table
+  mapped to the main class.
+
+A row with an empty key cell is skipped; a row whose join value matches no
+main entity keeps its entities free-standing. Attribute values become
+literal triples on their owner's entity, and every schema edge whose two
+endpoint entities exist for the row becomes an object triple.
 """
 
 from __future__ import annotations
@@ -19,8 +29,8 @@ import logging
 import re
 import string
 import sys
-from dataclasses import dataclass, field
-from urllib.parse import quote, unquote
+from dataclasses import dataclass
+from urllib.parse import quote
 
 from .errors import DatasetError, ParseError, SchemaError
 from .mapping import MappingSet
@@ -92,152 +102,94 @@ def _check_schema_sources(s: KGSchema, d: Dataset) -> None:
 
 
 def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGraph:
-    """Materialize ``d`` under schema ``s`` with ``mc`` as the main class.
-
-    A main-table row missing one of its key values is skipped with a
-    warning. Secondary-table rows whose join value matches no main entity
-    become free-standing entities, also with a warning.
+    """Materialize ``d`` under schema ``s`` with ``mc`` as the main class,
+    table by table as the module docstring describes. Skipped rows and
+    unmatched joins are logged as warnings.
     """
     if mc not in s.classes:
         raise SchemaError(f"main class {mc!r} is not part of the schema")
     _check_schema_sources(s, d)
-    main = d.tables[d.main_table]
     main_name = d.main_table
 
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
     literals: list[tuple[str, str, str, tuple[str, str, int]]] = []
     key_sources: set[tuple[str, str]] = set()
+    mc_id_by_key: dict[str, str] = {}
 
     mc_key = s.class_keys.get(mc)
     if mc_key is not None and mc_key[0] != main_name:
         log.warning("key of %s comes from table %s, not the main table; using row numbers", mc, mc_key[0])
         mc_key = None
-
-    keyed_main = [
-        (cls, attr)
-        for cls, (tname, attr) in sorted(s.class_keys.items())
-        if tname == main_name and cls != mc
-    ]
-    secondary_tables = {t: cls for cls, t in s.class_tables.items() if t != main_name}
-    rowkeyed_main = sorted(
-        cls
-        for cls in s.classes
-        if cls != mc and cls not in s.class_keys and s.class_tables.get(cls) == main_name
-    )
-    dummy_classes = sorted(
-        cls
-        for cls in s.classes
-        if cls != mc and cls not in s.class_keys and cls not in s.class_tables
-    )
+    unkeyed = sorted(c for c in s.classes if c != mc and c not in s.class_keys)
+    main_numbered = [c for c in unkeyed if s.class_tables.get(c) == main_name]
+    main_dummies = [c for c in unkeyed if c not in s.class_tables]
+    dummy_set = set(main_dummies)
     attach_by_table: dict[str, list[tuple[str, str, str]]] = {}
     for prop, owner, (tname, attr) in sorted(s.data_attachments):
         attach_by_table.setdefault(tname, []).append((prop, owner, attr))
     edge_list = sorted(s.edges)
+    secondary = {t: cls for cls, t in s.class_tables.items() if t != main_name}
 
-    if mc_key is not None:
-        key_sources.add(mc_key)
-    for _, attr in keyed_main:
-        key_sources.add((main_name, attr))
-
-    mc_id_by_key: dict[str, str] = {}
-    main_attaches = attach_by_table.get(main_name, ())
-
-    for i, row in enumerate(main.rows):
-        if mc_key is not None:
-            mc_value = row[mc_key[1]]
-            if not mc_value:
-                log.warning("%s row %d: empty key %s; row skipped", main_name, i, mc_key[1])
-                continue
-        else:
-            mc_value = f"row{i}"
-        ids = {mc: mint_entity_id(mc, mc_value)}
-        skip = False
-        for cls, attr in keyed_main:
-            value = row[attr]
-            if not value:
-                log.warning("%s row %d: empty key %s for %s; row skipped", main_name, i, attr, cls)
-                skip = True
-                break
-            ids[cls] = mint_entity_id(cls, value)
-        if skip:
-            continue
-        for cls in rowkeyed_main:
-            ids[cls] = mint_entity_id(cls, f"row{i}")
-        for cls in dummy_classes:
-            ids[cls] = f"_:dummy_{cls}_row{i}"
-
-        mc_id_by_key[mc_value] = ids[mc]
-        for cls, eid in ids.items():
-            if eid not in entities:
-                entities[eid] = (cls, cls in dummy_classes)
-        for prop, owner, attr in main_attaches:
-            sid = ids.get(owner)
-            if sid is None:
-                continue
-            value = row[attr]
-            if value:
-                literals.append((sid, prop, value, (main_name, attr, i)))
-        for rel, f, t in edge_list:
-            sf = ids.get(f)
-            st = ids.get(t)
-            if sf is not None and st is not None:
-                objects.add((sf, rel, st))
-
-    for tname in sorted(secondary_tables):
-        cls = secondary_tables[tname]
+    for tname, anchor in [(main_name, mc), *sorted(secondary.items())]:
+        # the plan: which classes this table's rows produce, and from where
         table = d.tables[tname]
-        key_spec = s.class_keys.get(cls)
-        if key_spec is not None and key_spec[0] != tname:
-            key_spec = None
-        keyed_here = [
-            (kcls, attr)
-            for kcls, (ktab, attr) in sorted(s.class_keys.items())
-            if ktab == tname and kcls not in (cls, mc)
-        ]
-        join_attr = None
-        if mc_key is not None and mc_key[1] in table.attributes:
-            join_attr = mc_key[1]
-        attaches = attach_by_table.get(tname, ())
-        for _, attr in keyed_here:
-            key_sources.add((tname, attr))
-        if key_spec is not None:
-            key_sources.add(key_spec)
+        on_main = tname == main_name
+        keyed = {cls: attr for cls, (ktab, attr) in sorted(s.class_keys.items()) if ktab == tname}
+        anchor_key = keyed.pop(anchor, None)
+        keyed.pop(mc, None)  # main entities come from the main table or the join
+        key_sources.update((tname, attr) for attr in keyed.values())
+        if anchor_key is not None:
+            key_sources.add((tname, anchor_key))
+        numbered = main_numbered if on_main else []
+        dummies = main_dummies if on_main else []
+        join = mc_key[1] if mc_key and not on_main and mc_key[1] in table.attributes else None
+        present = {anchor, *keyed, *numbered, *dummies}
+        if join is not None:
+            present.add(mc)
+        attaches = [a for a in attach_by_table.get(tname, ()) if a[1] in present]
+        edges = [e for e in edge_list if e[1] in present and e[2] in present]
+        prefix = "row" if on_main else f"{tname}_row"
 
         for j, row in enumerate(table.rows):
-            if key_spec is not None:
-                value = row[key_spec[1]]
-                if not value:
-                    log.warning("%s row %d: empty key %s; row skipped", tname, j, key_spec[1])
-                    continue
-                eid = mint_entity_id(cls, value)
+            number = f"{prefix}{j}"
+            if anchor_key is None:
+                value = number
             else:
-                eid = mint_entity_id(cls, f"{tname}_row{j}")
-            ids = {cls: eid}
-            skip = False
-            for kcls, attr in keyed_here:
-                value = row[attr]
+                value = row[anchor_key]
                 if not value:
-                    log.warning("%s row %d: empty key %s for %s; row skipped", tname, j, attr, kcls)
+                    log.warning("%s row %d: empty key %s; row skipped", tname, j, anchor_key)
+                    continue
+            ids = {anchor: mint_entity_id(anchor, value)}
+            skip = False
+            for cls, attr in keyed.items():
+                key = row[attr]
+                if not key:
+                    log.warning("%s row %d: empty key %s for %s; row skipped", tname, j, attr, cls)
                     skip = True
                     break
-                ids[kcls] = mint_entity_id(kcls, value)
+                ids[cls] = mint_entity_id(cls, key)
             if skip:
                 continue
-            if join_attr is not None:
-                join_value = row[join_attr]
-                mcid = mc_id_by_key.get(join_value)
+            for cls in numbered:
+                ids[cls] = mint_entity_id(cls, number)
+            for cls in dummies:
+                ids[cls] = f"_:dummy_{cls}_{number}"
+            if on_main:
+                mc_id_by_key[value] = ids[mc]
+            elif join is not None:
+                mcid = mc_id_by_key.get(row[join])
                 if mcid is None:
                     log.warning(
                         "%s row %d: no main entity matches %s=%r; free-standing entity",
-                        tname, j, join_attr, join_value,
+                        tname, j, join, row[join],
                     )
                 else:
                     ids[mc] = mcid
-                    key_sources.add((tname, join_attr))
-            for kcls, eid2 in ids.items():
-                if eid2 not in entities:
-                    entities[eid2] = (kcls, False)
+                    key_sources.add((tname, join))
+            for cls, eid in ids.items():
+                if eid not in entities:
+                    entities[eid] = (cls, cls in dummy_set)
             for prop, owner, attr in attaches:
                 sid = ids.get(owner)
                 if sid is None:
@@ -245,7 +197,7 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
                 value = row[attr]
                 if value:
                     literals.append((sid, prop, value, (tname, attr, j)))
-            for rel, f, t in edge_list:
+            for rel, f, t in edges:
                 sf = ids.get(f)
                 st = ids.get(t)
                 if sf is not None and st is not None:
@@ -279,6 +231,10 @@ def _escape_literal(value: str) -> str:
     return "".join(out)
 
 
+# N-Triples' ECHAR set; \u and \U are decoded separately
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
 def _unescape_literal(value: str, lineno: int) -> str:
     out = []
     i = 0
@@ -298,7 +254,9 @@ def _unescape_literal(value: str, lineno: int) -> str:
                 out.append(chr(int(escape[2:], 16)))
                 i = end
                 continue
-            out.append({"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
+            if nxt not in _ECHARS:
+                raise ParseError(f"bad escape {value[i:i + 2]!r} in literal", lineno)
+            out.append(_ECHARS[nxt])
             i += 2
         else:
             out.append(ch)

@@ -78,14 +78,6 @@ def serialize_mappings(m: MappingSet) -> str:
     return buf.getvalue()
 
 
-def resolve_table_class(m: MappingSet, table: str) -> str | None:
-    return m.table_map.get(table)
-
-
-def resolve_attribute_class(m: MappingSet, table: str, attribute: str) -> str | None:
-    return m.attribute_map.get((table, attribute))
-
-
 @dataclass(frozen=True)
 class EntityRule:
     """Marks an attribute class as the identifier of an entity class."""

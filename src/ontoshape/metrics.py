@@ -280,14 +280,6 @@ def format_value(value: float) -> str:
     return f"{value:.4f}"
 
 
-def report_csv(r: MetricsReport) -> str:
-    """One CSV header row plus one value row (data coverage first)."""
-    values = _single_values(r)
-    header = ["data coverage"] + ROW_LABELS
-    row = [format_value(r.data_coverage)] + [format_value(values[label]) for label in ROW_LABELS]
-    return ",".join(f'"{h}"' for h in header) + "\n" + ",".join(row) + "\n"
-
-
 def report_text(r: MetricsReport) -> str:
     """Aligned label/value block for terminal inspection."""
     values = _single_values(r)

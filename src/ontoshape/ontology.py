@@ -220,7 +220,7 @@ def _distances_to(o: Ontology, target: str, undirected: bool) -> dict[str, int]:
     return dist
 
 
-def _walk_shortest(
+def walk_shortest(
     o: Ontology, source: str, target: str, dist: dict[str, int], undirected: bool
 ) -> list[str]:
     """Greedy forward walk along decreasing distance-to-target, choosing the
@@ -249,7 +249,7 @@ def shortest_path_classes(
     dist = _distances_to(o, dst, undirected)
     if src not in dist:
         return None
-    return _walk_shortest(o, src, dst, dist, undirected)
+    return walk_shortest(o, src, dst, dist, undirected)
 
 
 def undirected_distances(o: Ontology, source: str) -> dict[str, int]:

@@ -38,12 +38,22 @@ from .ontology import (
     direct_relation,
     has_indirect_relation,
     undirected_distances,
+    walk_shortest,
 )
 from .tabular import Dataset, list_attributes
 
 log = logging.getLogger(__name__)
 
-_KEY_SUFFIXES = ("ID", "NAME")
+
+def identifier_stem(class_name: str) -> str | None:
+    """The class an identifier-like class name points at: ``FooID`` and
+    ``FooName`` (suffix case-insensitive) give ``Foo``. None when the name
+    has neither suffix or nothing precedes it."""
+    upper = class_name.upper()
+    for suffix in ("ID", "NAME"):
+        if upper.endswith(suffix) and len(class_name) > len(suffix):
+            return class_name[: -len(suffix)]
+    return None
 
 
 @dataclass(frozen=True)
@@ -101,12 +111,9 @@ def identify_entity_class(
     for rule in u.entity_rules:
         if rule.attribute_class == cp:
             return rule.entity_class, rule.relation
-    upper = cp.upper()
-    for suffix in _KEY_SUFFIXES:
-        if upper.endswith(suffix) and len(cp) > len(suffix):
-            stem = cp[: -len(suffix)]
-            if stem in partition.potential_classes:
-                return stem, u.fallback_relation_prefix + stem
+    stem = identifier_stem(cp)
+    if stem in partition.potential_classes:
+        return stem, u.fallback_relation_prefix + stem
     return None
 
 
@@ -390,13 +397,7 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
             if cj not in dist:
                 log.warning("no path connects %s and %s; the schema stays disconnected", ci, cj)
                 continue
-            # walk one shortest path, smallest class name first at each tie
-            current = cj
-            while current != ci:
-                want = dist[current] - 1
-                current = min(w for w in o.neighbors(current) if dist.get(w) == want)
-                if current != ci:
-                    classes.add(current)
+            classes.update(walk_shortest(o, cj, ci, dist, undirected=True)[1:-1])
 
     edges = {
         (rel, dom, rng)
@@ -419,14 +420,8 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
     if mc not in class_keys:
         for table, attr in list_attributes(d):
             cp = m.attribute_map.get((table, attr))
-            if cp is None or cp in o.classes:
-                continue
-            upper = cp.upper()
-            for suffix in _KEY_SUFFIXES:
-                if upper.endswith(suffix) and cp[: -len(suffix)] == mc:
-                    class_keys[mc] = (table, attr)
-                    break
-            if mc in class_keys:
+            if cp is not None and cp not in o.classes and identifier_stem(cp) == mc:
+                class_keys[mc] = (table, attr)
                 break
 
     return KGSchema(mc, classes, edges, attachments, class_keys, dict(table_classes))
@@ -469,8 +464,8 @@ def parse_schema(text: str) -> KGSchema:
     attachments: set[tuple[str, str, tuple[str, str]]] = set()
     class_keys: dict[str, tuple[str, str]] = {}
     class_tables: dict[str, str] = {}
-    # (class, line) of every attach, key and table line; classes may be
-    # declared after the lines that use them
+    # (class, line) of every class an objprop, attach, key or table line
+    # names; classes may be declared after the lines that use them
     used: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -485,6 +480,7 @@ def parse_schema(text: str) -> KGSchema:
             classes.add(parts[1])
         elif parts[0] == "objprop" and len(parts) == 4:
             edges.add((parts[1], parts[2], parts[3]))
+            used += [(parts[2], lineno), (parts[3], lineno)]
         elif parts[0] == "attach" and len(parts) == 4:
             attachments.add((parts[1], parts[2], _split_source(parts[3], lineno)))
             used.append((parts[2], lineno))
@@ -500,10 +496,6 @@ def parse_schema(text: str) -> KGSchema:
         raise ParseError("missing main declaration")
     if main_class not in classes:
         raise ParseError(f"main class {main_class} is not declared")
-    for _, f, t in edges:
-        for name in (f, t):
-            if name not in classes:
-                raise ParseError(f"undeclared class {name}")
     for name, lineno in used:
         if name not in classes:
             raise ParseError(f"undeclared class {name}", lineno)

@@ -15,8 +15,10 @@ from ontoshape.bench import (
     render_report,
     run_experiment,
 )
+from ontoshape.mapping import MappingSet
 from ontoshape.metrics import ROW_LABELS, MetricsReport
 from ontoshape.syndata import SynthConfig, generate_synthetic
+from ontoshape.tabular import Dataset, Table
 
 SMALL = SynthConfig(n_attributes=6, n_rows=12, chain_depth=2, n_entity_classes=1, seed=3)
 
@@ -40,6 +42,12 @@ def test_config_validation():
 def test_key_attributes(small_inputs):
     o, d, m, u = small_inputs
     assert key_attributes(m, d) == {"operation_id", "program_id"}
+
+
+def test_key_attributes_need_a_stem_before_the_suffix():
+    t = Table("t", ["a", "b", "c", "d"], [])
+    m = MappingSet({}, {("t", "a"): "ID", ("t", "b"): "Name", ("t", "c"): "ToolName", ("t", "d"): "Value"})
+    assert key_attributes(m, Dataset({"t": t}, "t")) == {"c"}
 
 
 def test_run_count_and_order(small_inputs):

@@ -279,6 +279,22 @@ def test_load_rejects_bad_unicode_escape(escape):
         load_ntriples(text)
 
 
+def test_load_decodes_every_echar():
+    text = r'<http://example.org/kg#C/x> <http://example.org/kg#p> "t\tb\bn\nr\rf\fq\"a\'s\\" .' + "\n"
+    back = load_ntriples(text)
+    assert {v for _, _, v, _ in back.literal_triples} == {"t\tb\bn\nr\rf\fq\"a's\\"}
+
+
+@pytest.mark.parametrize("escape", [r"\q", r"\a", r"\0", r"\/"])
+def test_load_rejects_escape_outside_ntriples(escape):
+    text = (
+        "<http://example.org/kg#C/x> <http://example.org/kg#p> \"ok\" .\n"
+        f"<http://example.org/kg#C/x> <http://example.org/kg#q> \"a{escape}\" .\n"
+    )
+    with pytest.raises(ParseError, match="line 2: bad escape"):
+        load_ntriples(text)
+
+
 @settings(max_examples=200, deadline=None)
 @given(value=st.text())
 def test_literal_values_survive_round_trip(value):

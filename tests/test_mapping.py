@@ -15,8 +15,6 @@ from ontoshape.mapping import (
     UserInfo,
     parse_mappings,
     parse_userinfo,
-    resolve_attribute_class,
-    resolve_table_class,
     serialize_mappings,
     serialize_userinfo,
 )
@@ -71,12 +69,12 @@ def test_table_row_with_attribute_cell_rejected():
         parse_mappings("kind,table,attribute,class\ntable,t,oops,X\n")
 
 
-def test_resolvers(mappings_wx):
-    assert resolve_table_class(mappings_wx, "welding_operation") == "WeldingOperation"
-    assert resolve_table_class(mappings_wx, "unknown_table") is None
-    assert resolve_attribute_class(mappings_wx, "welding_operation", "program_id") == "WeldingProgramID"
-    assert resolve_attribute_class(mappings_wx, "welding_operation", "operation_id") == "WeldingOperationID"
-    assert resolve_attribute_class(mappings_wx, "welding_operation", "nope") is None
+def test_mapping_lookups(mappings_wx):
+    assert mappings_wx.table_map.get("welding_operation") == "WeldingOperation"
+    assert mappings_wx.table_map.get("unknown_table") is None
+    assert mappings_wx.attribute_map.get(("welding_operation", "program_id")) == "WeldingProgramID"
+    assert mappings_wx.attribute_map.get(("welding_operation", "operation_id")) == "WeldingOperationID"
+    assert mappings_wx.attribute_map.get(("welding_operation", "nope")) is None
 
 
 def test_serialize_mappings_round_trip(mappings_wx):

@@ -7,8 +7,6 @@ points at a real defect rather than shared assumptions.
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 
 from hypothesis import given, settings
@@ -22,7 +20,6 @@ from ontoshape.metrics import (
     data_coverage,
     depth_metrics,
     kg_counts,
-    report_csv,
     report_text,
 )
 from ontoshape.reshape import KGSchema, baseline_schema, reshape
@@ -250,18 +247,6 @@ def test_build_report_fields(ontology_wx, mappings_wx, dataset_2, userinfo_main)
     assert (r.root_to_leaf_depth, r.global_depth) == (1, 1)
     assert r.time_cost_ms == 42.0
     assert r.storage_bytes == size
-
-
-def test_report_csv_round_trips(ontology_wx, mappings_wx, dataset_2, userinfo_main):
-    (rs, gr), _ = _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main)
-    r = build_report(gr, rs, dataset_2, mappings_wx, MC)
-    rows = list(csv.reader(io.StringIO(report_csv(r))))
-    assert rows[0] == ["data coverage"] + ROW_LABELS
-    assert len(rows[1]) == len(rows[0])
-    assert rows[1][0] == "1.0000"
-    by_label = dict(zip(rows[0], rows[1]))
-    assert by_label["#entities"] == "4.0000"
-    assert by_label["max. root to leaf depth"] == "1.0000"
 
 
 def test_report_text_contains_all_labels(ontology_wx, mappings_wx, dataset_2, userinfo_main):

@@ -15,6 +15,7 @@ from ontoshape.reshape import (
     KGSchema,
     baseline_schema,
     connect_classes,
+    identifier_stem,
     identify_entity_class,
     parse_schema,
     partition_classes,
@@ -404,3 +405,18 @@ def test_parse_schema_rejects_undeclared_edge_class():
 def test_parse_schema_rejects_undeclared_class_in_source_lines(line):
     with pytest.raises(ParseError, match="line 3: undeclared class Ghost"):
         parse_schema(f"main A\nclass A\n{line}\n")
+
+
+@pytest.mark.parametrize("line", ["objprop p A Ghost", "objprop p Ghost A"])
+def test_parse_schema_gives_line_of_undeclared_edge_class(line):
+    with pytest.raises(ParseError, match="line 3: undeclared class Ghost"):
+        parse_schema(f"main A\nclass A\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "name, stem",
+    [("WeldingProgramID", "WeldingProgram"), ("ToolName", "Tool"), ("sensorid", "sensor"),
+     ("ID", None), ("Name", None), ("Value", None), ("Identity", None)],
+)
+def test_identifier_stem(name, stem):
+    assert identifier_stem(name) == stem
