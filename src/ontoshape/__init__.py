@@ -23,7 +23,6 @@ from .ontology import (
     has_indirect_relation,
     parse_ontology,
     serialize_ontology,
-    shortest_path_classes,
 )
 from .reshape import (
     ClassPartition,
@@ -72,7 +71,6 @@ __all__ = [
     "serialize_ontology",
     "serialize_schema",
     "serialize_userinfo",
-    "shortest_path_classes",
     "subsample_attributes",
     "__version__",
 ]

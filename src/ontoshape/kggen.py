@@ -43,7 +43,6 @@ RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 DEFAULT_BASE_IRI = "http://example.org/kg#"
 
 _PLAIN_KEY = re.compile(r"[A-Za-z0-9_.\-~]+\Z")
-_PLAIN_LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 @dataclass
@@ -63,23 +62,12 @@ class KnowledgeGraph:
     key_sources: frozenset[tuple[str, str]] = frozenset()
 
 
-def _label_safe(text: str) -> str:
-    if _PLAIN_LABEL.match(text):
-        return text
-    return re.sub(r"[^A-Za-z0-9_]", lambda m: f"_{ord(m.group()):x}", text)
-
-
-def mint_entity_id(class_name: str, key: str, dummy: bool = False) -> str:
-    """Build a deterministic entity id from a class name and key material.
-
-    Regular entities get ``<Class>/<percent-encoded key>``; dummies get a
-    blank-node label ``_:dummy_<Class>_<key>`` with the key folded to
-    label-safe characters.
-    """
+def mint_entity_id(class_name: str, key: str) -> str:
+    """Build the deterministic id ``<Class>/<percent-encoded key>`` of a
+    regular entity. Dummies are blank nodes ``_:dummy_<Class>_row<i>``,
+    minted by :func:`generate_kg` itself."""
     if not key:
         raise ValueError("entity key material must be nonempty")
-    if dummy:
-        return f"_:dummy_{class_name}_{_label_safe(key)}"
     if _PLAIN_KEY.match(key):
         return f"{class_name}/{key}"
     return f"{class_name}/{quote(key, safe='')}"
@@ -301,7 +289,9 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
     Literal provenance is not stored in the triples, so sources are
     reconstructed from the schema's attachments when one is given (row
     indices stay unknown) and ``key_sources`` is taken from the schema's
-    key declarations. Without a schema those fields stay empty.
+    key declarations. Without a schema those fields stay empty. Raises
+    :class:`ParseError` with the line number on a line that is not a
+    triple or a literal with an escape N-Triples does not define.
     """
 
     def local(iri: str) -> str:
@@ -317,7 +307,7 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
             continue
         match = _NT_LINE.match(line)
         if match is None:
-            raise ValueError(f"line {lineno}: not a recognized triple: {line!r}")
+            raise ParseError(f"not a recognized triple: {line!r}", lineno)
         subj_t, pred_iri, obj_t = match.groups()
         subj = subj_t if subj_t.startswith("_:") else local(subj_t)
         if obj_t.startswith('"'):

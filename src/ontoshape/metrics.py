@@ -84,9 +84,12 @@ def count_dummy_entities(g: KnowledgeGraph) -> int:
 
 def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
     """(class count, object triple count, literal triple count, entity
-    count), with dummies excluded from the entity count."""
+    count), with dummies excluded from the entity count. A literal triple
+    counts once however many source rows gave it, as in the N-Triples
+    file."""
     non_dummy = sum(1 for _, dummy in g.entities.values() if not dummy)
-    return (len(s.classes), len(g.object_triples), len(g.literal_triples), non_dummy)
+    literals = {(subj, prop, value) for subj, prop, value, _ in g.literal_triples}
+    return (len(s.classes), len(g.object_triples), len(literals), non_dummy)
 
 
 class _Eccentricities:

@@ -14,6 +14,11 @@ Parsing is order-independent: a property may textually precede the class
 declarations it refers to. Serialization sorts each section so that
 parse/serialize round-trips are byte stable.
 
+The path queries are the schema builders' questions: is there a direct,
+or an indirect (two or more edges), directed relation between two distinct
+classes; and undirected BFS distances, with the lexicographically smallest
+shortest walk along them.
+
 Ontology values are treated as immutable once constructed; all query
 functions are pure.
 """
@@ -59,9 +64,6 @@ class Ontology:
     _succ: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _pred: dict[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
     _und: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -80,26 +82,21 @@ class Ontology:
         for _, dom in sorted(self.data_properties):
             if dom not in self.classes:
                 raise ValueError(f"undeclared class {dom}")
-        succ: dict[str, set[str]] = {}
-        pred: dict[str, set[str]] = {}
+        succ: dict[str, set[str]] = {name: set() for name in self.classes}
+        und: dict[str, set[str]] = {name: set() for name in self.classes}
         for rel, dom, rng in self.object_properties:
-            succ.setdefault(dom, set()).add(rng)
-            pred.setdefault(rng, set()).add(dom)
+            succ[dom].add(rng)
+            und[dom].add(rng)
+            und[rng].add(dom)
             key = (dom, rng)
             if key not in self._direct or rel < self._direct[key]:
                 self._direct[key] = rel
         for name in self.classes:
-            s = succ.get(name, set())
-            p = pred.get(name, set())
-            self._succ[name] = tuple(sorted(s))
-            self._pred[name] = tuple(sorted(p))
-            self._und[name] = tuple(sorted(s | p))
+            self._succ[name] = tuple(sorted(succ[name]))
+            self._und[name] = tuple(sorted(und[name]))
 
     def successors(self, name: str) -> tuple[str, ...]:
         return self._succ.get(name, ())
-
-    def predecessors(self, name: str) -> tuple[str, ...]:
-        return self._pred.get(name, ())
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Adjacent classes with edge direction ignored."""
@@ -205,55 +202,29 @@ def has_indirect_relation(o: Ontology, pair: ClassPair) -> bool:
     return False
 
 
-def _distances_to(o: Ontology, target: str, undirected: bool) -> dict[str, int]:
-    """BFS distance of every class TO ``target`` (walking edges backward
-    when directed)."""
-    step = o.neighbors if undirected else o.predecessors
-    dist = {target: 0}
-    queue = deque([target])
+def undirected_distances(o: Ontology, source: str) -> dict[str, int]:
+    """Distance from ``source`` to every reachable class, edge direction
+    ignored."""
+    _require_declared(o, source)
+    dist = {source: 0}
+    queue = deque([source])
     while queue:
         node = queue.popleft()
-        for nxt in step(node):
+        for nxt in o.neighbors(node):
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return dist
 
 
-def walk_shortest(
-    o: Ontology, source: str, target: str, dist: dict[str, int], undirected: bool
-) -> list[str]:
-    """Greedy forward walk along decreasing distance-to-target, choosing the
-    lexicographically smallest next class at every step."""
-    step = o.neighbors if undirected else o.successors
+def walk_shortest(o: Ontology, source: str, target: str, dist: dict[str, int]) -> list[str]:
+    """A shortest undirected path from ``source`` to ``target``, both
+    included, given ``dist = undirected_distances(o, target)``. Every step
+    takes the lexicographically smallest neighbor one closer to ``target``."""
     path = [source]
     current = source
     while current != target:
         want = dist[current] - 1
-        current = min(w for w in step(current) if dist.get(w) == want)
+        current = min(w for w in o.neighbors(current) if dist.get(w) == want)
         path.append(current)
     return path
-
-
-def shortest_path_classes(
-    o: Ontology, pair: ClassPair, undirected: bool = False
-) -> list[str] | None:
-    """Shortest path between two classes as a list including both endpoints.
-
-    Ties are broken by the lexicographic order of the next class name, so
-    the result is deterministic. Returns None when the target is
-    unreachable.
-    """
-    src, dst = pair.from_class, pair.to_class
-    _require_declared(o, src, dst)
-    dist = _distances_to(o, dst, undirected)
-    if src not in dist:
-        return None
-    return walk_shortest(o, src, dst, dist, undirected)
-
-
-def undirected_distances(o: Ontology, source: str) -> dict[str, int]:
-    """Distance from ``source`` to every reachable class, edge direction
-    ignored."""
-    _require_declared(o, source)
-    return _distances_to(o, source, undirected=True)

@@ -56,6 +56,13 @@ def identifier_stem(class_name: str) -> str | None:
     return None
 
 
+def _main_table_first(d: Dataset) -> list[tuple[str, str]]:
+    """``list_attributes(d)`` with the main table's columns moved first: the
+    order in which attributes claim class keys, so a secondary table that
+    repeats an id column never keys the class over the main table."""
+    return sorted(list_attributes(d), key=lambda ta: ta[0] != d.main_table)
+
+
 @dataclass(frozen=True)
 class ClassPartition:
     """Split of the ontology classes by what the data maps onto.
@@ -255,17 +262,9 @@ def assign_data_properties(
     class_keys = dict(s.class_keys)
     key_owner = {src: cls for cls, src in class_keys.items()}
     mc = s.main_class
-    dist_cache: dict[str, dict[str, int]] = {}
-
-    def nearest_owner(p: str) -> str | None:
-        if p not in dist_cache:
-            dist_cache[p] = undirected_distances(o, p)
-        dist = dist_cache[p]
-        best = min(
-            ((dist[c], c != mc, c) for c in s.classes if c in dist),
-            default=None,
-        )
-        return best[2] if best else None
+    # undirected distance is symmetric: one BFS per schema class answers
+    # every attribute
+    dist_from = {c: undirected_distances(o, c) for c in sorted(s.classes) if c in o.classes}
 
     for table, attr in list_attributes(d):
         cp = m.attribute_map.get((table, attr))
@@ -277,14 +276,13 @@ def assign_data_properties(
                 attachments.add(("has" + cp, keyed_class, (table, attr)))
             continue
         if cp in partition.potential_properties:
-            owner = nearest_owner(cp)
-            if owner is None:
+            near = [(dist[cp], c != mc, c) for c, dist in dist_from.items() if cp in dist]
+            if not near:
                 log.warning(
                     "attribute %s.%s maps to %s which no schema class can reach; attaching to %s",
                     table, attr, cp, mc,
                 )
-                owner = mc
-            attachments.add(("has" + cp, owner, (table, attr)))
+            attachments.add(("has" + cp, min(near)[2] if near else mc, (table, attr)))
         else:
             log.warning(
                 "attribute %s.%s maps to %s which is not a declared class; attaching to %s",
@@ -305,7 +303,9 @@ def reshape(
 
     The main class seeds the schema. Table-mapped classes join it, then
     every identifier-like attribute contributes its entity class together
-    with the key recording which attribute names its entities. The classes
+    with the key recording which attribute names its entities; the first
+    such attribute keys the class, the main table's columns before the
+    others. The classes
     are wired up through the ontology and every attribute is attached to
     its owner. The result is connected and free of dummy-producing
     classes.
@@ -333,7 +333,7 @@ def reshape(
             log.warning("table %s maps to undeclared class %s; ignored", tname, c)
 
     unmapped = []
-    for table, attr in list_attributes(d):
+    for table, attr in _main_table_first(d):
         cp = m.attribute_map.get((table, attr))
         if cp is None:
             unmapped.append((table, attr))
@@ -370,14 +370,15 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
     pair of them every class on one shortest undirected ontology path is
     pulled in as well. Ontology relations among the selected classes are
     kept as-is. Attribute-mapped classes carry their own value through a
-    single ``hasValue`` attachment and are keyed by it; the connector
-    classes carry nothing and will materialize as dummies.
+    single ``hasValue`` attachment and are keyed by their first attribute,
+    the main table's columns before the others; the connector classes
+    carry nothing and will materialize as dummies.
     """
     if mc not in o.classes:
         raise SchemaError(f"main class {mc!r} is not declared in the ontology")
 
     attr_classes = []
-    for table, attr in list_attributes(d):
+    for table, attr in _main_table_first(d):
         cls = m.attribute_map.get((table, attr))
         if cls is not None and cls in o.classes:
             attr_classes.append((table, attr, cls))
@@ -397,7 +398,7 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
             if cj not in dist:
                 log.warning("no path connects %s and %s; the schema stays disconnected", ci, cj)
                 continue
-            classes.update(walk_shortest(o, cj, ci, dist, undirected=True)[1:-1])
+            classes.update(walk_shortest(o, cj, ci, dist)[1:-1])
 
     edges = {
         (rel, dom, rng)
@@ -418,7 +419,7 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
             class_keys[cls] = (table, attr)
 
     if mc not in class_keys:
-        for table, attr in list_attributes(d):
+        for table, attr in _main_table_first(d):
             cp = m.attribute_map.get((table, attr))
             if cp is not None and cp not in o.classes and identifier_stem(cp) == mc:
                 class_keys[mc] = (table, attr)

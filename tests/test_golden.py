@@ -80,6 +80,18 @@ def _welding_tables():
     return parse_ontology(ONTOLOGY_WX), _dataset(op, program, trace), m, UserInfo(MC)
 
 
+def _renamed_table(inputs, old: str, new: str):
+    """The same inputs with table ``old`` called ``new``."""
+    o, d, m, u = inputs
+    name = {old: new}
+    tables = [Table(name.get(t.name, t.name), t.attributes, t.rows) for t in d.tables.values()]
+    m = MappingSet(
+        {name.get(t, t): c for t, c in m.table_map.items()},
+        {(name.get(t, t), a): c for (t, a), c in m.attribute_map.items()},
+    )
+    return o, Dataset({t.name: t for t in tables}, d.main_table), m, u
+
+
 def _built(builder, inputs):
     o, d, m, u = inputs
     if builder is reshape:
@@ -211,6 +223,18 @@ def digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_digest(name):
     assert digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("builder", [baseline_schema, reshape])
+def test_table_names_do_not_pick_the_main_key(builder):
+    # curve_log sorts before welding_operation and repeats its operation_id;
+    # the main table's column must still key the main class
+    outputs = []
+    for inputs in (_welding_tables(), _renamed_table(_welding_tables(), "welding_trace", "curve_log")):
+        s, d, m, mc = _built(builder, inputs)
+        text = serialize_schema(s) + serialize_ntriples(generate_kg(s, d, m, mc))
+        outputs.append(sorted(text.replace("welding_trace", "curve_log").splitlines()))
+    assert outputs[0] == outputs[1]
 
 
 def test_every_case_has_a_golden_digest():

@@ -34,10 +34,6 @@ def test_mint_plain_key():
     assert mint_entity_id("WeldingProgram", "pg1") == "WeldingProgram/pg1"
 
 
-def test_mint_dummy():
-    assert mint_entity_id("MeasurementModule", "row0", dummy=True) == "_:dummy_MeasurementModule_row0"
-
-
 def test_mint_percent_encodes():
     assert mint_entity_id("C", "a b") == "C/a%20b"
     assert mint_entity_id("C", "x/y") == "C/x%2Fy"
@@ -265,8 +261,9 @@ def test_load_round_trip_keeps_blank_nodes(ontology_wx, mappings_wx, dataset_2):
 
 
 def test_load_rejects_junk():
-    with pytest.raises(ValueError, match="line 1"):
-        load_ntriples("this is not a triple\n")
+    with pytest.raises(ParseError, match="line 2: not a recognized triple") as info:
+        load_ntriples("<http://example.org/kg#C/x> <http://example.org/kg#p> \"ok\" .\nthis is not a triple\n")
+    assert info.value.line == 2
 
 
 @pytest.mark.parametrize("escape", [r"\u12", r"\uZZZZ", r"\U00110000"])

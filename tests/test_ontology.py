@@ -19,7 +19,8 @@ from ontoshape.ontology import (
     has_indirect_relation,
     parse_ontology,
     serialize_ontology,
-    shortest_path_classes,
+    undirected_distances,
+    walk_shortest,
 )
 
 from conftest import ONTOLOGY_W
@@ -151,26 +152,20 @@ def test_direct_and_indirect_are_independent():
     assert has_indirect_relation(o, pair)
 
 
-def test_shortest_path_directed(ontology_w):
-    path = shortest_path_classes(ontology_w, ClassPair("WeldingOperation", "CurrentMeanValue"))
-    assert path == [
-        "WeldingOperation",
-        "WeldingSoftwareSystem",
-        "MeasurementModule",
-        "OperationCurveCurrent",
-        "CurrentMeanValue",
-    ]
+def _shortest_path(o, src, dst):
+    """What ``baseline_schema`` asks: distances to ``dst``, then the walk
+    from ``src``; None when ``src`` cannot reach ``dst``."""
+    dist = undirected_distances(o, dst)
+    return walk_shortest(o, src, dst, dist) if src in dist else None
 
 
 def test_shortest_path_unreachable():
     o = parse_ontology("class A\nclass B\n")
-    assert shortest_path_classes(o, ClassPair("A", "B")) is None
+    assert _shortest_path(o, "A", "B") is None
 
 
 def test_shortest_path_undirected(ontology_w):
-    path = shortest_path_classes(
-        ontology_w, ClassPair("CurrentMeanValue", "CurrentArrayValue"), undirected=True
-    )
+    path = _shortest_path(ontology_w, "CurrentMeanValue", "CurrentArrayValue")
     assert path == ["CurrentMeanValue", "OperationCurveCurrent", "CurrentArrayValue"]
 
 
@@ -179,7 +174,14 @@ def test_shortest_path_tie_break_is_lexicographic():
         "class A\nclass B\nclass C\nclass D\n"
         "objprop p A B\nobjprop q A C\nobjprop r B D\nobjprop s C D\n"
     )
-    assert shortest_path_classes(o, ClassPair("A", "D")) == ["A", "B", "D"]
+    assert _shortest_path(o, "A", "D") == ["A", "B", "D"]
+    assert _shortest_path(o, "D", "A") == ["D", "B", "A"]
+
+
+def test_undirected_distances_requires_declared_class():
+    o = parse_ontology("class A\n")
+    with pytest.raises(ValueError, match="undeclared class Nope"):
+        undirected_distances(o, "Nope")
 
 
 _names = st.sampled_from("ABCDEFGH")
@@ -202,23 +204,23 @@ def small_ontologies(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(o=small_ontologies(), undirected=st.booleans())
-def test_shortest_path_matches_exhaustive_enumeration(o, undirected):
+@given(o=small_ontologies())
+def test_shortest_path_matches_exhaustive_enumeration(o):
     pool = sorted(o.classes)
-    for src in pool:
-        for dst in pool:
-            if src == dst:
-                continue
-            pair = ClassPair(src, dst)
-            got = shortest_path_classes(o, pair, undirected=undirected)
-            paths = _enumerate_simple_paths(o, src, dst, undirected=undirected)
+    for dst in pool:
+        dist = undirected_distances(o, dst)
+        for src in pool:
+            paths = _enumerate_simple_paths(o, src, dst, undirected=True)
             if not paths:
-                assert got is None
+                assert src not in dist
                 continue
             best = min(len(p) for p in paths)
-            assert got is not None
+            assert dist[src] == best - 1
+            got = walk_shortest(o, src, dst, dist)
             assert len(got) == best
             assert got in paths  # every hop is a real edge
+            # the lexicographically smallest next class at every step
+            assert got == min(p for p in paths if len(p) == best)
 
 
 @settings(max_examples=200, deadline=None)

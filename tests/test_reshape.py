@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import importlib
 import logging
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset2
 from ontoshape.errors import ParseError, SchemaError
 from ontoshape.mapping import ConnectionRule, EntityRule, MappingSet, UserInfo, parse_mappings
-from ontoshape.ontology import parse_ontology
+from ontoshape.ontology import Ontology, parse_ontology
 from ontoshape.reshape import (
     ClassPartition,
     KGSchema,
+    assign_data_properties,
     baseline_schema,
     connect_classes,
     identifier_stem,
@@ -22,7 +27,11 @@ from ontoshape.reshape import (
     reshape,
     serialize_schema,
 )
+from ontoshape.syndata import SynthConfig, generate_synthetic
 from ontoshape.tabular import Dataset, Table
+
+# the package exports the reshape function under the submodule's name
+reshape_module = importlib.import_module("ontoshape.reshape")
 
 
 def _single_table(attributes, rows=()):
@@ -278,6 +287,74 @@ def test_assign_unreachable_class_falls_back_to_main(userinfo_main, caplog):
     with caplog.at_level(logging.WARNING):
         s = reshape(o, d, m, userinfo_main)
     assert ("hasPeak", "WeldingOperation", ("welding_operation", "x")) in s.data_attachments
+
+
+_names = st.sampled_from("ABCDEFGH")
+
+
+@st.composite
+def _owner_cases(draw):
+    """A random ontology, main class, schema classes (one maybe undeclared)
+    and single-table dataset whose attributes map to random classes."""
+    classes = sorted(draw(st.frozensets(_names, min_size=1, max_size=8)))
+    edges = draw(st.frozensets(st.tuples(st.sampled_from(classes), st.sampled_from(classes)), max_size=12))
+    o = Ontology(frozenset(classes), frozenset((f"r_{a}{b}", a, b) for a, b in edges), frozenset())
+    mc = draw(st.sampled_from(classes))
+    schema = {mc} | draw(st.frozensets(st.sampled_from(classes + ["Ghost"]), max_size=4))
+    targets = draw(st.lists(st.sampled_from(classes + ["Nowhere"]), min_size=1, max_size=8))
+    attrs = [f"a{i}" for i in range(len(targets))]
+    m = MappingSet({"t": mc}, {("t", a): cp for a, cp in zip(attrs, targets)})
+    return o, mc, schema, Dataset({"t": Table("t", attrs, [])}, "t"), m
+
+
+def _all_pairs_undirected(o):
+    """Floyd-Warshall over the ontology with edge direction ignored."""
+    inf = float("inf")
+    dist = {a: {b: 0 if a == b else inf for b in o.classes} for a in o.classes}
+    for _, a, b in o.object_properties:
+        if a != b:
+            dist[a][b] = dist[b][a] = 1
+    for k in o.classes:
+        for a in o.classes:
+            for b in o.classes:
+                if dist[a][k] + dist[k][b] < dist[a][b]:
+                    dist[a][b] = dist[a][k] + dist[k][b]
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_owner_cases())
+def test_assign_owner_matches_all_pairs_oracle(case):
+    o, mc, schema, d, m = case
+    s = KGSchema(mc, set(schema), set())
+    got = assign_data_properties(s, partition_classes(o, m, d), o, m, d)
+    owners = {src: owner for _, owner, src in got.data_attachments}
+    dist = _all_pairs_undirected(o)
+    for (table, attr), cp in m.attribute_map.items():
+        near = [
+            (dist[c][cp], c != mc, c)
+            for c in schema
+            if c in o.classes and cp in o.classes and dist[c][cp] != float("inf")
+        ]
+        assert owners[(table, attr)] == (min(near)[2] if near else mc)
+
+
+def test_reshape_runs_one_bfs_per_declared_schema_class(monkeypatch):
+    o, d, m, u = generate_synthetic(SynthConfig(n_attributes=30, n_rows=2, chain_depth=3))
+    # a user rule adds a class the ontology does not declare
+    u = UserInfo(u.main_class, (EntityRule("Value000", "Ghost", "hasGhost"),))
+    calls = []
+
+    def counted(onto, source):
+        calls.append(source)
+        return real(onto, source)
+
+    real = reshape_module.undirected_distances
+    monkeypatch.setattr(reshape_module, "undirected_distances", counted)
+    s = reshape(o, d, m, u)
+    assert "Ghost" in s.classes
+    assert Counter(calls) == Counter(c for c in s.classes if c in o.classes)
+    assert len(calls) == 3
 
 
 def test_schema_connectivity_invariant(ontology_wx, mappings_wx, dataset_2, userinfo_main):
