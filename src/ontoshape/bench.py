@@ -16,7 +16,6 @@ import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from statistics import mean
 
 from . import kggen, metrics
 from .mapping import MappingSet, UserInfo
@@ -126,57 +125,44 @@ def run_experiment(cfg: ExperimentConfig, inputs: Inputs, jobs: int = 1) -> list
 def aggregate_runs(results: list[RunResult]) -> dict[tuple[str, int], dict[str, float]]:
     """Mean/max aggregation per (approach, attribute count).
 
-    The value dict is keyed by the report row labels, plus "data coverage"
-    which is kept for inspection but not rendered in the report table.
+    Each value dict is ``metrics.row_values`` over the group's reports: the
+    report rows plus the mean data coverage, which is kept for inspection
+    but not rendered in the report table.
     """
     if not results:
         raise ValueError("no results to aggregate")
     groups: dict[tuple[str, int], list[metrics.MetricsReport]] = {}
     for r in results:
         groups.setdefault((r.approach, r.attribute_count), []).append(r.report)
-    out = {}
-    for key, reports in groups.items():
-        out[key] = {
-            "time cost (sec)": mean(r.time_cost_ms for r in reports) / 1000.0,
-            "storage space (MB)": mean(r.storage_bytes for r in reports) / 1e6,
-            "#avg. class": mean(r.class_count for r in reports),
-            "#max. class": max(r.class_count for r in reports),
-            "#object prop.": mean(r.object_prop_count for r in reports),
-            "#data prop.": mean(r.data_prop_count for r in reports),
-            "#entities": mean(r.entity_count for r in reports),
-            "#avg. dummy entities": mean(r.dummy_count for r in reports),
-            "#max. dummy entities": max(r.dummy_count for r in reports),
-            "avg. root to leaf depth": mean(r.root_to_leaf_depth for r in reports),
-            "max. root to leaf depth": max(r.root_to_leaf_depth for r in reports),
-            "avg. global depth": mean(r.global_depth for r in reports),
-            "max. global depth": max(r.global_depth for r in reports),
-            "data coverage": mean(r.data_coverage for r in reports),
-        }
-    return out
+    return {key: metrics.row_values(reports) for key, reports in groups.items()}
 
 
 def render_report(agg: dict[tuple[str, int], dict[str, float]]) -> tuple[str, str]:
     """Render aggregates as (CSV document, aligned text table).
 
     Columns are Set 1..Set N in ascending attribute-count order; rows use
-    the fixed metric labels, one block per approach. When both approaches
+    the fixed metric labels, one block per approach. A set an approach did
+    not run is empty in the CSV and "-" in the text. When both approaches
     are present the text report ends with the per-set time ratio.
     """
     approaches = [ap for ap in APPROACHES if any(k[0] == ap for k in agg)]
     counts = sorted({count for _, count in agg})
     set_headers = [f"Set {i + 1}" for i in range(len(counts))]
     fmt = metrics.format_value
+    cells = {
+        (approach, label): [
+            fmt(agg[approach, count][label]) if (approach, count) in agg else None
+            for count in counts
+        ]
+        for approach in approaches
+        for label in metrics.ROW_LABELS
+    }
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["approach", "metric"] + set_headers)
-    for approach in approaches:
-        for label in metrics.ROW_LABELS:
-            row = [approach, label]
-            for count in counts:
-                cell = agg.get((approach, count))
-                row.append(fmt(cell[label]) if cell is not None else "")
-            writer.writerow(row)
+    for (approach, label), row in cells.items():
+        writer.writerow([approach, label] + ["" if c is None else c for c in row])
     csv_doc = buf.getvalue()
 
     label_width = max(len(label) for label in metrics.ROW_LABELS) + 2
@@ -191,21 +177,18 @@ def render_report(agg: dict[tuple[str, int], dict[str, float]]) -> tuple[str, st
         ):
             lines.append(section)
             for label in labels:
-                cells = []
-                for count in counts:
-                    cell = agg.get((approach, count))
-                    cells.append((fmt(cell[label]) if cell is not None else "-").rjust(col_width))
-                lines.append(label.ljust(label_width) + "".join(cells))
+                row = "".join(("-" if c is None else c).rjust(col_width) for c in cells[approach, label])
+                lines.append(label.ljust(label_width) + row)
         lines.append("")
     if "baseline" in approaches and "reshape" in approaches:
-        cells = []
+        ratios = []
         for count in counts:
             b = agg.get(("baseline", count))
             r = agg.get(("reshape", count))
             if b is None or r is None or r["time cost (sec)"] == 0:
-                cells.append("-".rjust(col_width))
+                ratios.append("-".rjust(col_width))
             else:
-                cells.append(fmt(b["time cost (sec)"] / r["time cost (sec)"]).rjust(col_width))
-        lines.append("time ratio (baseline / reshape)".ljust(label_width) + "".join(cells))
+                ratios.append(fmt(b["time cost (sec)"] / r["time cost (sec)"]).rjust(col_width))
+        lines.append("time ratio (baseline / reshape)".ljust(label_width) + "".join(ratios))
         lines.append("")
     return csv_doc, "\n".join(lines)

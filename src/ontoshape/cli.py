@@ -14,10 +14,10 @@ from pathlib import Path
 
 from . import __version__, bench, kggen, metrics, syndata
 from .errors import OntoshapeError
-from .mapping import UserInfo, parse_mappings, parse_userinfo
+from .mapping import MappingSet, UserInfo, parse_mappings, parse_userinfo
 from .ontology import parse_ontology
 from .reshape import baseline_schema, parse_schema, reshape, serialize_schema
-from .tabular import load_dataset
+from .tabular import Dataset, load_dataset
 
 
 class _UsageError(Exception):
@@ -35,6 +35,7 @@ def _add_input_flags(p: argparse.ArgumentParser, ontology: bool = True) -> None:
         p.add_argument("-o", "--ontology", required=True, help="ontology file (.osf)")
     p.add_argument("-d", "--data", required=True, help="directory of <table>.csv files")
     p.add_argument("-m", "--mappings", required=True, help="mapping CSV file")
+    p.add_argument("--main-table", help="main table name (default: sole table or 'operation')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("-u", "--userinfo", help="user info JSON file")
     p.add_argument("--main-class", help="override the main class")
-    p.add_argument("--main-table", help="main table name (default: sole table or 'operation')")
     p.add_argument("--include-unmapped", action="store_true",
                    help="attach attributes without a mapping to the main class")
     p.add_argument("--out", required=True, help="schema output file")
@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("-u", "--userinfo", help="user info JSON file")
     p.add_argument("--main-class", help="override the main class")
-    p.add_argument("--main-table", help="main table name (default: sole table or 'operation')")
     p.add_argument("--out", required=True, help="schema output file")
     p.set_defaults(func=_cmd_baseline)
 
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--schema", required=True, help="schema file")
     _add_input_flags(p, ontology=False)
     p.add_argument("--main-class", help="override the schema's main class")
-    p.add_argument("--main-table", help="main table name (default: sole table or 'operation')")
     p.add_argument("--base-iri", default=kggen.DEFAULT_BASE_IRI,
                    help="IRI prefix, must end with '#' or '/'")
     p.add_argument("--out", required=True, help="N-Triples output file")
@@ -79,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--schema", required=True, help="schema file the graph was generated from")
     _add_input_flags(p, ontology=False)
     p.add_argument("--main-class", help="override the schema's main class")
-    p.add_argument("--main-table", help="main table name (default: sole table or 'operation')")
     p.add_argument("--base-iri", default=kggen.DEFAULT_BASE_IRI)
     p.add_argument("--out", help="write the text report here instead of stdout")
     p.set_defaults(func=_cmd_metrics)
@@ -109,15 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick_main_table(args, dataset_dir: str) -> str:
+def _pick_main_table(args) -> str:
     if args.main_table:
         return args.main_table
-    names = sorted(p.stem for p in Path(dataset_dir).glob("*.csv"))
+    names = sorted(p.stem for p in Path(args.data).glob("*.csv"))
     if len(names) == 1:
         return names[0]
     if syndata.MAIN_TABLE in names:
         return syndata.MAIN_TABLE
     raise _UsageError("--main-table is required when the data directory holds several tables")
+
+
+def _load_tables(args) -> tuple[MappingSet, Dataset]:
+    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8"))
+    return mappings, load_dataset(args.data, _pick_main_table(args))
 
 
 def _load_userinfo(args) -> UserInfo:
@@ -133,8 +135,7 @@ def _load_userinfo(args) -> UserInfo:
 
 def _cmd_reshape(args) -> int:
     ontology = parse_ontology(Path(args.ontology).read_text(encoding="utf-8"))
-    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8"))
-    dataset = load_dataset(args.data, _pick_main_table(args, args.data))
+    mappings, dataset = _load_tables(args)
     info = _load_userinfo(args)
     schema = reshape(ontology, dataset, mappings, info, include_unmapped=args.include_unmapped)
     Path(args.out).write_text(serialize_schema(schema), encoding="utf-8")
@@ -143,8 +144,7 @@ def _cmd_reshape(args) -> int:
 
 def _cmd_baseline(args) -> int:
     ontology = parse_ontology(Path(args.ontology).read_text(encoding="utf-8"))
-    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8"))
-    dataset = load_dataset(args.data, _pick_main_table(args, args.data))
+    mappings, dataset = _load_tables(args)
     info = _load_userinfo(args)
     schema = baseline_schema(ontology, dataset, mappings, info.main_class)
     Path(args.out).write_text(serialize_schema(schema), encoding="utf-8")
@@ -153,8 +153,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_generate(args) -> int:
     schema = parse_schema(Path(args.schema).read_text(encoding="utf-8"))
-    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8"))
-    dataset = load_dataset(args.data, _pick_main_table(args, args.data))
+    mappings, dataset = _load_tables(args)
     mc = args.main_class or schema.main_class
     graph = kggen.generate_kg(schema, dataset, mappings, mc)
     Path(args.out).write_text(kggen.serialize_ntriples(graph, args.base_iri), encoding="utf-8")
@@ -163,10 +162,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_metrics(args) -> int:
     schema = parse_schema(Path(args.schema).read_text(encoding="utf-8"))
-    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8"))
-    dataset = load_dataset(args.data, _pick_main_table(args, args.data))
-    kg_path = Path(args.kg)
-    text = kg_path.read_text(encoding="utf-8")
+    mappings, dataset = _load_tables(args)
+    text = Path(args.kg).read_text(encoding="utf-8")
     graph = kggen.load_ntriples(text, args.base_iri, schema)
     mc = args.main_class or schema.main_class
     report = metrics.build_report(
@@ -217,10 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OntoshapeError, ValueError) as exc:
+    except (_UsageError, OntoshapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

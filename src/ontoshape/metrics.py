@@ -16,33 +16,39 @@ eccentricity bounds (Takes & Kosters, CIKM 2011); more BFS run only while
 some node's upper bound exceeds the largest eccentricity found. The
 root-to-leaf depth comes from the same bounds, restricted to main-class
 nodes.
+
+``ROWS`` is the one definition of the report rows, in report order: (label,
+report field, divisor into the shown unit, how repeated runs combine).
+``row_values`` applies it, for ``report_text`` and ``bench`` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import mean
 
 from .kggen import KnowledgeGraph
 from .mapping import MappingSet
 from .reshape import KGSchema
 from .tabular import Dataset, list_attributes
 
-ROW_LABELS = [
-    "time cost (sec)",
-    "storage space (MB)",
-    "#avg. class",
-    "#max. class",
-    "#object prop.",
-    "#data prop.",
-    "#entities",
-    "#avg. dummy entities",
-    "#max. dummy entities",
-    "avg. root to leaf depth",
-    "max. root to leaf depth",
-    "avg. global depth",
-    "max. global depth",
-]
+ROWS = (
+    ("time cost (sec)", "time_cost_ms", 1000.0, mean),
+    ("storage space (MB)", "storage_bytes", 1e6, mean),
+    ("#avg. class", "class_count", 1, mean),
+    ("#max. class", "class_count", 1, max),
+    ("#object prop.", "object_prop_count", 1, mean),
+    ("#data prop.", "data_prop_count", 1, mean),
+    ("#entities", "entity_count", 1, mean),
+    ("#avg. dummy entities", "dummy_count", 1, mean),
+    ("#max. dummy entities", "dummy_count", 1, max),
+    ("avg. root to leaf depth", "root_to_leaf_depth", 1, mean),
+    ("max. root to leaf depth", "root_to_leaf_depth", 1, max),
+    ("avg. global depth", "global_depth", 1, mean),
+    ("max. global depth", "global_depth", 1, max),
+)
 
+ROW_LABELS = [label for label, _, _, _ in ROWS]
 EFFICIENCY_LABELS = ROW_LABELS[:7]
 SIMPLICITY_LABELS = ROW_LABELS[7:]
 
@@ -61,14 +67,12 @@ class MetricsReport:
     global_depth: int
 
 
-def data_coverage(g: KnowledgeGraph, d: Dataset, m: MappingSet | None = None) -> float:
+def data_coverage(g: KnowledgeGraph, d: Dataset) -> float:
     """Fraction of the dataset's attributes represented in the graph.
 
     An attribute counts as covered when at least one literal triple stems
     from it or when its values were consumed as entity keys. A dataset
-    without attributes is fully covered by definition. The mapping set is
-    accepted for interface symmetry with generation; coverage itself is
-    read off the graph.
+    without attributes is fully covered by definition.
     """
     attrs = list_attributes(d)
     if not attrs:
@@ -244,7 +248,7 @@ def build_report(
     storage_bytes: int = 0,
 ) -> MetricsReport:
     """Assemble a full report for one generated graph."""
-    coverage = data_coverage(g, d, m)
+    coverage = data_coverage(g, d)
     class_count, object_props, data_props, entity_count = kg_counts(g, s)
     root_depth, global_depth = depth_metrics(g, mc)
     return MetricsReport(
@@ -261,22 +265,13 @@ def build_report(
     )
 
 
-def _single_values(r: MetricsReport) -> dict[str, float]:
-    return {
-        "time cost (sec)": r.time_cost_ms / 1000.0,
-        "storage space (MB)": r.storage_bytes / 1e6,
-        "#avg. class": r.class_count,
-        "#max. class": r.class_count,
-        "#object prop.": r.object_prop_count,
-        "#data prop.": r.data_prop_count,
-        "#entities": r.entity_count,
-        "#avg. dummy entities": r.dummy_count,
-        "#max. dummy entities": r.dummy_count,
-        "avg. root to leaf depth": r.root_to_leaf_depth,
-        "max. root to leaf depth": r.root_to_leaf_depth,
-        "avg. global depth": r.global_depth,
-        "max. global depth": r.global_depth,
-    }
+def row_values(reports: list[MetricsReport]) -> dict[str, float]:
+    """The mean data coverage, then every ``ROWS`` row over a nonempty list
+    of reports: each combines its field over the reports, then divides."""
+    values = {"data coverage": mean(r.data_coverage for r in reports)}
+    for label, field, divisor, combine in ROWS:
+        values[label] = combine(getattr(r, field) for r in reports) / divisor
+    return values
 
 
 def format_value(value: float) -> str:
@@ -285,8 +280,6 @@ def format_value(value: float) -> str:
 
 def report_text(r: MetricsReport) -> str:
     """Aligned label/value block for terminal inspection."""
-    values = _single_values(r)
-    rows = [("data coverage", format_value(r.data_coverage))]
-    rows += [(label, format_value(values[label])) for label in ROW_LABELS]
-    width = max(len(label) for label, _ in rows)
-    return "".join(f"{label:<{width}}  {value}\n" for label, value in rows)
+    values = row_values([r])
+    width = max(len(label) for label in values)
+    return "".join(f"{label:<{width}}  {format_value(v)}\n" for label, v in values.items())

@@ -63,6 +63,15 @@ def _main_table_first(d: Dataset) -> list[tuple[str, str]]:
     return sorted(list_attributes(d), key=lambda ta: ta[0] != d.main_table)
 
 
+def _claim_key(class_keys: dict[str, tuple[str, str]], cls: str, src: tuple[str, str]) -> None:
+    """Key ``cls`` by the attribute ``src`` unless an earlier one claimed it;
+    callers offer attributes in ``_main_table_first`` order."""
+    if cls in class_keys:
+        log.warning("%s already keyed by %s.%s; %s.%s will only attach", cls, *class_keys[cls], *src)
+    else:
+        class_keys[cls] = src
+
+
 @dataclass(frozen=True)
 class ClassPartition:
     """Split of the ontology classes by what the data maps onto.
@@ -343,13 +352,7 @@ def reshape(
             continue
         entity_class, _ = hit
         classes.add(entity_class)
-        if entity_class not in class_keys:
-            class_keys[entity_class] = (table, attr)
-        else:
-            log.warning(
-                "%s already keyed by %s.%s; %s.%s will only attach",
-                entity_class, *class_keys[entity_class], table, attr,
-            )
+        _claim_key(class_keys, entity_class, (table, attr))
 
     base = KGSchema(mc, classes, set(), set(), class_keys, class_tables)
     connected = connect_classes(base, mc, o, u)
@@ -410,13 +413,7 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
     class_keys: dict[str, tuple[str, str]] = {}
     for table, attr, cls in attr_classes:
         attachments.add(("hasValue", cls, (table, attr)))
-        if cls in class_keys:
-            log.warning(
-                "%s already keyed by %s.%s; %s.%s will only attach",
-                cls, *class_keys[cls], table, attr,
-            )
-        else:
-            class_keys[cls] = (table, attr)
+        _claim_key(class_keys, cls, (table, attr))
 
     if mc not in class_keys:
         for table, attr in _main_table_first(d):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import re
 
 import pytest
 
@@ -16,7 +18,7 @@ from ontoshape.bench import (
     run_experiment,
 )
 from ontoshape.mapping import MappingSet
-from ontoshape.metrics import ROW_LABELS, MetricsReport
+from ontoshape.metrics import ROW_LABELS, ROWS, MetricsReport, format_value, report_text
 from ontoshape.syndata import SynthConfig, generate_synthetic
 from ontoshape.tabular import Dataset, Table
 
@@ -132,6 +134,44 @@ def test_aggregate_mean_and_max():
     assert cell["max. root to leaf depth"] == 3.0
     assert cell["avg. global depth"] == 2.0
     assert cell["max. global depth"] == 3.0
+
+
+def test_aggregate_takes_max_for_max_rows_and_mean_for_the_rest():
+    first = _report(
+        data_coverage=0.5, time_cost_ms=10.0, storage_bytes=1000, class_count=3,
+        object_prop_count=5, data_prop_count=4, entity_count=6, dummy_count=0,
+        root_to_leaf_depth=1, global_depth=2,
+    )
+    second = _report(
+        data_coverage=1.0, time_cost_ms=40.0, storage_bytes=4000, class_count=8,
+        object_prop_count=9, data_prop_count=11, entity_count=13, dummy_count=7,
+        root_to_leaf_depth=4, global_depth=6,
+    )
+    for f in dataclasses.fields(MetricsReport):
+        assert getattr(first, f.name) != getattr(second, f.name)
+    # every field but data coverage is shown in some row
+    shown = {field for _, field, _, _ in ROWS}
+    assert shown == {f.name for f in dataclasses.fields(MetricsReport)} - {"data_coverage"}
+
+    runs = [RunResult("baseline", 5, 0, first), RunResult("baseline", 5, 1, second)]
+    cell = aggregate_runs(runs)[("baseline", 5)]
+    assert cell["data coverage"] == 0.75
+    for label, field, divisor, _ in ROWS:
+        a, b = getattr(first, field), getattr(second, field)
+        if label.startswith(("#max.", "max.")):
+            assert cell[label] == max(a, b) / divisor, label
+        else:
+            assert cell[label] == (a + b) / 2 / divisor, label
+
+
+def test_report_text_lines_match_single_run_aggregate():
+    r = _report(data_coverage=0.8, time_cost_ms=1234.5678, storage_bytes=123456, dummy_count=7)
+    cell = aggregate_runs([RunResult("reshape", 1, 0, r)])[("reshape", 1)]
+    lines = report_text(r).splitlines()
+    assert len(lines) == len(cell) == 1 + len(ROW_LABELS)
+    for line in lines:
+        label, value = re.split(r" {2,}", line)
+        assert value == format_value(cell[label]), label
 
 
 def test_aggregate_single_run_is_identity():

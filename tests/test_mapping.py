@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from conftest import MAPPINGS_WX, USERINFO_RULE
+from ontoshape import mapping
 from ontoshape.errors import ParseError
 from ontoshape.mapping import (
     ConnectionRule,
@@ -18,6 +20,11 @@ from ontoshape.mapping import (
     serialize_mappings,
     serialize_userinfo,
 )
+from ontoshape.ontology import parse_ontology
+from ontoshape.reshape import reshape, serialize_schema
+from ontoshape.syndata import SynthConfig, generate_synthetic
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_fixture_mappings():
@@ -130,11 +137,37 @@ def test_serialize_userinfo_round_trip():
 
 
 def test_readme_userinfo_example_parses():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     u = parse_userinfo(block)
     assert u.main_class == "WeldingOperation"
     assert u.entity_rules == (EntityRule("SensorChannelCode", "SensorChannel", "hasCode"),)
     assert u.connection_rules == (
         ConnectionRule("WeldingOperation", "SensorChannel", "recordedBy"),
     )
+
+
+def test_readme_ontology_example_parses():
+    readme = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"\*\*Ontology\*\*.*?```\n(.*?)```", readme, re.S)
+    o = parse_ontology(block)
+    assert o.classes == {"WeldingOperation", "WeldingProgram"}
+    assert o.object_properties == {("executes", "WeldingOperation", "WeldingProgram")}
+    assert o.data_properties == {("hasTimestamp", "WeldingOperation")}
+
+
+def test_module_mapping_example_parses():
+    # the README describes the mapping CSV in prose; the example lives here
+    indented = [line for line in mapping.__doc__.splitlines() if line.startswith("    ")]
+    m = parse_mappings(textwrap.dedent("\n".join(indented)) + "\n")
+    assert m.table_map == {"welding_operation": "WeldingOperation"}
+    assert m.attribute_map == {("welding_operation", "current_mean"): "CurrentMeanValue"}
+
+
+def test_readme_quick_start_schema_excerpt_matches_reshape():
+    readme = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"collapses to three classes:\n\n```\n(.*?)```", readme, re.S)
+    excerpt = [line for line in block.splitlines() if line != "..."]
+    schema = serialize_schema(reshape(*generate_synthetic(SynthConfig(6, 100, seed=1))))
+    lines = iter(schema.splitlines())
+    # an ordered subsequence: each excerpt line occurs after the previous one
+    assert all(line in lines for line in excerpt)

@@ -41,14 +41,14 @@ def _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main):
 
 def test_coverage_full(ontology_wx, mappings_wx, dataset_2, userinfo_main):
     for _, g in _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main):
-        assert data_coverage(g, dataset_2, mappings_wx) == 1.0
+        assert data_coverage(g, dataset_2) == 1.0
 
 
 def test_coverage_counts_missing_attribute(ontology_wx, mappings_wx, dataset_2, userinfo_main):
     (_, g), _ = _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main)
     kept = {t for t in g.literal_triples if t[1] != "hasCurrentArrayValue"}
     gutted = KnowledgeGraph(g.entities, g.object_triples, kept, g.key_sources)
-    assert data_coverage(gutted, dataset_2, mappings_wx) == 0.75
+    assert data_coverage(gutted, dataset_2) == 0.75
 
 
 def test_coverage_vacuous():
