@@ -21,6 +21,10 @@ A row with an empty key cell is skipped; a row whose join value matches no
 main entity keeps its entities free-standing. Attribute values become
 literal triples on their owner's entity, and every schema edge whose two
 endpoint entities exist for the row becomes an object triple.
+
+In N-Triples, literals are escaped by one rule, the ``str.translate``
+table ``_ESCAPES``. Reading decodes exactly N-Triples' escapes and rejects
+one that names a surrogate code point, which no UTF-8 file can hold.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import re
 import string
 import sys
 from dataclasses import dataclass
+from functools import cache
 from urllib.parse import quote
 
 from .errors import DatasetError, ParseError, SchemaError
@@ -194,29 +199,15 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
     return KnowledgeGraph(entities, objects, set(literals), frozenset(key_sources))
 
 
-# characters that str.splitlines treats as line breaks must not appear raw,
-# or the file would not survive line-oriented reading
-_NEEDS_U_ESCAPE = set("\x0b\x0c\x1c\x1d\x1e\x85  ")
-
-
-def _escape_literal(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch in _NEEDS_U_ESCAPE or ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+# the one escaping rule for literals: N-Triples' short escapes for
+# backslash, quote, newline, return and tab, and \uXXXX for every other
+# control character and for the characters str.splitlines treats as line
+# breaks, which must not appear raw or the file would not survive
+# line-oriented reading
+_ESCAPES = str.maketrans({
+    **{chr(c): f"\\u{c:04X}" for c in [*range(0x20), 0x85, 0x2028, 0x2029]},
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
+})
 
 
 # N-Triples' ECHAR set; \u and \U are decoded separately
@@ -233,10 +224,12 @@ def _unescape_literal(value: str, lineno: int) -> str:
             if nxt in "uU":
                 end = i + (6 if nxt == "u" else 10)
                 escape = value[i:end]
+                # a surrogate is no character, and no UTF-8 file can hold it
                 if (
                     end > len(value)
                     or not all(c in string.hexdigits for c in escape[2:])
                     or int(escape[2:], 16) > sys.maxunicode
+                    or 0xD800 <= int(escape[2:], 16) <= 0xDFFF
                 ):
                     raise ParseError(f"bad escape {escape!r} in literal", lineno)
                 out.append(chr(int(escape[2:], 16)))
@@ -256,8 +249,10 @@ def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> s
     """Write the graph as N-Triples, one triple per line, lines sorted.
 
     Entity and property IRIs are the base IRI plus the local name; dummy
-    entities keep their blank-node labels. The output is byte stable for a
-    given graph.
+    entities keep their blank-node labels. Each entity, object triple and
+    distinct (subject, property, value) literal is one line, and each
+    entity's term is formatted once. The output is byte stable for a given
+    graph.
     """
     if not base_iri.endswith(("#", "/")):
         raise ValueError("base IRI must end with '#' or '/'")
@@ -267,15 +262,15 @@ def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> s
             return local
         return f"<{base_iri}{local}>"
 
+    terms = {eid: term(eid) for eid in g.entities}
     type_pred = f"<{RDF_TYPE_IRI}>"
-    lines = set()
-    for eid, (cls, _) in g.entities.items():
-        lines.add(f"{term(eid)} {type_pred} <{base_iri}{cls}> .")
+    lines = [f"{terms[eid]} {type_pred} <{base_iri}{cls}> ." for eid, (cls, _) in g.entities.items()]
     for subj, rel, obj in g.object_triples:
-        lines.add(f"{term(subj)} <{base_iri}{rel}> {term(obj)} .")
-    for subj, prop, value, _ in g.literal_triples:
-        lines.add(f'{term(subj)} <{base_iri}{prop}> "{_escape_literal(value)}" .')
-    return "".join(line + "\n" for line in sorted(lines))
+        lines.append(f"{terms.get(subj) or term(subj)} <{base_iri}{rel}> {terms.get(obj) or term(obj)} .")
+    for subj, prop, value in {(subj, prop, value) for subj, prop, value, _ in g.literal_triples}:
+        lines.append(f'{terms.get(subj) or term(subj)} <{base_iri}{prop}> "{value.translate(_ESCAPES)}" .')
+    lines.sort()
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 _NT_LINE = re.compile(
@@ -291,12 +286,21 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
     indices stay unknown) and ``key_sources`` is taken from the schema's
     key declarations. Without a schema those fields stay empty. Raises
     :class:`ParseError` with the line number on a line that is not a
-    triple or a literal with an escape N-Triples does not define.
+    triple or a literal with an escape N-Triples does not define or that
+    names a surrogate.
     """
 
+    cut = len(base_iri)
+
+    # each name is worked out once, however many lines repeat it: ``local``
+    # takes a bare predicate or class IRI, ``name`` a subject or object term
+    @cache
     def local(iri: str) -> str:
-        name = iri[1:-1]
-        return name[len(base_iri):] if name.startswith(base_iri) else name
+        return iri[cut:] if iri.startswith(base_iri) else iri
+
+    @cache
+    def name(term: str) -> str:
+        return term if term[0] == "_" else local(term[1:-1])
 
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
@@ -309,16 +313,15 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
         if match is None:
             raise ParseError(f"not a recognized triple: {line!r}", lineno)
         subj_t, pred_iri, obj_t = match.groups()
-        subj = subj_t if subj_t.startswith("_:") else local(subj_t)
-        if obj_t.startswith('"'):
-            raw_literals.append((subj, local(f"<{pred_iri}>"), _unescape_literal(obj_t[1:-1], lineno)))
+        if obj_t[0] == '"':
+            value = obj_t[1:-1]
+            if "\\" in value:
+                value = _unescape_literal(value, lineno)
+            raw_literals.append((name(subj_t), local(pred_iri), value))
         elif pred_iri == RDF_TYPE_IRI:
-            cls = obj_t[1:-1]
-            cls = cls[len(base_iri):] if cls.startswith(base_iri) else cls
-            entities[subj] = (cls, subj.startswith("_:"))
+            entities[name(subj_t)] = (local(obj_t[1:-1]), subj_t[0] == "_")
         else:
-            obj = obj_t if obj_t.startswith("_:") else local(obj_t)
-            objects.add((subj, local(f"<{pred_iri}>"), obj))
+            objects.add((name(subj_t), local(pred_iri), name(obj_t)))
 
     source_of: dict[tuple[str, str], tuple[str, str]] = {}
     if schema is not None:

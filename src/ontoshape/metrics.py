@@ -105,7 +105,7 @@ class _Eccentricities:
     BFS started from has both bounds equal to its eccentricity.
     """
 
-    def __init__(self, adj: list[list[int]]):
+    def __init__(self, adj: list[set[int]]):
         n = len(adj)
         self.adj = adj
         self.lo = [0] * n
@@ -200,17 +200,13 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     n = len(index)
     if n == 0:
         return (0, 0)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edge_seen = set()
+    adj: list[set[int]] = [set() for _ in range(n)]
     for subj, _, obj in g.object_triples:
         a, b = index.get(subj), index.get(obj)
         if a is None or b is None or a == b:
             continue
-        if (a, b) in edge_seen or (b, a) in edge_seen:
-            continue
-        edge_seen.add((a, b))
-        adj[a].append(b)
-        adj[b].append(a)
+        adj[a].add(b)
+        adj[b].add(a)
     is_main = [cls == mc for cls, _ in g.entities.values()]
 
     ecc = _Eccentricities(adj)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontoshape import metrics as metrics_module
 from ontoshape.kggen import KnowledgeGraph, generate_kg, load_ntriples, serialize_ntriples
 from ontoshape.metrics import (
     ROW_LABELS,
@@ -246,6 +248,59 @@ def _sparse_graphs(draw):
 @given(g=_sparse_graphs())
 def test_depths_match_oracle_on_sparse_graphs(g):
     assert depth_metrics(g, "M") == _oracle_depths(g.entities, g.object_triples, "M")
+
+
+@st.composite
+def _trees_with_redundant_triples(draw):
+    """A random forest whose edges also appear reversed, under a second
+    relation, or both, plus 0-3 self-loops and 0-4 main entities."""
+    n = draw(st.integers(2, 30))
+    triples = set()
+    for i in range(1, n):
+        parent = draw(st.integers(-1, i - 1))  # -1 starts a new tree
+        if parent < 0:
+            continue
+        triples.add((f"e{i}", "r", f"e{parent}"))
+        if draw(st.booleans()):
+            triples.add((f"e{parent}", "r", f"e{i}"))
+        if draw(st.booleans()):
+            triples.add((f"e{i}", "s", f"e{parent}"))
+    for v in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        triples.add((f"e{v}", "r", f"e{v}"))
+    mains = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    entities = {f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}
+    return KnowledgeGraph(entities, triples, set())
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_trees_with_redundant_triples())
+def test_redundant_triples_keep_a_tree_on_the_tree_path(g):
+    tree_flags = []
+    real = metrics_module._component_depths
+
+    def spy(ecc, comp, mains, tree):
+        tree_flags.append(tree)
+        return real(ecc, comp, mains, tree)
+
+    with mock.patch.object(metrics_module, "_component_depths", spy):
+        got = depth_metrics(g, "M")
+    # one call per component with an edge, each on the tree path
+    assert tree_flags == [True] * len(_components_with_edges(g))
+    assert got == _oracle_depths(g.entities, g.object_triples, "M")
+
+
+def _components_with_edges(g):
+    """Connected components with at least one edge, by union-find."""
+    parent = {e: e for e in g.entities}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for a, _, b in g.object_triples:
+        parent[find(a)] = find(b)
+    return {find(a) for a, _, b in g.object_triples if a != b}
 
 
 def test_root_never_exceeds_global():

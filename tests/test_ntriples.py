@@ -1,0 +1,281 @@
+"""N-Triples writer and reader against straightforward reference copies.
+
+``_reference_serialize`` and ``_reference_load`` are the plain versions of
+``serialize_ntriples`` and ``load_ntriples``: a per-character escaper, a
+set of every line then ``sorted``, and a reader that strips the base IRI
+from every term it meets. The package's versions format each entity once,
+escape through one translate table and cache local names; on every graph
+here they must write the same bytes and read back an equal graph, with the
+same entity order and the same ``ParseError`` line.
+"""
+
+from __future__ import annotations
+
+import re
+import string
+import sys
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ontoshape.errors import ParseError
+from ontoshape.kggen import (
+    DEFAULT_BASE_IRI,
+    RDF_TYPE_IRI,
+    KnowledgeGraph,
+    load_ntriples,
+    mint_entity_id,
+    serialize_ntriples,
+)
+from ontoshape.reshape import KGSchema
+
+_REF_NEEDS_U_ESCAPE = set("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _reference_escape(value: str) -> str:
+    out = []
+    for ch in value:
+        if ch == "\\":
+            out.append("\\\\")
+        elif ch == '"':
+            out.append('\\"')
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ch in _REF_NEEDS_U_ESCAPE or ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _reference_serialize(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> str:
+    def term(local: str) -> str:
+        if local.startswith("_:"):
+            return local
+        return f"<{base_iri}{local}>"
+
+    type_pred = f"<{RDF_TYPE_IRI}>"
+    lines = set()
+    for eid, (cls, _) in g.entities.items():
+        lines.add(f"{term(eid)} {type_pred} <{base_iri}{cls}> .")
+    for subj, rel, obj in g.object_triples:
+        lines.add(f"{term(subj)} <{base_iri}{rel}> {term(obj)} .")
+    for subj, prop, value, _ in g.literal_triples:
+        lines.add(f'{term(subj)} <{base_iri}{prop}> "{_reference_escape(value)}" .')
+    return "".join(line + "\n" for line in sorted(lines))
+
+
+_REF_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+def _reference_unescape(value: str, lineno: int) -> str:
+    out = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch == "\\" and i + 1 < len(value):
+            nxt = value[i + 1]
+            if nxt in "uU":
+                end = i + (6 if nxt == "u" else 10)
+                escape = value[i:end]
+                if (
+                    end > len(value)
+                    or not all(c in string.hexdigits for c in escape[2:])
+                    or int(escape[2:], 16) > sys.maxunicode
+                ):
+                    raise ParseError(f"bad escape {escape!r} in literal", lineno)
+                out.append(chr(int(escape[2:], 16)))
+                i = end
+                continue
+            if nxt not in _REF_ECHARS:
+                raise ParseError(f"bad escape {value[i:i + 2]!r} in literal", lineno)
+            out.append(_REF_ECHARS[nxt])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+_REF_NT_LINE = re.compile(
+    r"(<[^>]*>|_:\S+)\s+<([^>]*)>\s+(<[^>]*>|_:\S+|\"(?:[^\"\\]|\\.)*\")\s*\.\s*\Z"
+)
+
+
+def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None) -> KnowledgeGraph:
+    def local(iri: str) -> str:
+        name = iri[1:-1]
+        return name[len(base_iri):] if name.startswith(base_iri) else name
+
+    entities: dict[str, tuple[str, bool]] = {}
+    objects: set[tuple[str, str, str]] = set()
+    raw_literals: list[tuple[str, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        match = _REF_NT_LINE.match(line)
+        if match is None:
+            raise ParseError(f"not a recognized triple: {line!r}", lineno)
+        subj_t, pred_iri, obj_t = match.groups()
+        subj = subj_t if subj_t.startswith("_:") else local(subj_t)
+        if obj_t.startswith('"'):
+            raw_literals.append((subj, local(f"<{pred_iri}>"), _reference_unescape(obj_t[1:-1], lineno)))
+        elif pred_iri == RDF_TYPE_IRI:
+            cls = obj_t[1:-1]
+            cls = cls[len(base_iri):] if cls.startswith(base_iri) else cls
+            entities[subj] = (cls, subj.startswith("_:"))
+        else:
+            obj = obj_t if obj_t.startswith("_:") else local(obj_t)
+            objects.add((subj, local(f"<{pred_iri}>"), obj))
+
+    source_of: dict[tuple[str, str], tuple[str, str]] = {}
+    if schema is not None:
+        for prop, owner, (tname, attr) in sorted(schema.data_attachments):
+            source_of.setdefault((prop, owner), (tname, attr))
+    literals: set[tuple[str, str, str, tuple[str, str, int] | None]] = set()
+    for subj, prop, value in raw_literals:
+        owner_class = entities.get(subj, ("", False))[0]
+        src = source_of.get((prop, owner_class))
+        literals.add((subj, prop, value, (src[0], src[1], -1) if src else None))
+    key_sources: frozenset[tuple[str, str]] = frozenset()
+    if schema is not None:
+        present = {cls for cls, _ in entities.values()}
+        key_sources = frozenset(src for cls, src in schema.class_keys.items() if cls in present)
+    return KnowledgeGraph(entities, objects, literals, key_sources)
+
+
+_CLASSES = st.sampled_from(["A", "B", "Main"])
+_NAMES = st.sampled_from(["p", "q", "hasValue000", "rel_1"])
+# characters that need a \u escape or a short one, and some that need none
+_SPECIALS = ["\x85", "\u2028", "\u2029", "\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f",
+             "\n", "\r", "\t", "\\", '"', "'", " "]
+_VALUES = st.text() | st.text(st.characters() | st.sampled_from(_SPECIALS))
+# endpoints no entity line declares
+_MISSING = ["Gone/x", "A/not%20declared", "_:dummy_Gone_row1", "_:dummy_Gone_row10"]
+_BASES = st.sampled_from([DEFAULT_BASE_IRI, "http://example.org/other/"])
+_SCHEMA = KGSchema(
+    "Main",
+    {"A", "B", "Main"},
+    set(),
+    {("p", "A", ("t", "a")), ("p", "B", ("t", "b")), ("q", "Main", ("t", "c"))},
+    {"A": ("t", "key"), "B": ("u", "key")},
+)
+
+
+@st.composite
+def _graphs(draw) -> KnowledgeGraph:
+    entities: dict[str, tuple[str, bool]] = {}
+    for cls, key in draw(st.lists(st.tuples(_CLASSES, st.text(min_size=1)), max_size=8)):
+        entities[mint_entity_id(cls, key)] = (cls, False)
+    # row numbers whose blank-node labels are prefixes of each other
+    for cls, row in draw(st.lists(st.tuples(_CLASSES, st.sampled_from([1, 10, 100, 2, 21])), max_size=6)):
+        entities[f"_:dummy_{cls}_row{row}"] = (cls, True)
+    ends = [*entities, *draw(st.lists(st.sampled_from(_MISSING), max_size=2))]
+    if not ends:
+        return KnowledgeGraph(entities, set(), set())
+    end = st.sampled_from(ends)
+    objects = draw(st.sets(st.tuples(end, _NAMES, end), max_size=12))
+    provenance = st.none() | st.tuples(st.just("t"), st.sampled_from(["a", "b"]), st.integers(0, 3))
+    literals = draw(st.sets(st.tuples(end, _NAMES, _VALUES, provenance), max_size=10))
+    if literals:
+        # one (s, p, v) from two rows: one line in the file
+        subj, prop, value, src = min(literals, key=repr)
+        literals.add((subj, prop, value, ("t", "a", 99) if src is None else None))
+    return KnowledgeGraph(entities, objects, literals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_graphs(), base=_BASES)
+@example(g=KnowledgeGraph({}, set(), set()), base=DEFAULT_BASE_IRI)
+def test_serializer_matches_reference(g, base):
+    assert serialize_ntriples(g, base) == _reference_serialize(g, base)
+
+
+def test_serializer_escapes_line_breaks_and_controls():
+    g = KnowledgeGraph({}, set(), {("C/x", "p", "\x85\u2028\u2029\x00\x1f\x7f\t\"\\", None)})
+    line = (
+        '<http://example.org/kg#C/x> <http://example.org/kg#p> '
+        '"\\u0085\\u2028\\u2029\\u0000\\u001F\x7f\\t\\"\\\\" .\n'
+    )
+    assert serialize_ntriples(g) == line == _reference_serialize(g)
+    assert len(serialize_ntriples(g).splitlines()) == 1
+
+
+def _assert_same_read(text: str, base: str, schema: KGSchema | None) -> None:
+    try:
+        want = _reference_load(text, base, schema)
+    except ParseError as err:
+        with pytest.raises(ParseError) as info:
+            load_ntriples(text, base, schema)
+        assert (info.value.line, str(info.value)) == (err.line, str(err))
+        return
+    got = load_ntriples(text, base, schema)
+    assert got == want
+    assert list(got.entities) == list(want.entities)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), base=_BASES, schema=st.sampled_from([None, _SCHEMA]))
+def test_loader_matches_reference(g, base, schema):
+    text = serialize_ntriples(g, base)
+    _assert_same_read(text, base, schema)
+    back = load_ntriples(text, base, schema)
+    assert back.entities == g.entities
+    assert back.object_triples == g.object_triples
+    assert {t[:3] for t in back.literal_triples} == {t[:3] for t in g.literal_triples}
+
+
+_GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=_graphs(),
+    schema=st.sampled_from([None, _SCHEMA]),
+    data=st.data(),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+    bad_line=st.booleans(),
+)
+def test_loader_matches_reference_on_edited_files(g, schema, data, line_end, bad_line):
+    edge = st.sampled_from(["", " ", "\t"])
+    lines = []
+    for line in serialize_ntriples(g).splitlines():
+        # subject and predicate hold no space, and every line ends " ."
+        subj, pred, rest = line.split(" ", 2)
+        obj = rest[:-2]
+        lead, gap1, gap2, gap3, trail = (data.draw(s) for s in (edge, _GAPS, _GAPS, edge, edge))
+        lines.append(f"{lead}{subj}{gap1}{pred}{gap2}{obj}{gap3}.{trail}")
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", "  ", "\t"])))
+    if bad_line:
+        lines.insert(data.draw(st.integers(0, len(lines))), "<http://example.org/kg#C/x> not a triple .")
+    text = line_end.join(lines) + line_end
+    _assert_same_read(text, DEFAULT_BASE_IRI, schema)
+    if bad_line:
+        with pytest.raises(ParseError):
+            load_ntriples(text, DEFAULT_BASE_IRI, schema)
+
+
+@pytest.mark.parametrize("escape", [r"\uD800", r"\udfff", r"\U0000DC00", r"\U0000dbff"])
+def test_load_rejects_surrogate_escape(escape):
+    text = (
+        "<http://example.org/kg#C/x> <http://example.org/kg#p> \"ok\" .\n"
+        f"<http://example.org/kg#C/x> <http://example.org/kg#q> \"a{escape}b\" .\n"
+    )
+    with pytest.raises(ParseError, match="line 2: bad escape") as info:
+        load_ntriples(text)
+    assert info.value.line == 2
+
+
+def test_load_decodes_escapes_next_to_the_surrogate_range():
+    text = r'<http://example.org/kg#C/x> <http://example.org/kg#p> "\uD7FF\uE000\U0001F600" .' + "\n"
+    back = load_ntriples(text)
+    (value,) = {v for _, _, v, _ in back.literal_triples}
+    assert value == "\ud7ff\ue000\U0001f600"
+    assert value.encode("utf-8")

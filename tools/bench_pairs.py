@@ -1,0 +1,99 @@
+"""Run perfbench on two checkouts in alternating pairs and keep every result.
+
+From the repository root, with the commit to compare against checked out
+in another directory:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --runs baseline_chain=201-212 reshape_wide=301-303 --out BENCH_x.json
+
+For each workload and each seed of its range, both checkouts run
+``perfbench/run.py --trace 0`` once, each in a fresh process; which side
+runs first alternates from one pair to the next. The output file holds the
+last JSON line of every run and, per workload and end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles and how many pairs the
+change won, lost and tied.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _parse_runs(specs: list[str]) -> list[tuple[str, list[int]]]:
+    runs = []
+    for spec in specs:
+        workload, _, seeds = spec.partition("=")
+        first, _, last = seeds.partition("-")
+        runs.append((workload, list(range(int(first), int(last or first) + 1))))
+    return runs
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _summary(runs: list[dict], metrics: list[dict]) -> dict:
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs: dict[int, dict[str, dict]] = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        rows = {}
+        for m in metrics:
+            name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+            parent = [p["parent"][name]["value"] for p in pairs.values()]
+            change = [p["change"][name]["value"] for p in pairs.values()]
+            diffs = [sign * (c - p) for p, c in zip(parent, change)]
+            rows[name] = {
+                "parent": _spread(parent),
+                "change": _spread(change),
+                "change_won": sum(d > 0 for d in diffs),
+                "change_lost": sum(d < 0 for d in diffs),
+                "tied": sum(d == 0 for d in diffs),
+            }
+        out[workload] = rows
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD=FIRST-LAST")
+    p.add_argument("--seconds", type=float, default=25.0)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = []
+    pair = 0
+    for workload, seeds in _parse_runs(args.runs):
+        for seed in seeds:
+            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+            for side in order:
+                result = _run(sides[side], workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "first": side == order[0], "result": result})
+                print(workload, seed, side, json.dumps(result["metrics"]), flush=True)
+            pair += 1
+    metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    doc = {"seconds": args.seconds, "runs": runs, "summary": _summary(runs, metrics)}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
