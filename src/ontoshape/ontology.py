@@ -16,11 +16,11 @@ parse/serialize round-trips are byte stable.
 
 The path queries are the schema builders' questions: is there a direct,
 or an indirect (two or more edges), directed relation between two distinct
-classes; and undirected BFS distances, with the lexicographically smallest
-shortest walk along them.
+classes; and undirected BFS distances, memoised per ontology and read-only,
+with lexicographically smallest shortest walks that stop at reached classes.
 
 Ontology values are treated as immutable once constructed; all query
-functions are pure.
+functions are pure up to memoisation.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import ParseError
 
@@ -70,18 +71,18 @@ class Ontology:
     _direct: dict[tuple[str, str], str] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _dist: dict[str, MappingProxyType] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         self.classes = frozenset(self.classes)
         self.object_properties = frozenset(self.object_properties)
         self.data_properties = frozenset(self.data_properties)
         for _, dom, rng in sorted(self.object_properties):
-            for name in (dom, rng):
-                if name not in self.classes:
-                    raise ValueError(f"undeclared class {name}")
+            _require_declared(self, dom, rng)
         for _, dom in sorted(self.data_properties):
-            if dom not in self.classes:
-                raise ValueError(f"undeclared class {dom}")
+            _require_declared(self, dom)
         succ: dict[str, set[str]] = {name: set() for name in self.classes}
         und: dict[str, set[str]] = {name: set() for name in self.classes}
         for rel, dom, rng in self.object_properties:
@@ -94,6 +95,9 @@ class Ontology:
         for name in self.classes:
             self._succ[name] = tuple(sorted(succ[name]))
             self._und[name] = tuple(sorted(und[name]))
+
+    def __getstate__(self):  # a proxy cannot be pickled; workers rebuild their own maps
+        return {**self.__dict__, "_dist": {}}
 
     def successors(self, name: str) -> tuple[str, ...]:
         return self._succ.get(name, ())
@@ -202,29 +206,36 @@ def has_indirect_relation(o: Ontology, pair: ClassPair) -> bool:
     return False
 
 
-def undirected_distances(o: Ontology, source: str) -> dict[str, int]:
-    """Distance from ``source`` to every reachable class, edge direction
-    ignored."""
-    _require_declared(o, source)
+def _bfs(o: Ontology, source: str) -> dict[str, int]:
     dist = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for nxt in o.neighbors(node):
+        for nxt in o._und[node]:
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return dist
 
 
-def walk_shortest(o: Ontology, source: str, target: str, dist: dict[str, int]) -> list[str]:
-    """A shortest undirected path from ``source`` to ``target``, both
-    included, given ``dist = undirected_distances(o, target)``. Every step
-    takes the lexicographically smallest neighbor one closer to ``target``."""
-    path = [source]
-    current = source
-    while current != target:
-        want = dist[current] - 1
-        current = min(w for w in o.neighbors(current) if dist.get(w) == want)
-        path.append(current)
-    return path
+def undirected_distances(o: Ontology, source: str) -> MappingProxyType:
+    """Read-only distance from ``source`` to every reachable class, edge
+    direction ignored. The BFS runs once per ontology and source."""
+    if (dist := o._dist.get(source)) is None:
+        _require_declared(o, source)
+        dist = o._dist[source] = MappingProxyType(_bfs(o, source))
+    return dist
+
+
+def shortest_walks(o: Ontology, target: str, sources: list[str]) -> set[str]:
+    """``target`` plus every class on the lexicographically smallest shortest
+    undirected walk to it from each source that reaches it. A walk stops at
+    the first class already reached: the next hop depends on (target, class)."""
+    dist = undirected_distances(o, target)
+    reached = {target}
+    for node in sources:
+        while node in dist and node not in reached:
+            reached.add(node)
+            step = dist[node] - 1
+            node = next(w for w in o._und[node] if dist[w] == step)
+    return reached

@@ -37,8 +37,8 @@ from .ontology import (
     Ontology,
     direct_relation,
     has_indirect_relation,
+    shortest_walks,
     undirected_distances,
-    walk_shortest,
 )
 from .tabular import Dataset, list_attributes
 
@@ -391,17 +391,16 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
         if cls is not None and cls in o.classes:
             table_classes.setdefault(cls, tname)
 
-    mapped = {mc} | {cls for _, _, cls in attr_classes} | set(table_classes)
-    classes = set(mapped)
-    names = sorted(mapped)
-    dist_maps = {c: undirected_distances(o, c) for c in names}
+    names = sorted({mc} | {cls for _, _, cls in attr_classes} | set(table_classes))
+    classes = set(names)
+    unconnected = []
     for i, ci in enumerate(names):
-        dist = dist_maps[ci]
-        for cj in names[i + 1 :]:
-            if cj not in dist:
-                log.warning("no path connects %s and %s; the schema stays disconnected", ci, cj)
-                continue
-            classes.update(walk_shortest(o, cj, ci, dist)[1:-1])
+        dist = undirected_distances(o, ci)
+        unconnected += [(ci, cj) for cj in names[i + 1 :] if cj not in dist]
+        classes |= shortest_walks(o, ci, names[i + 1 :])
+    if unconnected:
+        log.warning("no path connects %d mapped class pairs, first %s; the schema stays disconnected",
+                    len(unconnected), unconnected[:3])
 
     edges = {
         (rel, dom, rng)

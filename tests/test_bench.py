@@ -6,9 +6,11 @@ import csv
 import dataclasses
 import io
 import re
+from collections import Counter
 
 import pytest
 
+from ontoshape import ontology as ontology_module
 from ontoshape.bench import (
     ExperimentConfig,
     RunResult,
@@ -105,6 +107,22 @@ def test_parallel_jobs_match_sequential(small_inputs):
         for r in rs
     ]
     assert strip(seq) == strip(par)
+
+
+def test_experiment_runs_at_most_one_bfs_per_class(monkeypatch):
+    # fresh inputs: the module-scoped ones already hold distance maps
+    inputs = generate_synthetic(SMALL)
+    calls = []
+    real = ontology_module._bfs
+
+    def counted(o, source):
+        calls.append(source)
+        return real(o, source)
+
+    monkeypatch.setattr(ontology_module, "_bfs", counted)
+    run_experiment(ExperimentConfig(attribute_counts=(2, 4), repetitions=2, seed=5), inputs)
+    assert calls
+    assert max(Counter(calls).values()) == 1
 
 
 def test_insufficient_attributes(small_inputs):

@@ -1,0 +1,65 @@
+"""Summary arithmetic of ``tools/bench_pairs.py``: spreads and win counts."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "pipeline_s", "better": "lower"},
+    {"name": "triples_per_s", "better": "higher"},
+]
+
+
+def _run(seed, side, pipeline_s, triples_per_s, workload="w"):
+    values = {"pipeline_s": pipeline_s, "triples_per_s": triples_per_s}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "side": side,
+        "result": {"metrics": {k: {"value": v} for k, v in values.items()}},
+    }
+
+
+def test_one_pair_has_its_values_as_median_and_quartiles():
+    runs = [_run(811, "change", 1.5, 90.0), _run(811, "parent", 2.0, 80.0)]
+    rows = bench_pairs._summary(runs, METRICS)["w"]
+    assert rows["pipeline_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert rows["pipeline_s"]["change"] == {"median": 1.5, "q1": 1.5, "q3": 1.5}
+    assert (rows["pipeline_s"]["change_won"], rows["pipeline_s"]["change_lost"]) == (1, 0)
+
+
+def test_several_pairs_give_inclusive_quartiles():
+    runs = []
+    for seed, parent, change in [(1, 1.0, 0.5), (2, 2.0, 2.5), (3, 3.0, 3.0), (4, 4.0, 1.0), (5, 5.0, 4.0)]:
+        runs += [_run(seed, "parent", parent, 10.0), _run(seed, "change", change, 10.0)]
+    row = bench_pairs._summary(runs, METRICS)["w"]["pipeline_s"]
+    assert row["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert row["change"] == {"median": 2.5, "q1": 1.0, "q3": 3.0}
+    # lower is better: seeds 1, 4 and 5 won, seed 2 lost, seed 3 tied
+    assert (row["change_won"], row["change_lost"], row["tied"]) == (3, 1, 1)
+
+
+def test_higher_is_better_counts_a_larger_value_as_a_win():
+    runs = []
+    for seed, parent, change in [(1, 80.0, 90.0), (2, 80.0, 70.0), (3, 80.0, 95.0), (4, 60.0, 60.0)]:
+        runs += [_run(seed, "parent", 1.0, parent), _run(seed, "change", 1.0, change)]
+    rows = bench_pairs._summary(runs, METRICS)["w"]
+    row = rows["triples_per_s"]
+    assert (row["change_won"], row["change_lost"], row["tied"]) == (2, 1, 1)
+    assert rows["pipeline_s"]["tied"] == 4
+
+
+def test_workloads_are_summarised_apart():
+    runs = [_run(1, "parent", 2.0, 1.0, "a"), _run(1, "change", 1.0, 1.0, "a"),
+            _run(7, "parent", 1.0, 1.0, "b"), _run(7, "change", 2.0, 1.0, "b")]
+    summary = bench_pairs._summary(runs, METRICS)
+    assert list(summary) == ["a", "b"]
+    assert summary["a"]["pipeline_s"]["change_won"] == 1
+    assert summary["b"]["pipeline_s"]["change_lost"] == 1

@@ -7,10 +7,13 @@ their own correctness.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontoshape import ontology as ontology_module
 from ontoshape.errors import ParseError
 from ontoshape.ontology import (
     ClassPair,
@@ -19,8 +22,8 @@ from ontoshape.ontology import (
     has_indirect_relation,
     parse_ontology,
     serialize_ontology,
+    shortest_walks,
     undirected_distances,
-    walk_shortest,
 )
 
 from conftest import ONTOLOGY_W
@@ -153,20 +156,22 @@ def test_direct_and_indirect_are_independent():
 
 
 def _shortest_path(o, src, dst):
-    """What ``baseline_schema`` asks: distances to ``dst``, then the walk
-    from ``src``; None when ``src`` cannot reach ``dst``."""
-    dist = undirected_distances(o, dst)
-    return walk_shortest(o, src, dst, dist) if src in dist else None
+    """What ``shortest_walks`` reaches from ``src`` alone toward ``dst``;
+    None when ``src`` cannot reach ``dst``. Position along a shortest path
+    is fixed by distance, so the node set names the path."""
+    got = shortest_walks(o, dst, [src])
+    return got if src in got else None
 
 
 def test_shortest_path_unreachable():
     o = parse_ontology("class A\nclass B\n")
     assert _shortest_path(o, "A", "B") is None
+    assert shortest_walks(o, "B", ["A"]) == {"B"}
 
 
 def test_shortest_path_undirected(ontology_w):
     path = _shortest_path(ontology_w, "CurrentMeanValue", "CurrentArrayValue")
-    assert path == ["CurrentMeanValue", "OperationCurveCurrent", "CurrentArrayValue"]
+    assert path == {"CurrentMeanValue", "OperationCurveCurrent", "CurrentArrayValue"}
 
 
 def test_shortest_path_tie_break_is_lexicographic():
@@ -174,8 +179,8 @@ def test_shortest_path_tie_break_is_lexicographic():
         "class A\nclass B\nclass C\nclass D\n"
         "objprop p A B\nobjprop q A C\nobjprop r B D\nobjprop s C D\n"
     )
-    assert _shortest_path(o, "A", "D") == ["A", "B", "D"]
-    assert _shortest_path(o, "D", "A") == ["D", "B", "A"]
+    assert _shortest_path(o, "A", "D") == {"A", "B", "D"}
+    assert _shortest_path(o, "D", "A") == {"D", "B", "A"}
 
 
 def test_undirected_distances_requires_declared_class():
@@ -216,11 +221,9 @@ def test_shortest_path_matches_exhaustive_enumeration(o):
                 continue
             best = min(len(p) for p in paths)
             assert dist[src] == best - 1
-            got = walk_shortest(o, src, dst, dist)
-            assert len(got) == best
-            assert got in paths  # every hop is a real edge
-            # the lexicographically smallest next class at every step
-            assert got == min(p for p in paths if len(p) == best)
+            # the lexicographically smallest next class at every step; its
+            # hops are real edges because the enumerated paths' are
+            assert _shortest_path(o, src, dst) == set(min(p for p in paths if len(p) == best))
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,3 +237,46 @@ def test_indirect_relation_matches_simple_path_oracle(o):
             paths = _enumerate_simple_paths(o, src, dst)
             expected = any(len(p) >= 3 for p in paths)
             assert has_indirect_relation(o, ClassPair(src, dst)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(o=small_ontologies(), data=st.data())
+def test_walks_from_several_sources_are_the_union_of_single_walks(o, data):
+    pool = sorted(o.classes)
+    target = data.draw(st.sampled_from(pool))
+    sources = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    expected = {target}
+    for src in sources:
+        expected |= _shortest_path(o, src, target) or set()
+    assert shortest_walks(o, target, sources) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(o=small_ontologies())
+def test_distance_memo_matches_a_fresh_bfs_on_every_call(o):
+    for _ in range(2):
+        for c in sorted(o.classes):
+            got = undirected_distances(o, c)
+            assert dict(got) == ontology_module._bfs(o, c)
+            assert got is undirected_distances(o, c)
+
+
+def test_distance_map_is_read_only(ontology_w):
+    dist = undirected_distances(ontology_w, "WeldingOperation")
+    with pytest.raises(TypeError):
+        dist["WeldingOperation"] = 5
+    with pytest.raises(TypeError):
+        del dist["WeldingOperation"]
+    assert undirected_distances(ontology_w, "WeldingOperation")["WeldingOperation"] == 0
+
+
+def test_equality_and_pickle_ignore_the_distance_memo():
+    warm = parse_ontology(ONTOLOGY_W)
+    for c in sorted(warm.classes):
+        undirected_distances(warm, c)
+    cold = parse_ontology(ONTOLOGY_W)
+    assert warm == cold
+    back = pickle.loads(pickle.dumps(warm))
+    assert back == warm
+    assert back._dist == {} and len(warm._dist) == len(warm.classes)
+    assert undirected_distances(back, "WeldingOperation") == undirected_distances(warm, "WeldingOperation")

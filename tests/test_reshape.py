@@ -424,6 +424,26 @@ def test_baseline_keeps_disconnected_pair(caplog):
     assert "disconnected" in caplog.text
 
 
+def test_baseline_warns_once_for_all_unconnected_pairs(caplog):
+    # two parts of four mapped classes each: 16 pairs have no path
+    o = parse_ontology(
+        "".join(f"class {c}\n" for c in "MABCWXYZ")
+        + "objprop p M A\nobjprop q A B\nobjprop r B C\n"
+        + "objprop s W X\nobjprop t X Y\nobjprop u Y Z\n"
+    )
+    m = MappingSet(
+        {"welding_operation": "M"}, {("welding_operation", c.lower()): c for c in "ABCWXYZ"}
+    )
+    d = _single_table([c.lower() for c in "ABCWXYZ"])
+    with caplog.at_level(logging.WARNING, logger="ontoshape.reshape"):
+        s = baseline_schema(o, d, m, "M")
+    assert s.classes == set("MABCWXYZ")
+    records = [r for r in caplog.records if r.name == "ontoshape.reshape"]
+    assert len(records) == 1
+    assert records[0].args == (16, [("A", "W"), ("A", "X"), ("A", "Y")])
+    assert "disconnected" in records[0].getMessage()
+
+
 def test_baseline_covers_full_chain(ontology_w, dataset_2):
     m = parse_mappings(
         "kind,table,attribute,class\n"

@@ -41,6 +41,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _spread(values: list[float]) -> dict:
+    if len(values) == 1:  # quantiles() needs two points
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
