@@ -23,7 +23,8 @@ literal triples on their owner's entity, and every schema edge whose two
 endpoint entities exist for the row becomes an object triple.
 
 In N-Triples, literals are escaped by one rule, the ``str.translate``
-table ``_ESCAPES``. Reading decodes exactly N-Triples' escapes and rejects
+table ``_ESCAPES``; a literal is translated only when it holds one of that
+table's characters. Reading decodes exactly N-Triples' escapes and rejects
 one that names a surrogate code point, which no UTF-8 file can hold.
 """
 
@@ -34,7 +35,7 @@ import re
 import string
 import sys
 from dataclasses import dataclass
-from functools import cache
+from operator import itemgetter
 from urllib.parse import quote
 
 from .errors import DatasetError, ParseError, SchemaError
@@ -122,6 +123,7 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
     for prop, owner, (tname, attr) in sorted(s.data_attachments):
         attach_by_table.setdefault(tname, []).append((prop, owner, attr))
     edge_list = sorted(s.edges)
+    kinds = {cls: (cls, cls in dummy_set) for cls in {*s.classes, *s.class_tables, *s.class_keys}}
     secondary = {t: cls for cls, t in s.class_tables.items() if t != main_name}
 
     for tname, anchor in [(main_name, mc), *sorted(secondary.items())]:
@@ -182,7 +184,7 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
                     key_sources.add((tname, join))
             for cls, eid in ids.items():
                 if eid not in entities:
-                    entities[eid] = (cls, cls in dummy_set)
+                    entities[eid] = kinds[cls]
             for prop, owner, attr in attaches:
                 sid = ids.get(owner)
                 if sid is None:
@@ -208,6 +210,7 @@ _ESCAPES = str.maketrans({
     **{chr(c): f"\\u{c:04X}" for c in [*range(0x20), 0x85, 0x2028, 0x2029]},
     "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
 })
+_NEEDS_ESCAPE = re.compile(f"[{re.escape(''.join(map(chr, _ESCAPES)))}]")
 
 
 # N-Triples' ECHAR set; \u and \U are decoded separately
@@ -267,15 +270,18 @@ def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> s
     lines = [f"{terms[eid]} {type_pred} <{base_iri}{cls}> ." for eid, (cls, _) in g.entities.items()]
     for subj, rel, obj in g.object_triples:
         lines.append(f"{terms.get(subj) or term(subj)} <{base_iri}{rel}> {terms.get(obj) or term(obj)} .")
-    for subj, prop, value in {(subj, prop, value) for subj, prop, value, _ in g.literal_triples}:
-        lines.append(f'{terms.get(subj) or term(subj)} <{base_iri}{prop}> "{value.translate(_ESCAPES)}" .')
+    needs_escape = _NEEDS_ESCAPE.search
+    for subj, prop, value in set(map(itemgetter(0, 1, 2), g.literal_triples)):
+        value = value.translate(_ESCAPES) if needs_escape(value) else value
+        lines.append(f'{terms.get(subj) or term(subj)} <{base_iri}{prop}> "{value}" .')
     lines.sort()
     return "\n".join(lines) + "\n" if lines else ""
 
 
 _NT_LINE = re.compile(
-    r"(<[^>]*>|_:\S+)\s+<([^>]*)>\s+(<[^>]*>|_:\S+|\"(?:[^\"\\]|\\.)*\")\s*\.\s*\Z"
+    r'\s*(<[^>]*>|_:\S+)\s+(<[^>]*>)\s+(<[^>]*>|_:\S+|"[^"\\]*(?:\\.[^"\\]*)*")\s*\.\s*\Z'
 )
+_TYPE_TERM = f"<{RDF_TYPE_IRI}>"
 
 
 def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None) -> KnowledgeGraph:
@@ -290,48 +296,49 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
     names a surrogate.
     """
 
-    cut = len(base_iri)
-
-    # each name is worked out once, however many lines repeat it: ``local``
-    # takes a bare predicate or class IRI, ``name`` a subject or object term
-    @cache
     def local(iri: str) -> str:
-        return iri[cut:] if iri.startswith(base_iri) else iri
+        return iri[len(base_iri):] if iri.startswith(base_iri) else iri
 
-    @cache
+    # one string per name, one tuple per class and per source, however many lines repeat it
+    names: dict[str, str] = {}
+
     def name(term: str) -> str:
-        return term if term[0] == "_" else local(term[1:-1])
+        names[term] = got = term if term[0] == "_" else local(term[1:-1])
+        return got
 
+    kinds: dict[tuple[str, bool], tuple[str, bool]] = {}
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
     raw_literals: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        match = _NT_LINE.match(line)
+        match = _NT_LINE.match(raw)
         if match is None:
+            line = raw.strip()
+            if not line:
+                continue
             raise ParseError(f"not a recognized triple: {line!r}", lineno)
-        subj_t, pred_iri, obj_t = match.groups()
+        subj_t, pred_t, obj_t = match.groups()
+        subj = names.get(subj_t) or name(subj_t)
         if obj_t[0] == '"':
             value = obj_t[1:-1]
             if "\\" in value:
                 value = _unescape_literal(value, lineno)
-            raw_literals.append((name(subj_t), local(pred_iri), value))
-        elif pred_iri == RDF_TYPE_IRI:
-            entities[name(subj_t)] = (local(obj_t[1:-1]), subj_t[0] == "_")
+            raw_literals.append((subj, names.get(pred_t) or name(pred_t), value))
+        elif pred_t == _TYPE_TERM:
+            key = (obj_t, subj_t[0] == "_")
+            if key not in kinds:  # a blank class term is cut like an IRI term
+                kinds[key] = (names.get(obj_t) or name(obj_t) if obj_t[0] == "<" else local(obj_t[1:-1]), key[1])
+            entities[subj] = kinds[key]
         else:
-            objects.add((name(subj_t), local(pred_iri), name(obj_t)))
+            objects.add((subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)))
 
-    source_of: dict[tuple[str, str], tuple[str, str]] = {}
-    if schema is not None:
-        for prop, owner, (tname, attr) in sorted(schema.data_attachments):
-            source_of.setdefault((prop, owner), (tname, attr))
-    literals: set[tuple[str, str, str, tuple[str, str, int] | None]] = set()
-    for subj, prop, value in raw_literals:
-        owner_class = entities.get(subj, ("", False))[0]
-        src = source_of.get((prop, owner_class))
-        literals.add((subj, prop, value, (src[0], src[1], -1) if src else None))
+    sources: dict[tuple[str, str], tuple[str, str, int]] = {}
+    for prop, owner, (tname, attr) in sorted(schema.data_attachments) if schema else ():
+        sources.setdefault((prop, owner), (tname, attr, -1))
+    literals: set[tuple[str, str, str, tuple[str, str, int] | None]] = {
+        (subj, prop, value, sources.get((prop, entities.get(subj, ("", False))[0])))
+        for subj, prop, value in raw_literals
+    }
     key_sources: frozenset[tuple[str, str]] = frozenset()
     if schema is not None:
         present = {cls for cls, _ in entities.values()}

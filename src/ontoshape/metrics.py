@@ -25,6 +25,7 @@ report field, divisor into the shown unit, how repeated runs combine).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from statistics import mean
 
 from .kggen import KnowledgeGraph
@@ -77,7 +78,7 @@ def data_coverage(g: KnowledgeGraph, d: Dataset) -> float:
     attrs = list_attributes(d)
     if not attrs:
         return 1.0
-    covered = {src[:2] for _, _, _, src in g.literal_triples if src is not None}
+    covered = {src[:2] for src in set(map(itemgetter(3), g.literal_triples)) if src is not None}
     covered |= set(g.key_sources)
     return sum(1 for ta in attrs if ta in covered) / len(attrs)
 
@@ -92,7 +93,7 @@ def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
     counts once however many source rows gave it, as in the N-Triples
     file."""
     non_dummy = sum(1 for _, dummy in g.entities.values() if not dummy)
-    literals = {(subj, prop, value) for subj, prop, value, _ in g.literal_triples}
+    literals = set(map(itemgetter(0, 1, 2), g.literal_triples))
     return (len(s.classes), len(g.object_triples), len(literals), non_dummy)
 
 
@@ -105,7 +106,7 @@ class _Eccentricities:
     BFS started from has both bounds equal to its eccentricity.
     """
 
-    def __init__(self, adj: list[set[int]]):
+    def __init__(self, adj: list[list[int]]):
         n = len(adj)
         self.adj = adj
         self.lo = [0] * n
@@ -200,13 +201,14 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     n = len(index)
     if n == 0:
         return (0, 0)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    # a node pair joined by several triples repeats in the lists
+    adj: list[list[int]] = [[] for _ in range(n)]
     for subj, _, obj in g.object_triples:
         a, b = index.get(subj), index.get(obj)
         if a is None or b is None or a == b:
             continue
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a].append(b)
+        adj[b].append(a)
     is_main = [cls == mc for cls, _ in g.entities.values()]
 
     ecc = _Eccentricities(adj)
@@ -227,8 +229,9 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
         if len(comp) == 1:
             continue
         edges = sum(len(adj[node]) for node in comp) // 2
+        tree = edges == len(comp) - 1 or sum(len(set(adj[node])) for node in comp) // 2 == len(comp) - 1
         mains = [node for node in comp if is_main[node]]
-        root, diameter = _component_depths(ecc, comp, mains, edges == len(comp) - 1)
+        root, diameter = _component_depths(ecc, comp, mains, tree)
         root_depth = max(root_depth, root)
         global_depth = max(global_depth, diameter)
     return (root_depth, global_depth)

@@ -1,8 +1,10 @@
-"""Summary arithmetic of ``tools/bench_pairs.py``: spreads and win counts."""
+"""Summary arithmetic of ``tools/bench_pairs.py``: spreads, win counts and
+the closing table."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -63,3 +65,34 @@ def test_workloads_are_summarised_apart():
     assert list(summary) == ["a", "b"]
     assert summary["a"]["pipeline_s"]["change_won"] == 1
     assert summary["b"]["pipeline_s"]["change_lost"] == 1
+
+
+def test_table_has_one_line_per_workload_and_metric():
+    runs = [_run(1, "parent", 0.097, 80.0, "a"), _run(1, "change", 0.0852, 90.0, "a"),
+            _run(2, "change", 0.09, 70.0, "a"), _run(2, "parent", 0.08, 80.0, "a"),
+            _run(7, "parent", 1.5, 10.0, "b"), _run(7, "change", 1.5, 12.5, "b")]
+    assert bench_pairs._table(bench_pairs._summary(runs, METRICS)) == [
+        "a pipeline_s: parent 0.0885 change 0.0876 won 1 lost 1",
+        "a triples_per_s: parent 80 change 80 won 1 lost 1",
+        "b pipeline_s: parent 1.5 change 1.5 won 0 lost 0",
+        "b triples_per_s: parent 10 change 12.5 won 1 lost 0",
+    ]
+
+
+def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    speed = {"parent": 2.0, "change": 1.0}
+    monkeypatch.setattr(
+        bench_pairs, "_run",
+        lambda checkout, workload, seed, seconds: _run(seed, checkout.name, speed[checkout.name], 5.0)["result"],
+    )
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--runs", "w=1-2", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0",
+                          "w triples_per_s: parent 5 change 5 won 0 lost 0"]
+    assert json.loads(out.read_text())["summary"]["w"]["pipeline_s"]["change_won"] == 2

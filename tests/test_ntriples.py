@@ -4,9 +4,10 @@
 ``serialize_ntriples`` and ``load_ntriples``: a per-character escaper, a
 set of every line then ``sorted``, and a reader that strips the base IRI
 from every term it meets. The package's versions format each entity once,
-escape through one translate table and cache local names; on every graph
-here they must write the same bytes and read back an equal graph, with the
-same entity order and the same ``ParseError`` line.
+escape through one translate table only the literals that need it, and
+keep one string per local name; on every graph here they must write the
+same bytes and read back an equal graph, with the same entity order and
+the same ``ParseError`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 
 from ontoshape.errors import ParseError
 from ontoshape.kggen import (
+    _ESCAPES,
+    _NEEDS_ESCAPE,
     DEFAULT_BASE_IRI,
     RDF_TYPE_IRI,
     KnowledgeGraph,
@@ -207,6 +210,12 @@ def test_serializer_escapes_line_breaks_and_controls():
     assert len(serialize_ntriples(g).splitlines()) == 1
 
 
+def test_escape_class_matches_the_translate_table():
+    chars = map(chr, [*range(0xD800), *range(0xE000, sys.maxunicode + 1)])
+    wrong = [c for c in chars if bool(_NEEDS_ESCAPE.search(c)) != (c.translate(_ESCAPES) != c)]
+    assert wrong == []
+
+
 def _assert_same_read(text: str, base: str, schema: KGSchema | None) -> None:
     try:
         want = _reference_load(text, base, schema)
@@ -279,3 +288,53 @@ def test_load_decodes_escapes_next_to_the_surrogate_range():
     (value,) = {v for _, _, v, _ in back.literal_triples}
     assert value == "\ud7ff\ue000\U0001f600"
     assert value.encode("utf-8")
+
+
+_LITERAL_LINE = '<http://example.org/kg#A/x> <http://example.org/kg#p> "{}" .'
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bodies=st.lists(st.text('"\\ua ', max_size=12), min_size=1, max_size=4),
+    schema=st.sampled_from([None, _SCHEMA]),
+)
+@example(bodies=["\\"], schema=None)  # a lone trailing backslash
+@example(bodies=["a\\\\\\\\", "\\\\\\"], schema=None)  # even, then odd, backslash runs
+@example(bodies=['\\"a\\"', 'a\\\\"'], schema=_SCHEMA)  # escaped quotes, then an escaped backslash
+@example(bodies=["\\uaaaa", "\\u"], schema=None)
+def test_loader_matches_reference_on_quote_and_backslash_literals(bodies, schema):
+    lines = [_LITERAL_LINE.format(body) for body in bodies]
+    text = "<http://example.org/kg#A/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#A> .\n"
+    _assert_same_read(text + "\n".join(lines) + "\n", DEFAULT_BASE_IRI, schema)
+
+
+# str.strip and the pattern's \s both take these for whitespace
+_ODD_SPACES = st.text(" \t\x1f\xa0\u3000", max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), schema=st.sampled_from([None, _SCHEMA]), data=st.data(), bad_line=st.booleans())
+def test_loader_matches_reference_on_lines_padded_with_unicode_spaces(g, schema, data, bad_line):
+    lines = [data.draw(_ODD_SPACES) + line + data.draw(_ODD_SPACES) for line in serialize_ntriples(g).splitlines()]
+    lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_ODD_SPACES))
+    if bad_line:
+        lines.insert(data.draw(st.integers(0, len(lines))), "\u3000<http://example.org/kg#C/x> no .\xa0\x1f")
+    _assert_same_read("\n".join(lines) + "\n", DEFAULT_BASE_IRI, schema)
+
+
+def test_loader_keeps_one_object_per_predicate_class_and_source():
+    entities = {"A/1": ("A", False), "A/2": ("A", False), "B/1": ("B", False), "_:dummy_A_row1": ("A", True)}
+    objects = {("A/1", "rel", "B/1"), ("A/2", "rel", "B/1"), ("_:dummy_A_row1", "rel", "A/1")}
+    literals = {(subj, prop, f"{subj} {prop}", None) for subj in entities for prop in ("p", "q")}
+    back = load_ntriples(serialize_ntriples(KnowledgeGraph(entities, objects, literals)), DEFAULT_BASE_IRI, _SCHEMA)
+    assert {t[:3] for t in back.literal_triples} == {t[:3] for t in literals}
+    groups = {
+        "predicates": [p for _, p, _, _ in back.literal_triples] + [r for _, r, _ in back.object_triples],
+        "classes": [cls for cls, _ in back.entities.values()],
+        "kinds": list(back.entities.values()),
+        "sources": [src for *_, src in back.literal_triples if src is not None],
+        "names": [*back.entities, *(s for s, _, _, _ in back.literal_triples), *(o for _, _, o in back.object_triples)],
+    }
+    assert len(groups["sources"]) == 4  # p on the three A entities and on B/1
+    for label, values in groups.items():
+        assert len({id(v) for v in values}) == len(set(values)), label

@@ -11,7 +11,8 @@ For each workload and each seed of its range, both checkouts run
 runs first alternates from one pair to the next. The output file holds the
 last JSON line of every run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles and how many pairs the
-change won, lost and tied.
+change won, lost and tied. At the end it prints one line per workload and
+end-to-end metric: both medians and the pairs won and lost.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _table(summary: dict) -> list[str]:
+    return [
+        f"{workload} {name}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g}"
+        f" won {row['change_won']} lost {row['change_lost']}"
+        for workload, rows in summary.items()
+        for name, row in rows.items()
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -94,6 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     doc = {"seconds": args.seconds, "runs": runs, "summary": _summary(runs, metrics)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(_table(doc["summary"])))
     return 0
 
 
