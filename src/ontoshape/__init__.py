@@ -20,7 +20,6 @@ from .ontology import (
     ClassPair,
     Ontology,
     direct_relation,
-    has_indirect_relation,
     parse_ontology,
     serialize_ontology,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "baseline_schema",
     "direct_relation",
     "generate_kg",
-    "has_indirect_relation",
     "list_attributes",
     "load_dataset",
     "load_ntriples",

@@ -215,37 +215,30 @@ _NEEDS_ESCAPE = re.compile(f"[{re.escape(''.join(map(chr, _ESCAPES)))}]")
 
 # N-Triples' ECHAR set; \u and \U are decoded separately
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# one escape: \u or \U with the characters its code takes, or any other
+# character, which must be an ECHAR
+_ESCAPE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)", re.DOTALL)
 
 
 def _unescape_literal(value: str, lineno: int) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt in "uU":
-                end = i + (6 if nxt == "u" else 10)
-                escape = value[i:end]
-                # a surrogate is no character, and no UTF-8 file can hold it
-                if (
-                    end > len(value)
-                    or not all(c in string.hexdigits for c in escape[2:])
-                    or int(escape[2:], 16) > sys.maxunicode
-                    or 0xD800 <= int(escape[2:], 16) <= 0xDFFF
-                ):
-                    raise ParseError(f"bad escape {escape!r} in literal", lineno)
-                out.append(chr(int(escape[2:], 16)))
-                i = end
-                continue
-            if nxt not in _ECHARS:
-                raise ParseError(f"bad escape {value[i:i + 2]!r} in literal", lineno)
-            out.append(_ECHARS[nxt])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def one(escape: re.Match) -> str:
+        body = escape[1]
+        if body[0] in "uU":
+            code = body[1:]
+            # a surrogate is no character, and no UTF-8 file can hold it
+            if (
+                len(code) < (4 if body[0] == "u" else 8)
+                or not all(c in string.hexdigits for c in code)
+                or int(code, 16) > sys.maxunicode
+                or 0xD800 <= int(code, 16) <= 0xDFFF
+            ):
+                raise ParseError(f"bad escape {escape[0]!r} in literal", lineno)
+            return chr(int(code, 16))
+        if body not in _ECHARS:
+            raise ParseError(f"bad escape {escape[0]!r} in literal", lineno)
+        return _ECHARS[body]
+
+    return _ESCAPE.sub(one, value)
 
 
 def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> str:
@@ -292,8 +285,8 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
     indices stay unknown) and ``key_sources`` is taken from the schema's
     key declarations. Without a schema those fields stay empty. Raises
     :class:`ParseError` with the line number on a line that is not a
-    triple or a literal with an escape N-Triples does not define or that
-    names a surrogate.
+    triple, on a blank node as a class, or on a literal with an escape
+    N-Triples does not define or that names a surrogate.
     """
 
     def local(iri: str) -> str:
@@ -325,9 +318,11 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
                 value = _unescape_literal(value, lineno)
             raw_literals.append((subj, names.get(pred_t) or name(pred_t), value))
         elif pred_t == _TYPE_TERM:
+            if obj_t[0] == "_":
+                raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
             key = (obj_t, subj_t[0] == "_")
-            if key not in kinds:  # a blank class term is cut like an IRI term
-                kinds[key] = (names.get(obj_t) or name(obj_t) if obj_t[0] == "<" else local(obj_t[1:-1]), key[1])
+            if key not in kinds:
+                kinds[key] = (names.get(obj_t) or name(obj_t), key[1])
             entities[subj] = kinds[key]
         else:
             objects.add((subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)))

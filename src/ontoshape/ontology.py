@@ -14,10 +14,11 @@ Parsing is order-independent: a property may textually precede the class
 declarations it refers to. Serialization sorts each section so that
 parse/serialize round-trips are byte stable.
 
-The path queries are the schema builders' questions: is there a direct,
-or an indirect (two or more edges), directed relation between two distinct
-classes; and undirected BFS distances, memoised per ontology and read-only,
-with lexicographically smallest shortest walks that stop at reached classes.
+The path queries are the schema builders' questions: the direct relation
+from one class to another, and one BFS (``_bfs``) that either follows edge
+direction, for which classes a class reaches, or ignores it, for distances
+memoised per ontology and read-only. Lexicographically smallest shortest
+walks over those distances stop at reached classes.
 
 Ontology values are treated as immutable once constructed; all query
 functions are pure up to memoisation.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -182,36 +184,14 @@ def direct_relation(o: Ontology, pair: ClassPair) -> str | None:
     return o._direct.get((pair.from_class, pair.to_class))
 
 
-def has_indirect_relation(o: Ontology, pair: ClassPair) -> bool:
-    """True iff a directed path of length at least 2 runs from
-    ``pair.from_class`` to ``pair.to_class``.
-
-    A lone direct edge does not count; there must be at least one
-    intermediate class distinct from both endpoints.
-    """
-    src, dst = pair.from_class, pair.to_class
-    _require_declared(o, src, dst)
-    # Multi-source reachability from src's successors (except dst itself),
-    # with src removed so intermediates never revisit an endpoint.
-    queue = deque(w for w in o.successors(src) if w != dst)
-    seen = set(queue) | {src}
-    while queue:
-        node = queue.popleft()
-        for nxt in o.successors(node):
-            if nxt == dst:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
-def _bfs(o: Ontology, source: str) -> dict[str, int]:
+def _bfs(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
+    """Hop count from ``source`` to every class reachable in ``adj``: pass
+    ``Ontology._succ`` to follow edge direction, ``Ontology._und`` to ignore it."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for nxt in o._und[node]:
+        for nxt in adj[node]:
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
@@ -223,7 +203,7 @@ def undirected_distances(o: Ontology, source: str) -> MappingProxyType:
     direction ignored. The BFS runs once per ontology and source."""
     if (dist := o._dist.get(source)) is None:
         _require_declared(o, source)
-        dist = o._dist[source] = MappingProxyType(_bfs(o, source))
+        dist = o._dist[source] = MappingProxyType(_bfs(o._und, source))
     return dist
 
 

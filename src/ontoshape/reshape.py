@@ -32,14 +32,7 @@ from urllib.parse import quote, unquote
 
 from .errors import ParseError, SchemaError
 from .mapping import MappingSet, UserInfo
-from .ontology import (
-    ClassPair,
-    Ontology,
-    direct_relation,
-    has_indirect_relation,
-    shortest_walks,
-    undirected_distances,
-)
+from .ontology import ClassPair, Ontology, _bfs, direct_relation, shortest_walks, undirected_distances
 from .tabular import Dataset, list_attributes
 
 log = logging.getLogger(__name__)
@@ -141,38 +134,17 @@ def _link_relation(c: str, u: UserInfo) -> str:
     return u.fallback_relation_prefix + c
 
 
-def _components(classes: set[str], edges: set[tuple[str, str, str]]) -> list[set[str]]:
-    adj: dict[str, set[str]] = {c: set() for c in classes}
-    for _, f, t in edges:
-        if f in adj and t in adj:
-            adj[f].add(t)
-            adj[t].add(f)
-    seen: set[str] = set()
-    out = []
-    for start in sorted(classes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        seen |= comp
-        out.append(comp)
-    return out
-
-
 def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
     """Wire up the classes of a schema using the ontology as the guide.
 
-    Ordered pairs of distinct classes are visited in sorted order. A pair
-    already linked (either direction) is skipped; a direct ontology
-    relation is copied; an indirect one makes both ends hang off the main
-    class (or uses a matching user connection rule). Classes that finish
-    with no relation at all are linked to the main class last.
+    Ordered pairs of distinct declared classes are visited in sorted
+    order. A pair already linked (either direction) is skipped; a direct
+    ontology relation is copied. Without one, when the second class is
+    reachable from the first along edge direction, a matching user
+    connection rule is used, or else both ends hang off the main class.
+    Classes that finish with no relation at all are linked by a rule that
+    names them or to the main class. Last, each part of the schema the main
+    class cannot reach over its edges is linked through its smallest class.
     """
     if mc not in s.classes:
         raise SchemaError(f"main class {mc!r} is not part of the schema")
@@ -204,16 +176,20 @@ def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
 
     names = sorted(s.classes)
     for ci in names:
+        reach = None  # classes ci reaches along edge direction, read on first need
         for cj in names:
             if ci == cj or frozenset((ci, cj)) in linked:
                 continue
             if ci not in o.classes or cj not in o.classes:
                 continue
-            pair = ClassPair(ci, cj)
-            rel = direct_relation(o, pair)
+            rel = direct_relation(o, ClassPair(ci, cj))
             if rel is not None:
                 add(rel, ci, cj)
-            elif has_indirect_relation(o, pair):
+                continue
+            # with no direct edge, every path from ci to cj has an intermediate class
+            if reach is None:
+                reach = _bfs(o._succ, ci)
+            if cj in reach:
                 user_rel = rule_for.get((ci, cj))
                 if user_rel is not None:
                     add(user_rel, ci, cj)
@@ -236,13 +212,20 @@ def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
             touched |= {mc, c}
 
     # a disconnected source graph can leave whole clusters unreachable from
-    # the main class; stitch them in so the schema stays one piece
-    for comp in _components(s.classes, edges):
-        if mc in comp:
-            continue
-        rep = min(comp)
-        log.warning("classes %s cannot reach %s through the ontology; linking %s", sorted(comp), mc, rep)
-        add(_link_relation(rep, u), mc, rep)
+    # the main class; stitch them in so the schema stays one piece. Classes
+    # are visited in sorted order, so each cluster starts at its smallest.
+    adj: dict[str, set[str]] = {c: set() for c in names}
+    for _, f, t in edges:
+        if f in adj and t in adj:
+            adj[f].add(t)
+            adj[t].add(f)
+    reached = _bfs(adj, mc)
+    for rep in names:
+        if rep not in reached:
+            comp = _bfs(adj, rep)
+            reached.update(comp)
+            log.warning("classes %s cannot reach %s through the ontology; linking %s", sorted(comp), mc, rep)
+            add(_link_relation(rep, u), mc, rep)
 
     return KGSchema(
         s.main_class,
@@ -428,7 +411,8 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
 # schema text format
 
 def _enc(token: str) -> str:
-    return quote(token, safe="_-")
+    # quote keeps ".", which separates table from attribute in source tokens
+    return quote(token, safe="_-").replace(".", "%2E")
 
 
 def serialize_schema(s: KGSchema) -> str:
@@ -439,7 +423,7 @@ def serialize_schema(s: KGSchema) -> str:
     lines += sorted(f"class {c}" for c in s.classes)
     lines += sorted(f"objprop {r} {f} {t}" for r, f, t in s.edges)
     lines += sorted(
-        f"attach {p} {owner} {_enc(tb)}.{_enc(at)}" for p, owner, (tb, at) in s.data_attachments
+        f"attach {_enc(p)} {owner} {_enc(tb)}.{_enc(at)}" for p, owner, (tb, at) in s.data_attachments
     )
     lines += sorted(f"key {c} {_enc(tb)}.{_enc(at)}" for c, (tb, at) in s.class_keys.items())
     lines += sorted(f"table {c} {_enc(tb)}" for c, tb in s.class_tables.items())
@@ -479,12 +463,16 @@ def parse_schema(text: str) -> KGSchema:
             edges.add((parts[1], parts[2], parts[3]))
             used += [(parts[2], lineno), (parts[3], lineno)]
         elif parts[0] == "attach" and len(parts) == 4:
-            attachments.add((parts[1], parts[2], _split_source(parts[3], lineno)))
+            attachments.add((unquote(parts[1]), parts[2], _split_source(parts[3], lineno)))
             used.append((parts[2], lineno))
         elif parts[0] == "key" and len(parts) == 3:
+            if parts[1] in class_keys:
+                raise ParseError(f"duplicate key line for {parts[1]}", lineno)
             class_keys[parts[1]] = _split_source(parts[2], lineno)
             used.append((parts[1], lineno))
         elif parts[0] == "table" and len(parts) == 3:
+            if parts[1] in class_tables:
+                raise ParseError(f"duplicate table line for {parts[1]}", lineno)
             class_tables[parts[1]] = unquote(parts[2])
             used.append((parts[1], lineno))
         else:

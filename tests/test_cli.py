@@ -93,6 +93,27 @@ def test_generate_and_metrics(workdir, capsys):
     assert "#entities" in report
 
 
+def test_reshape_include_unmapped_then_generate(workdir):
+    # an unmapped column whose name holds a space becomes the property "hasmy attr"
+    (workdir / "data" / "welding_operation.csv").write_text(
+        "operation_id,program_id,my attr\nop1,pg1,x y\n", encoding="utf-8"
+    )
+    schema_file = workdir / "schema.txt"
+    kg_file = workdir / "kg.nt"
+    assert main(_reshape_argv(workdir, schema_file) + ["--include-unmapped"]) == 0
+    assert "attach hasmy%20attr WeldingOperation welding_operation.my%20attr" in schema_file.read_text(
+        encoding="utf-8"
+    ).splitlines()
+    assert main([
+        "generate",
+        "-s", str(schema_file),
+        "-d", str(workdir / "data"),
+        "-m", str(workdir / "mappings.csv"),
+        "--out", str(kg_file),
+    ]) == 0
+    assert '"x y" .' in kg_file.read_text(encoding="utf-8")
+
+
 def test_missing_required_flag_is_usage_error(workdir, capsys):
     argv = _reshape_argv(workdir, workdir / "schema.txt")
     argv.remove("-m")

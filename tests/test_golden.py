@@ -6,7 +6,8 @@ digests recorded below. The cases cover both schema builders on synthetic
 and welding inputs, literals and keys with characters that need escaping,
 and hand-written multi-table schemas that reach every way a table row can
 produce entities: keyed and row-numbered ids, dummies, joins that match
-and joins that do not, and empty keys.
+and joins that do not, and empty keys. One reshape case needs every
+wiring pass of ``connect_classes``.
 
 A change that alters output on purpose updates the digests and says why;
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current ones.
@@ -20,7 +21,7 @@ import pytest
 from conftest import MAPPINGS_WX, ONTOLOGY_WX
 
 from ontoshape.kggen import generate_kg, serialize_ntriples
-from ontoshape.mapping import MappingSet, UserInfo, parse_mappings
+from ontoshape.mapping import ConnectionRule, EntityRule, MappingSet, UserInfo, parse_mappings
 from ontoshape.ontology import parse_ontology
 from ontoshape.reshape import KGSchema, baseline_schema, reshape, serialize_schema
 from ontoshape.syndata import SynthConfig, generate_synthetic
@@ -78,6 +79,50 @@ def _welding_tables():
         [["op1", "[1,1]"], ["op7", "[7]"], ["", "[0]"], ["op2", "[2,2]"]],
     )
     return parse_ontology(ONTOLOGY_WX), _dataset(op, program, trace), m, UserInfo(MC)
+
+
+def _wiring_passes():
+    """Welding inputs whose reshape needs every wiring pass. Software and
+    the curve relate only indirectly, under a user rule; Spot is declared
+    without relations; Robot and Gun form a cluster the main class cannot
+    reach; SensorChannel comes from an entity rule the ontology does not
+    declare, and a rule naming it links it; a rule naming Ghost is skipped."""
+    o = parse_ontology(
+        ONTOLOGY_WX
+        + "class Robot\nclass Gun\nclass GunForce\nclass Spot\n"
+        + "objprop holds Robot Gun\nobjprop hasForce Gun GunForce\n"
+    )
+    m = parse_mappings(
+        MAPPINGS_WX
+        + "attribute,welding_operation,robot_id,RobotID\n"
+        + "attribute,welding_operation,spot_id,SpotID\n"
+        + "attribute,welding_operation,channel_code,SensorChannelCode\n"
+        + "table,welding_curve,,OperationCurveCurrent\n"
+        + "attribute,welding_curve,operation_id,WeldingOperationID\n"
+        + "attribute,welding_curve,current_array,CurrentArrayValue\n"
+        + "table,software,,WeldingSoftwareSystem\n"
+        + "attribute,software,software_id,WeldingSoftwareSystemID\n"
+        + "table,gun,,Gun\n"
+        + "attribute,gun,gun_id,GunID\n"
+        + "attribute,gun,force,GunForce\n"
+    )
+    op = _table(
+        "welding_operation",
+        ["operation_id", "program_id", "current_mean", "current_array", "robot_id", "spot_id",
+         "channel_code"],
+        [["op1", "pg1", "1.5", "[1]", "r1", "s1", "ch1"], ["op2", "pg1", "2.5", "[2]", "r2", "s1", "ch2"]],
+    )
+    curve = _table("welding_curve", ["operation_id", "current_array"], [["op1", "[1,1]"], ["op3", "[3]"]])
+    software = _table("software", ["software_id", "version"], [["sw1", "1.0"], ["sw2", "2.0"]])
+    gun = _table("gun", ["gun_id", "force"], [["g1", "3.5"], ["g2", ""]])
+    u = UserInfo(
+        MC,
+        (EntityRule("SensorChannelCode", "SensorChannel", "hasChannel"),),
+        (ConnectionRule("WeldingSoftwareSystem", "OperationCurveCurrent", "recordsCurve"),
+         ConnectionRule("SensorChannel", "OperationCurveCurrent", "feeds"),
+         ConnectionRule("Ghost", MC, "haunts")),
+    )
+    return o, _dataset(op, curve, software, gun), m, u
 
 
 def _renamed_table(inputs, old: str, new: str):
@@ -187,6 +232,7 @@ CASES = {
     "odd_characters_reshape": lambda: _built(reshape, _odd_characters()),
     "welding_tables_baseline": lambda: _built(baseline_schema, _welding_tables()),
     "welding_tables_reshape": lambda: _built(reshape, _welding_tables()),
+    "wiring_passes_reshape": lambda: _built(reshape, _wiring_passes()),
     # main class keyed on the main table, joined from prog, sensor and
     # oplog; oplog is the main class's own secondary table
     "hand_main_keyed": lambda: _hand(("op", "op_id"), "oplog"),
@@ -207,6 +253,7 @@ GOLDEN = {
     'synthetic_reshape': ('79c6772a77d9281030e3aecc6ab9a0534e1f1bcefb35e0f807a09d3f88696817', '919ef983dddf6f06d9f727c40161c84d42267654d23f6d69000bc7af247ca732'),
     'welding_tables_baseline': ('b955c3c445bcdcad6d1cbf5cf4d4fb69441292c050742de17056141439ce2fb4', 'b6f9ababdf01b4bbf4c63dec30b7d1404762425970721ade4306e69f52ff49e2'),
     'welding_tables_reshape': ('138d98b60fcf9496003b737de5497083c5b81171540e43ddbdac3d99552b63ce', '6ef20a64e32372fa485a85609de31f82d585db0283ef1062a48a076c80c5da73'),
+    'wiring_passes_reshape': ('36fb11039da813d9a1404ac8685af7d0a21b6569a91265ba388d7bc68cd84268', 'eb3ffc519e1609248db5d1b36e7a432ff641d77df5189dc8f98adb7d9a7278f2'),
 }
 
 

@@ -130,6 +130,8 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchem
         if obj_t.startswith('"'):
             raw_literals.append((subj, local(f"<{pred_iri}>"), _reference_unescape(obj_t[1:-1], lineno)))
         elif pred_iri == RDF_TYPE_IRI:
+            if obj_t.startswith("_:"):
+                raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
             cls = obj_t[1:-1]
             cls = cls[len(base_iri):] if cls.startswith(base_iri) else cls
             entities[subj] = (cls, subj.startswith("_:"))
@@ -280,6 +282,16 @@ def test_load_rejects_surrogate_escape(escape):
     with pytest.raises(ParseError, match="line 2: bad escape") as info:
         load_ntriples(text)
     assert info.value.line == 2
+
+
+def test_load_rejects_blank_class():
+    text = (
+        "<http://example.org/kg#C/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#C> .\n"
+        "_:x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> _:abc .\n"
+    )
+    with pytest.raises(ParseError, match="line 2: blank node _:abc cannot be a class"):
+        load_ntriples(text)
+    _assert_same_read(text, DEFAULT_BASE_IRI, None)
 
 
 def test_load_decodes_escapes_next_to_the_surrogate_range():

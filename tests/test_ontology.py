@@ -1,8 +1,8 @@
 """Ontology parsing, serialization, and path queries.
 
 The path queries are checked against an exhaustive simple-path enumerator
-on small random graphs, so the BFS implementations never get to define
-their own correctness.
+on small random graphs, with self-loops, so the BFS never gets to define
+its own correctness.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ontoshape.ontology import (
     ClassPair,
     Ontology,
     direct_relation,
-    has_indirect_relation,
     parse_ontology,
     serialize_ontology,
     shortest_walks,
@@ -136,23 +135,34 @@ def test_direct_relation_parallel_edges_pick_smallest():
     assert direct_relation(o, ClassPair("A", "B")) == "aa"
 
 
-def test_has_indirect_relation(ontology_w):
-    assert has_indirect_relation(ontology_w, ClassPair("WeldingOperation", "CurrentMeanValue"))
-    assert not has_indirect_relation(ontology_w, ClassPair("CurrentMeanValue", "WeldingOperation"))
-    # the lone length-1 edge does not count as indirect
-    assert not has_indirect_relation(ontology_w, ClassPair("WeldingOperation", "WeldingSoftwareSystem"))
+def _reach(o, src):
+    """Classes ``src`` reaches along edge direction, itself included."""
+    return set(ontology_module._bfs(o._succ, src))
+
+
+def test_directed_reach_follows_edge_direction(ontology_w):
+    assert "CurrentMeanValue" in _reach(ontology_w, "WeldingOperation")
+    assert _reach(ontology_w, "CurrentMeanValue") == {"CurrentMeanValue"}
+    assert _reach(ontology_w, "MeasurementModule") == {
+        "MeasurementModule", "OperationCurveCurrent", "CurrentMeanValue", "CurrentArrayValue"
+    }
 
 
 def test_indirect_cycle_does_not_fake_a_path():
-    o = parse_ontology("class U\nclass V\nclass W\nobjprop a U W\nobjprop b W U\nobjprop c U V\n")
-    assert not has_indirect_relation(o, ClassPair("U", "V"))
+    # a cycle through U and a self-loop on V: the walk ends, and V reaches nothing
+    o = parse_ontology(
+        "class U\nclass V\nclass W\nobjprop a U W\nobjprop b W U\nobjprop c U V\nobjprop d V V\n"
+    )
+    assert _reach(o, "U") == _reach(o, "W") == {"U", "V", "W"}
+    assert _reach(o, "V") == {"V"}
 
 
 def test_direct_and_indirect_are_independent():
-    o = parse_ontology("class A\nclass B\nclass C\nobjprop d A B\nobjprop e A C\nobjprop f C B\n")
-    pair = ClassPair("A", "B")
-    assert direct_relation(o, pair) == "d"
-    assert has_indirect_relation(o, pair)
+    text = "class A\nclass B\nclass C\nobjprop e A C\nobjprop f C B\n"
+    o = parse_ontology(text + "objprop d A B\n")
+    assert direct_relation(o, ClassPair("A", "B")) == "d"
+    # B stays reachable through C once the direct edge is gone
+    assert "B" in _reach(o, "A") and "B" in _reach(parse_ontology(text), "A")
 
 
 def _shortest_path(o, src, dst):
@@ -197,10 +207,8 @@ def small_ontologies(draw):
     classes = draw(st.frozensets(_names, min_size=2, max_size=8))
     pool = sorted(classes)
     edges = draw(
-        st.frozensets(
-            st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(
-                lambda e: e[0] != e[1]
-            ),
+        st.frozensets(  # self-loops included
+            st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
             max_size=14,
         )
     )
@@ -231,12 +239,14 @@ def test_shortest_path_matches_exhaustive_enumeration(o):
 def test_indirect_relation_matches_simple_path_oracle(o):
     pool = sorted(o.classes)
     for src in pool:
+        reach = _reach(o, src)
         for dst in pool:
-            if src == dst:
-                continue
             paths = _enumerate_simple_paths(o, src, dst)
-            expected = any(len(p) >= 3 for p in paths)
-            assert has_indirect_relation(o, ClassPair(src, dst)) == expected
+            assert (dst in reach) == bool(paths)
+            # connect_classes asks for reach only without a direct edge; then
+            # it is the same as a path through a class other than both ends
+            if src != dst and direct_relation(o, ClassPair(src, dst)) is None:
+                assert (dst in reach) == any(len(p) >= 3 for p in paths)
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,7 +267,7 @@ def test_distance_memo_matches_a_fresh_bfs_on_every_call(o):
     for _ in range(2):
         for c in sorted(o.classes):
             got = undirected_distances(o, c)
-            assert dict(got) == ontology_module._bfs(o, c)
+            assert dict(got) == ontology_module._bfs(o._und, c)
             assert got is undirected_distances(o, c)
 
 

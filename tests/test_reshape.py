@@ -474,18 +474,26 @@ def test_schema_round_trip(ontology_wx, mappings_wx, dataset_2, userinfo_main):
 def test_schema_source_tokens_survive_odd_names(userinfo_main):
     o = parse_ontology("class WeldingOperation\nclass V\n")
     m = MappingSet(
-        {"weird table": "WeldingOperation"},
-        {("weird table", "col.with dots"): "V"},
+        {"weird.table": "WeldingOperation"},
+        {("weird.table", "col.with dots"): "V"},
     )
-    t = Table("weird table", ["col.with dots"], [])
+    # the unmapped column's attach line holds the property "hasmy attr/%"
+    t = Table("weird.table", ["col.with dots", "my attr/%"], [])
     d = Dataset({t.name: t}, t.name)
-    s = reshape(o, d, m, userinfo_main)
+    s = reshape(o, d, m, userinfo_main, include_unmapped=True)
+    assert ("hasmy attr/%", "WeldingOperation", ("weird.table", "my attr/%")) in s.data_attachments
     assert parse_schema(serialize_schema(s)) == s
 
 
 def test_parse_schema_rejects_duplicate_main():
     with pytest.raises(ParseError, match="duplicate main"):
         parse_schema("main A\nmain B\nclass A\nclass B\n")
+
+
+@pytest.mark.parametrize("first, second", [("key A t.a", "key A t.b"), ("table A t", "table A u")])
+def test_parse_schema_rejects_duplicate_key_and_table_lines(first, second):
+    with pytest.raises(ParseError, match=f"line 4: duplicate {first.split()[0]} line for A"):
+        parse_schema(f"main A\nclass A\n{first}\n{second}\n")
 
 
 def test_parse_schema_requires_main():
