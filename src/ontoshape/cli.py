@@ -163,13 +163,10 @@ def _cmd_generate(args) -> int:
 def _cmd_metrics(args) -> int:
     schema = parse_schema(Path(args.schema).read_text(encoding="utf-8"))
     mappings, dataset = _load_tables(args)
-    text = Path(args.kg).read_text(encoding="utf-8")
-    graph = kggen.load_ntriples(text, args.base_iri, schema)
+    raw = Path(args.kg).read_bytes()  # the size on disk, line endings included
+    graph = kggen.load_ntriples(raw.decode("utf-8"), args.base_iri, schema)
     mc = args.main_class or schema.main_class
-    report = metrics.build_report(
-        graph, schema, dataset, mappings, mc,
-        storage_bytes=len(text.encode("utf-8")),
-    )
+    report = metrics.build_report(graph, schema, dataset, mappings, mc, storage_bytes=len(raw))
     rendered = metrics.report_text(report)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")

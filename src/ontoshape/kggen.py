@@ -268,7 +268,8 @@ def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> s
         value = value.translate(_ESCAPES) if needs_escape(value) else value
         lines.append(f'{terms.get(subj) or term(subj)} <{base_iri}{prop}> "{value}" .')
     lines.sort()
-    return "\n".join(lines) + "\n" if lines else ""
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 _NT_LINE = re.compile(

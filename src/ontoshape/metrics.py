@@ -84,7 +84,7 @@ def data_coverage(g: KnowledgeGraph, d: Dataset) -> float:
 
 
 def count_dummy_entities(g: KnowledgeGraph) -> int:
-    return sum(1 for _, dummy in g.entities.values() if dummy)
+    return sum(map(itemgetter(1), g.entities.values()))
 
 
 def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
@@ -92,7 +92,7 @@ def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
     count), with dummies excluded from the entity count. A literal triple
     counts once however many source rows gave it, as in the N-Triples
     file."""
-    non_dummy = sum(1 for _, dummy in g.entities.values() if not dummy)
+    non_dummy = len(g.entities) - count_dummy_entities(g)
     literals = set(map(itemgetter(0, 1, 2), g.literal_triples))
     return (len(s.classes), len(g.object_triples), len(literals), non_dummy)
 

@@ -17,8 +17,10 @@ parse/serialize round-trips are byte stable.
 The path queries are the schema builders' questions: the direct relation
 from one class to another, and one BFS (``_bfs``) that either follows edge
 direction, for which classes a class reaches, or ignores it, for distances
-memoised per ontology and read-only. Lexicographically smallest shortest
-walks over those distances stop at reached classes.
+memoised per ontology and read-only. The BFS runs level by level, so every
+class of a level gets the same hop count. Lexicographically smallest
+shortest walks over those distances stop at reached classes; each step
+takes the first neighbour, in sorted order, that is one hop closer.
 
 Ontology values are treated as immutable once constructed; all query
 functions are pure up to memoisation.
@@ -27,7 +29,6 @@ functions are pure up to memoisation.
 from __future__ import annotations
 
 import re
-from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -188,13 +189,17 @@ def _bfs(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
     """Hop count from ``source`` to every class reachable in ``adj``: pass
     ``Ontology._succ`` to follow edge direction, ``Ontology._und`` to ignore it."""
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nxt in adj[node]:
-            if nxt not in dist:
-                dist[nxt] = dist[node] + 1
-                queue.append(nxt)
+    level = [source]
+    hops = 0
+    while level:
+        hops += 1
+        nxt_level = []
+        for node in level:
+            for nxt in adj[node]:
+                if nxt not in dist:
+                    dist[nxt] = hops
+                    nxt_level.append(nxt)
+        level = nxt_level
     return dist
 
 
@@ -212,10 +217,13 @@ def shortest_walks(o: Ontology, target: str, sources: list[str]) -> set[str]:
     undirected walk to it from each source that reaches it. A walk stops at
     the first class already reached: the next hop depends on (target, class)."""
     dist = undirected_distances(o, target)
+    und = o._und
     reached = {target}
     for node in sources:
         while node in dist and node not in reached:
             reached.add(node)
             step = dist[node] - 1
-            node = next(w for w in o._und[node] if dist[w] == step)
+            for node in und[node]:  # the first neighbour one hop closer
+                if dist[node] == step:
+                    break
     return reached

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -79,20 +82,54 @@ def test_table_has_one_line_per_workload_and_metric():
     ]
 
 
-def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
+def _checkouts(tmp_path):
+    """A parent and a change directory; the change declares workload "w"."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    bench = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seconds", "1"]
+
+
+def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
     speed = {"parent": 2.0, "change": 1.0}
     monkeypatch.setattr(
         bench_pairs, "_run",
         lambda checkout, workload, seed, seconds: _run(seed, checkout.name, speed[checkout.name], 5.0)["result"],
     )
     out = tmp_path / "pairs.json"
-    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--runs", "w=1-2", "--seconds", "1", "--out", str(out)]
+    argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0",
                           "w triples_per_s: parent 5 change 5 won 0 lost 0"]
     assert json.loads(out.read_text())["summary"]["w"]["pipeline_s"]["change_won"] == 2
+
+
+def test_unknown_workload_is_rejected_before_the_first_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: calls.append(args))
+    out = tmp_path / "pairs.json"
+    argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "typo=1-2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "unknown workload 'typo'; BENCHMARK.json declares w" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_pairs_done_before_a_failing_run_are_written(tmp_path, monkeypatch):
+    def run(checkout, workload, seed, seconds):
+        if seed == 3:
+            raise subprocess.CalledProcessError(1, "perfbench/run.py")
+        return _run(seed, checkout.name, 1.0, 5.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "pairs.json"
+    argv = _checkouts(tmp_path) + ["--runs", "w=1-3", "--out", str(out)]
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.main(argv)
+    doc = json.loads(out.read_text())
+    assert [(r["seed"], r["side"]) for r in doc["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent")]
+    assert doc["summary"]["w"]["pipeline_s"]["tied"] == 2

@@ -114,6 +114,32 @@ def test_reshape_include_unmapped_then_generate(workdir):
     assert '"x y" .' in kg_file.read_text(encoding="utf-8")
 
 
+def test_metrics_counts_the_bytes_of_a_crlf_file(workdir, capsys):
+    rows = "".join(f'op{i},pg{i},{i}.5,"[{i},2]"\n' for i in range(60))
+    (workdir / "data" / "welding_operation.csv").write_text(
+        "operation_id,program_id,current_mean,current_array\n" + rows, encoding="utf-8"
+    )
+    schema_file = workdir / "schema.txt"
+    kg_file = workdir / "kg.nt"
+    assert main(_reshape_argv(workdir, schema_file)) == 0
+    inputs = ["-s", str(schema_file), "-d", str(workdir / "data"), "-m", str(workdir / "mappings.csv")]
+    assert main(["generate", *inputs, "--out", str(kg_file)]) == 0
+    lf = kg_file.read_bytes()
+    crlf = lf.replace(b"\n", b"\r\n")
+    assert len(crlf) - len(lf) > 300  # enough lines to move the 4-decimal MB row
+
+    def storage_row(data):
+        kg_file.write_bytes(data)
+        assert main(["metrics", "-k", str(kg_file), *inputs]) == 0
+        report = capsys.readouterr().out
+        return next(line for line in report.splitlines() if line.startswith("storage space (MB)"))
+
+    lf_row, crlf_row = storage_row(lf), storage_row(crlf)
+    assert lf_row.endswith(f"  {len(lf) / 1e6:.4f}")
+    assert crlf_row.endswith(f"  {len(crlf) / 1e6:.4f}")
+    assert crlf_row != lf_row
+
+
 def test_missing_required_flag_is_usage_error(workdir, capsys):
     argv = _reshape_argv(workdir, workdir / "schema.txt")
     argv.remove("-m")

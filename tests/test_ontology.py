@@ -8,6 +8,8 @@ its own correctness.
 from __future__ import annotations
 
 import pickle
+from collections import deque
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,67 @@ def test_walks_from_several_sources_are_the_union_of_single_walks(o, data):
     for src in sources:
         expected |= _shortest_path(o, src, target) or set()
     assert shortest_walks(o, target, sources) == expected
+
+
+def _queue_bfs(adj, source):
+    """The BFS as a FIFO queue: the order and hop counts the level-by-level
+    ``_bfs`` must keep."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for nxt in adj[node]:
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return dist
+
+
+def _generator_walks(o, target, sources):
+    """``shortest_walks`` with its next hop found by a generator over the
+    neighbours: the walks the plain loop must keep."""
+    dist = _queue_bfs(o._und, target)
+    reached = {target}
+    for node in sources:
+        while node in dist and node not in reached:
+            reached.add(node)
+            step = dist[node] - 1
+            node = next(w for w in o._und[node] if dist[w] == step)
+    return reached
+
+
+@settings(max_examples=200, deadline=None)
+@given(o=small_ontologies())
+def test_bfs_matches_a_queue_bfs_in_distances_and_order(o):
+    for adj in (o._succ, o._und):
+        for c in sorted(o.classes):
+            assert list(ontology_module._bfs(adj, c).items()) == list(_queue_bfs(adj, c).items())
+
+
+@st.composite
+def layered_ontologies(draw):
+    """Two to five layers of one to four classes, edges only between
+    neighbouring layers and in either direction: most classes have several
+    neighbours at the same distance from a target, so the tie-break decides
+    the walk."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    layers = [[f"L{i}_{j}" for j in range(w)] for i, w in enumerate(widths)]
+    props = set()
+    for upper, lower in zip(layers, layers[1:]):
+        pairs = sorted(product(upper, lower))
+        for (a, b), down in draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), min_size=1)):
+            d, r = (a, b) if down else (b, a)
+            props.add((f"r_{d}_{r}", d, r))
+    return Ontology(frozenset(c for layer in layers for c in layer), frozenset(props), frozenset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(o=layered_ontologies(), data=st.data())
+def test_walks_match_generator_walks_on_tie_heavy_layers(o, data):
+    pool = sorted(o.classes)
+    target = data.draw(st.sampled_from(pool))
+    sources = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10))
+    assert shortest_walks(o, target, sources) == _generator_walks(o, target, sources)
 
 
 @settings(max_examples=100, deadline=None)

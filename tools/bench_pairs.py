@@ -11,8 +11,11 @@ For each workload and each seed of its range, both checkouts run
 runs first alternates from one pair to the next. The output file holds the
 last JSON line of every run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles and how many pairs the
-change won, lost and tied. At the end it prints one line per workload and
-end-to-end metric: both medians and the pairs won and lost.
+change won, lost and tied; it is rewritten after every pair, so a run that
+fails keeps the pairs before it. A workload that ``BENCHMARK.json`` does
+not declare is rejected before the first run. At the end it prints one
+line per workload and end-to-end metric: both medians and the pairs won
+and lost.
 """
 
 from __future__ import annotations
@@ -90,20 +93,25 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = []
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    plan = _parse_runs(args.runs)
+    for workload, _ in plan:
+        if workload not in known:
+            p.error(f"unknown workload {workload!r}; BENCHMARK.json declares {', '.join(known)}")
+    doc = {"seconds": args.seconds, "runs": [], "summary": {}}
     pair = 0
-    for workload, seeds in _parse_runs(args.runs):
+    for workload, seeds in plan:
         for seed in seeds:
             order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in order:
                 result = _run(sides[side], workload, seed, args.seconds)
-                runs.append({"workload": workload, "seed": seed, "side": side,
-                             "first": side == order[0], "result": result})
+                doc["runs"].append({"workload": workload, "seed": seed, "side": side,
+                                    "first": side == order[0], "result": result})
                 print(workload, seed, side, json.dumps(result["metrics"]), flush=True)
             pair += 1
-    metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    doc = {"seconds": args.seconds, "runs": runs, "summary": _summary(runs, metrics)}
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+            doc["summary"] = _summary(doc["runs"], bench["end_to_end"])
+            args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print("\n".join(_table(doc["summary"])))
     return 0
 
