@@ -24,11 +24,9 @@ from .ontology import (
     serialize_ontology,
 )
 from .reshape import (
-    ClassPartition,
     KGSchema,
     baseline_schema,
     parse_schema,
-    partition_classes,
     reshape,
     serialize_schema,
 )
@@ -36,7 +34,6 @@ from .tabular import Dataset, Table, list_attributes, load_dataset, load_table, 
 
 __all__ = [
     "ClassPair",
-    "ClassPartition",
     "ConnectionRule",
     "Dataset",
     "DatasetError",
@@ -62,7 +59,6 @@ __all__ = [
     "parse_ontology",
     "parse_schema",
     "parse_userinfo",
-    "partition_classes",
     "reshape",
     "serialize_mappings",
     "serialize_ntriples",

@@ -47,26 +47,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reshape", help="build the compact data-oriented schema")
-    _add_input_flags(p)
-    p.add_argument("-u", "--userinfo", help="user info JSON file")
-    p.add_argument("--main-class", help="override the main class")
-    p.add_argument("--include-unmapped", action="store_true",
-                   help="attach attributes without a mapping to the main class")
-    p.add_argument("--out", required=True, help="schema output file")
-    p.set_defaults(func=_cmd_reshape)
-
-    p = sub.add_parser("baseline", help="build the naive schema for comparison")
-    _add_input_flags(p)
-    p.add_argument("-u", "--userinfo", help="user info JSON file")
-    p.add_argument("--main-class", help="override the main class")
-    p.add_argument("--out", required=True, help="schema output file")
-    p.set_defaults(func=_cmd_baseline)
+    for command, summary in (("reshape", "build the compact data-oriented schema"),
+                             ("baseline", "build the naive schema for comparison")):
+        p = sub.add_parser(command, help=summary)
+        _add_input_flags(p)
+        p.add_argument("-u", "--userinfo", help="user info JSON file")
+        p.add_argument("--main-class", help="override the main class")
+        if command == "reshape":
+            p.add_argument("--include-unmapped", action="store_true",
+                           help="attach attributes without a mapping to the main class")
+        p.add_argument("--out", required=True, help="schema output file")
+        p.set_defaults(func=_cmd_schema)
 
     p = sub.add_parser("generate", help="materialize a knowledge graph as N-Triples")
     p.add_argument("-s", "--schema", required=True, help="schema file")
     _add_input_flags(p, ontology=False)
-    p.add_argument("--main-class", help="override the schema's main class")
     p.add_argument("--base-iri", default=kggen.DEFAULT_BASE_IRI,
                    help="IRI prefix, must end with '#' or '/'")
     p.add_argument("--out", required=True, help="N-Triples output file")
@@ -76,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--kg", required=True, help="N-Triples file")
     p.add_argument("-s", "--schema", required=True, help="schema file the graph was generated from")
     _add_input_flags(p, ontology=False)
-    p.add_argument("--main-class", help="override the schema's main class")
     p.add_argument("--base-iri", default=kggen.DEFAULT_BASE_IRI)
     p.add_argument("--out", help="write the text report here instead of stdout")
     p.set_defaults(func=_cmd_metrics)
@@ -133,20 +127,14 @@ def _load_userinfo(args) -> UserInfo:
     raise _UsageError("either --userinfo or --main-class is required")
 
 
-def _cmd_reshape(args) -> int:
+def _cmd_schema(args) -> int:
     ontology = parse_ontology(Path(args.ontology).read_text(encoding="utf-8"))
     mappings, dataset = _load_tables(args)
     info = _load_userinfo(args)
-    schema = reshape(ontology, dataset, mappings, info, include_unmapped=args.include_unmapped)
-    Path(args.out).write_text(serialize_schema(schema), encoding="utf-8")
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    ontology = parse_ontology(Path(args.ontology).read_text(encoding="utf-8"))
-    mappings, dataset = _load_tables(args)
-    info = _load_userinfo(args)
-    schema = baseline_schema(ontology, dataset, mappings, info.main_class)
+    if args.command == "reshape":
+        schema = reshape(ontology, dataset, mappings, info, include_unmapped=args.include_unmapped)
+    else:
+        schema = baseline_schema(ontology, dataset, mappings, info.main_class)
     Path(args.out).write_text(serialize_schema(schema), encoding="utf-8")
     return 0
 
@@ -154,8 +142,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_generate(args) -> int:
     schema = parse_schema(Path(args.schema).read_text(encoding="utf-8"))
     mappings, dataset = _load_tables(args)
-    mc = args.main_class or schema.main_class
-    graph = kggen.generate_kg(schema, dataset, mappings, mc)
+    graph = kggen.generate_kg(schema, dataset, mappings, schema.main_class)
     Path(args.out).write_text(kggen.serialize_ntriples(graph, args.base_iri), encoding="utf-8")
     return 0
 
@@ -165,8 +152,7 @@ def _cmd_metrics(args) -> int:
     mappings, dataset = _load_tables(args)
     raw = Path(args.kg).read_bytes()  # the size on disk, line endings included
     graph = kggen.load_ntriples(raw.decode("utf-8"), args.base_iri, schema)
-    mc = args.main_class or schema.main_class
-    report = metrics.build_report(graph, schema, dataset, mappings, mc, storage_bytes=len(raw))
+    report = metrics.build_report(graph, schema, dataset, mappings, schema.main_class, storage_bytes=len(raw))
     rendered = metrics.report_text(report)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")

@@ -115,26 +115,27 @@ def parse_userinfo(text: str) -> UserInfo:
     main_class = doc.get("main_class")
     if not isinstance(main_class, str) or not main_class:
         raise ParseError("main_class required")
-    entity_rules = []
-    for i, raw in enumerate(doc.get("entity_rules", [])):
-        try:
-            entity_rules.append(
-                EntityRule(raw["attribute_class"], raw["entity_class"], raw["relation"])
-            )
-        except (TypeError, KeyError) as exc:
-            raise ParseError(
-                f"entity_rules[{i}] needs attribute_class, entity_class and relation"
-            ) from exc
-    connection_rules = []
-    for i, raw in enumerate(doc.get("connection_rules", [])):
-        try:
-            connection_rules.append(ConnectionRule(raw["from"], raw["to"], raw["relation"]))
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"connection_rules[{i}] needs from, to and relation") from exc
+    entity_rules = _rules(doc, "entity_rules", ("attribute_class", "entity_class", "relation"), EntityRule)
+    connection_rules = _rules(doc, "connection_rules", ("from", "to", "relation"), ConnectionRule)
     prefix = doc.get("fallback_relation_prefix", "has")
     if not isinstance(prefix, str) or not prefix:
         raise ParseError("fallback_relation_prefix must be a nonempty string")
-    return UserInfo(main_class, tuple(entity_rules), tuple(connection_rules), prefix)
+    return UserInfo(main_class, entity_rules, connection_rules, prefix)
+
+
+def _rules(doc: dict, key: str, fields: tuple[str, str, str], rule_type: type) -> tuple:
+    """The rules listed under ``key``: one ``rule_type`` per entry, built from
+    the entry's ``fields``, each of which must be a nonempty string."""
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise ParseError(f"{key} must be a list")
+    rules = []
+    for i, entry in enumerate(raw):
+        values = [entry.get(f) for f in fields] if isinstance(entry, dict) else [None]
+        if not all(isinstance(v, str) and v for v in values):
+            raise ParseError(f"{key}[{i}] needs {fields[0]}, {fields[1]} and {fields[2]} as nonempty strings")
+        rules.append(rule_type(*values))
+    return tuple(rules)
 
 
 def serialize_userinfo(u: UserInfo) -> str:

@@ -65,19 +65,6 @@ def _claim_key(class_keys: dict[str, tuple[str, str]], cls: str, src: tuple[str,
         class_keys[cls] = src
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    """Split of the ontology classes by what the data maps onto.
-
-    ``potential_properties`` are classes some attribute corresponds to;
-    ``potential_classes`` are all the others, the candidates for entity
-    classes. The two sets are disjoint and cover the ontology.
-    """
-
-    potential_classes: frozenset[str]
-    potential_properties: frozenset[str]
-
-
 @dataclass
 class KGSchema:
     """Compact graph schema driving materialization.
@@ -98,36 +85,25 @@ class KGSchema:
     class_tables: dict[str, str] = field(default_factory=dict)
 
 
-def partition_classes(o: Ontology, m: MappingSet, d: Dataset) -> ClassPartition:
-    """Split ``o.classes`` by whether an attribute of ``d`` maps onto them."""
-    mapped = {m.attribute_map.get(ta) for ta in list_attributes(d)}
-    properties = frozenset(c for c in mapped if c is not None and c in o.classes)
-    return ClassPartition(o.classes - properties, properties)
-
-
-def identify_entity_class(
-    cp: str, partition: ClassPartition, u: UserInfo
-) -> tuple[str, str] | None:
-    """Decide whether an attribute class identifies an entity class.
+def identify_entity_class(cp: str, candidates: frozenset[str], u: UserInfo) -> str | None:
+    """The entity class an attribute class identifies, or None.
 
     User rules take precedence. Failing those, a class whose name ends in
     ``ID`` or ``Name`` (case-insensitive) identifies the class named by the
-    rest, provided that class is among the entity candidates. The returned
-    relation is the one to use when the entity class must be linked by a
-    made-up relation (user rules supply theirs; otherwise the fallback
-    prefix plus the entity class name).
+    rest, provided that class is among the entity ``candidates``: the
+    ontology classes no attribute maps onto.
     """
     for rule in u.entity_rules:
         if rule.attribute_class == cp:
-            return rule.entity_class, rule.relation
+            return rule.entity_class
     stem = identifier_stem(cp)
-    if stem in partition.potential_classes:
-        return stem, u.fallback_relation_prefix + stem
-    return None
+    return stem if stem in candidates else None
 
 
 def _link_relation(c: str, u: UserInfo) -> str:
-    """Relation name for a minted link toward class ``c``."""
+    """Relation name for a minted link toward class ``c``: that of the first
+    entity rule naming ``c``, in user-info order, else the fallback prefix
+    plus ``c``."""
     for rule in u.entity_rules:
         if rule.entity_class == c:
             return rule.relation
@@ -237,9 +213,7 @@ def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
     )
 
 
-def assign_data_properties(
-    s: KGSchema, partition: ClassPartition, o: Ontology, m: MappingSet, d: Dataset
-) -> KGSchema:
+def assign_data_properties(s: KGSchema, o: Ontology, m: MappingSet, d: Dataset) -> KGSchema:
     """Attach every mapped attribute of ``d`` to a schema class.
 
     Attributes recorded in ``s.class_keys`` identify entities: the one
@@ -267,7 +241,7 @@ def assign_data_properties(
             if keyed_class != mc:
                 attachments.add(("has" + cp, keyed_class, (table, attr)))
             continue
-        if cp in partition.potential_properties:
+        if cp in o.classes:
             near = [(dist[cp], c != mc, c) for c, dist in dist_from.items() if cp in dist]
             if not near:
                 log.warning(
@@ -308,7 +282,8 @@ def reshape(
     mc = u.main_class
     if mc not in o.classes:
         raise SchemaError(f"main class {mc!r} is not declared in the ontology")
-    partition = partition_classes(o, m, d)
+    # entity candidates: the ontology classes no attribute maps onto
+    candidates = o.classes - {m.attribute_map.get(ta) for ta in list_attributes(d)}
 
     classes = {mc}
     class_tables: dict[str, str] = {}
@@ -318,7 +293,7 @@ def reshape(
         c = m.table_map.get(tname)
         if c is None:
             continue
-        if c == mc or c in partition.potential_classes:
+        if c == mc or c in candidates:
             classes.add(c)
             class_tables.setdefault(c, tname)
         elif c not in o.classes:
@@ -330,16 +305,15 @@ def reshape(
         if cp is None:
             unmapped.append((table, attr))
             continue
-        hit = identify_entity_class(cp, partition, u)
-        if hit is None:
+        entity_class = identify_entity_class(cp, candidates, u)
+        if entity_class is None:
             continue
-        entity_class, _ = hit
         classes.add(entity_class)
         _claim_key(class_keys, entity_class, (table, attr))
 
     base = KGSchema(mc, classes, set(), set(), class_keys, class_tables)
     connected = connect_classes(base, mc, o, u)
-    full = assign_data_properties(connected, partition, o, m, d)
+    full = assign_data_properties(connected, o, m, d)
 
     for table, attr in unmapped:
         if include_unmapped:

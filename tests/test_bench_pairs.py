@@ -118,6 +118,19 @@ def test_unknown_workload_is_rejected_before_the_first_run(tmp_path, monkeypatch
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["w=5-3", "w", "w=one-2"])
+def test_bad_seed_range_is_rejected_before_the_first_run(spec, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: calls.append(args))
+    out = tmp_path / "pairs.json"
+    argv = _checkouts(tmp_path) + ["--runs", "w=1-2", spec, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert f"{spec!r} is not WORKLOAD=FIRST-LAST with FIRST <= LAST" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_pairs_done_before_a_failing_run_are_written(tmp_path, monkeypatch):
     def run(checkout, workload, seed, seconds):
         if seed == 3:

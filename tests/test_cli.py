@@ -158,6 +158,28 @@ def test_missing_main_class_is_usage_error(workdir, capsys):
     assert "either --userinfo or --main-class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, inputs", [
+    ("generate", ["-s", "schema.txt", "-d", "data", "-m", "mappings.csv", "--out", "kg.nt"]),
+    ("metrics", ["-k", "kg.nt", "-s", "schema.txt", "-d", "data", "-m", "mappings.csv"]),
+])
+def test_main_class_comes_from_the_schema(command, inputs, capsys):
+    assert main([command, *inputs, "--main-class", "X"]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "unrecognized arguments: --main-class X" in err
+
+
+def test_malformed_userinfo_rule_is_validation_error(workdir, capsys):
+    (workdir / "user.json").write_text(
+        '{"main_class": "WeldingOperation", "entity_rules": '
+        '[{"attribute_class": "A", "entity_class": ["x"], "relation": "r"}]}',
+        encoding="utf-8",
+    )
+    argv = _reshape_argv(workdir, workdir / "schema.txt") + ["-u", str(workdir / "user.json")]
+    assert main(argv) == 1
+    assert "entity_rules[0] needs" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_io_error(workdir, capsys):
     argv = _reshape_argv(workdir, workdir / "schema.txt")
     argv[argv.index("-o") + 1] = str(workdir / "nope.osf")

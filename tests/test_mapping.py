@@ -121,6 +121,20 @@ def test_userinfo_malformed_rule():
         parse_userinfo('{"main_class": "M", "entity_rules": [{"attribute_class": "X"}]}')
 
 
+@pytest.mark.parametrize("rules, message", [
+    ('"entity_rules": 5', "entity_rules must be a list"),
+    ('"connection_rules": null', "connection_rules must be a list"),
+    ('"entity_rules": [{"attribute_class": "X", "entity_class": ["x"], "relation": "r"}]',
+     r"entity_rules\[0\] needs .* as nonempty strings"),
+    ('"connection_rules": [{"from": "A", "to": "", "relation": "r"}]',
+     r"connection_rules\[0\] needs .* as nonempty strings"),
+    ('"connection_rules": ["A"]', r"connection_rules\[0\]"),
+])
+def test_userinfo_rules_must_be_lists_of_string_fields(rules, message):
+    with pytest.raises(ParseError, match=message):
+        parse_userinfo('{"main_class": "M", ' + rules + "}")
+
+
 def test_userinfo_invalid_json():
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_userinfo("{nope")

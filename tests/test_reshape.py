@@ -1,4 +1,4 @@
-"""Schema building: partition, entity identification, connection, baseline."""
+"""Schema building: entity identification, connection, baseline."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from ontoshape.errors import ParseError, SchemaError
 from ontoshape.mapping import ConnectionRule, EntityRule, MappingSet, UserInfo, parse_mappings
 from ontoshape.ontology import Ontology, parse_ontology
 from ontoshape.reshape import (
-    ClassPartition,
     KGSchema,
     assign_data_properties,
     baseline_schema,
@@ -23,7 +22,6 @@ from ontoshape.reshape import (
     identifier_stem,
     identify_entity_class,
     parse_schema,
-    partition_classes,
     reshape,
     serialize_schema,
 )
@@ -39,66 +37,86 @@ def _single_table(attributes, rows=()):
     return Dataset({t.name: t}, t.name)
 
 
-def test_partition_fixture(ontology_wx, mappings_wx, dataset_2):
-    p = partition_classes(ontology_wx, mappings_wx, dataset_2)
-    assert p.potential_properties == {
-        "WeldingProgramID",
-        "CurrentMeanValue",
-        "CurrentArrayValue",
-    }
-    # WeldingOperationID maps to no ontology class and lands nowhere
-    assert p.potential_classes == {
-        "WeldingOperation",
-        "WeldingSoftwareSystem",
-        "MeasurementModule",
-        "OperationCurveCurrent",
-        "WeldingProgram",
-    }
+def test_attribute_mapped_class_is_never_an_entity_candidate():
+    o = parse_ontology(
+        "class M\nclass Sensor\nclass SensorID\n"
+        "objprop watches M Sensor\nobjprop hasID Sensor SensorID\n"
+    )
+    d = Dataset({"t": Table("t", ["sid", "reading"], []), "sensor": Table("sensor", ["x"], [])}, "t")
+    m = MappingSet({"t": "M", "sensor": "Sensor"}, {("t", "sid"): "SensorID"})
+    s = reshape(o, d, m, UserInfo("M"))
+    assert s.class_keys["Sensor"] == ("t", "sid")
+    assert s.class_tables["Sensor"] == "sensor"
+
+    # once an attribute maps onto Sensor, neither its ID nor its table makes it an entity class
+    m.attribute_map[("t", "reading")] = "Sensor"
+    s = reshape(o, d, m, UserInfo("M"))
+    assert s.classes == {"M"}
+    assert s.class_keys == {} and s.class_tables == {"M": "t"}
 
 
-def test_partition_empty_mapping(ontology_wx, dataset_2):
-    p = partition_classes(ontology_wx, MappingSet({}, {}), dataset_2)
-    assert p.potential_properties == frozenset()
-    assert p.potential_classes == ontology_wx.classes
+def test_undeclared_attribute_class_is_not_a_candidate(ontology_wx, mappings_wx, caplog):
+    # WeldingOperationID is mapped but not declared: a table mapped onto it is ignored
+    d = make_dataset2()
+    d.tables["ops"] = Table("ops", ["x"], [])
+    m = MappingSet({**mappings_wx.table_map, "ops": "WeldingOperationID"}, mappings_wx.attribute_map)
+    with caplog.at_level(logging.WARNING):
+        s = reshape(ontology_wx, d, m, UserInfo("WeldingOperation"))
+    assert "table ops maps to undeclared class WeldingOperationID; ignored" in caplog.text
+    assert s.classes == {"WeldingOperation", "WeldingProgram"}
+    assert "WeldingOperationID" not in s.class_tables
 
 
-def test_partition_everything_mapped():
-    o = parse_ontology("class A\nclass B\nobjprop p A B\n")
-    d = _single_table(["x", "y"])
-    m = MappingSet({}, {("welding_operation", "x"): "A", ("welding_operation", "y"): "B"})
-    p = partition_classes(o, m, d)
-    assert p.potential_classes == frozenset()
-    assert p.potential_properties == {"A", "B"}
+def test_every_declared_class_is_a_candidate_without_attribute_mappings(ontology_wx):
+    tables = {c.lower(): Table(c.lower(), ["x"], []) for c in ontology_wx.classes}
+    d = Dataset(tables, "weldingoperation")
+    m = MappingSet({c.lower(): c for c in ontology_wx.classes}, {})
+    s = reshape(ontology_wx, d, m, UserInfo("WeldingOperation"))
+    assert s.classes == ontology_wx.classes
+    assert s.class_tables == {c: c.lower() for c in ontology_wx.classes}
 
 
-def test_identify_by_suffix(ontology_wx, mappings_wx, dataset_2, userinfo_main):
-    partition = partition_classes(ontology_wx, mappings_wx, dataset_2)
-    hit = identify_entity_class("WeldingProgramID", partition, userinfo_main)
-    assert hit == ("WeldingProgram", "hasWeldingProgram")
+def test_identify_by_suffix(ontology_wx, userinfo_main):
+    assert identify_entity_class("WeldingProgramID", ontology_wx.classes, userinfo_main) == "WeldingProgram"
 
 
-def test_identify_no_suffix_match(ontology_wx, mappings_wx, dataset_2, userinfo_main):
-    partition = partition_classes(ontology_wx, mappings_wx, dataset_2)
-    assert identify_entity_class("CurrentMeanValue", partition, userinfo_main) is None
+def test_identify_no_suffix_match(ontology_wx, userinfo_main):
+    assert identify_entity_class("CurrentMeanValue", ontology_wx.classes, userinfo_main) is None
 
 
 def test_identify_user_rule_wins():
-    partition = ClassPartition(frozenset({"SensorChannel"}), frozenset())
-    u = UserInfo("M", (EntityRule("SensorChannelCode", "SensorChannel", "hasCode"),))
-    assert identify_entity_class("SensorChannelCode", partition, u) == ("SensorChannel", "hasCode")
+    u = UserInfo("M", (EntityRule("SensorID", "SensorChannel", "hasCode"),))
+    assert identify_entity_class("SensorID", {"Sensor", "SensorChannel"}, u) == "SensorChannel"
 
 
 def test_identify_suffix_is_case_insensitive():
-    partition = ClassPartition(frozenset({"Sensor"}), frozenset())
     u = UserInfo("M")
-    assert identify_entity_class("Sensorid", partition, u) == ("Sensor", "hasSensor")
-    assert identify_entity_class("SensorName", partition, u) == ("Sensor", "hasSensor")
+    assert identify_entity_class("Sensorid", {"Sensor"}, u) == "Sensor"
+    assert identify_entity_class("SensorName", {"Sensor"}, u) == "Sensor"
 
 
 def test_identify_requires_entity_candidate():
-    # the stripped stem must be a potential class, not a mapped one
-    partition = ClassPartition(frozenset(), frozenset({"Sensor"}))
-    assert identify_entity_class("SensorID", partition, UserInfo("M")) is None
+    # the stripped stem must be a candidate, not merely a declared class
+    assert identify_entity_class("SensorID", {"Other"}, UserInfo("M")) is None
+
+
+LABEL_RULE = EntityRule("SensorLabel", "Sensor", "viaLabel")
+CODE_RULE = EntityRule("SensorCode", "Sensor", "viaCode")
+
+
+@pytest.mark.parametrize("rules", [(LABEL_RULE, CODE_RULE), (CODE_RULE, LABEL_RULE)])
+def test_link_takes_the_relation_of_the_first_rule_naming_the_class(rules):
+    # t.code keys Sensor in both orders; the minted link follows rule order
+    o = parse_ontology(
+        "class Op\nclass Sensor\nclass SensorLabel\nclass SensorCode\n"
+        "objprop hasLabel Sensor SensorLabel\nobjprop hasCode Sensor SensorCode\n"
+    )
+    d = Dataset({"t": Table("t", ["code", "label"], [])}, "t")
+    m = MappingSet({"t": "Op"}, {("t", "code"): "SensorCode", ("t", "label"): "SensorLabel"})
+    text = serialize_schema(reshape(o, d, m, UserInfo("Op", rules))).splitlines()
+    assert "key Sensor t.code" in text
+    assert f"objprop {rules[0].relation} Op Sensor" in text
+    assert f"objprop {rules[1].relation} Op Sensor" not in text
 
 
 def test_connect_direct_relation(ontology_wx, userinfo_main):
@@ -327,7 +345,7 @@ def _all_pairs_undirected(o):
 def test_assign_owner_matches_all_pairs_oracle(case):
     o, mc, schema, d, m = case
     s = KGSchema(mc, set(schema), set())
-    got = assign_data_properties(s, partition_classes(o, m, d), o, m, d)
+    got = assign_data_properties(s, o, m, d)
     owners = {src: owner for _, owner, src in got.data_attachments}
     dist = _all_pairs_undirected(o)
     for (table, attr), cp in m.attribute_map.items():

@@ -13,9 +13,9 @@ last JSON line of every run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles and how many pairs the
 change won, lost and tied; it is rewritten after every pair, so a run that
 fails keeps the pairs before it. A workload that ``BENCHMARK.json`` does
-not declare is rejected before the first run. At the end it prints one
-line per workload and end-to-end metric: both medians and the pairs won
-and lost.
+not declare, or a seed range that is empty or not numeric, is rejected
+before the first run. At the end it prints one line per workload and
+end-to-end metric: both medians and the pairs won and lost.
 """
 
 from __future__ import annotations
@@ -28,13 +28,17 @@ import sys
 from pathlib import Path
 
 
-def _parse_runs(specs: list[str]) -> list[tuple[str, list[int]]]:
-    runs = []
-    for spec in specs:
-        workload, _, seeds = spec.partition("=")
-        first, _, last = seeds.partition("-")
-        runs.append((workload, list(range(int(first), int(last or first) + 1))))
-    return runs
+def _run_spec(spec: str) -> tuple[str, list[int]]:
+    """``WORKLOAD=FIRST-LAST`` or ``WORKLOAD=SEED`` as the workload and its seeds."""
+    workload, eq, span = spec.partition("=")
+    first, _, last = span.partition("-")
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        seeds = []
+    if not (workload and eq and seeds):
+        raise argparse.ArgumentTypeError(f"{spec!r} is not WORKLOAD=FIRST-LAST with FIRST <= LAST")
+    return workload, seeds
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -88,20 +92,19 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
-    p.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD=FIRST-LAST")
+    p.add_argument("--runs", nargs="+", required=True, type=_run_spec, metavar="WORKLOAD=FIRST-LAST")
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
-    plan = _parse_runs(args.runs)
-    for workload, _ in plan:
+    for workload, _ in args.runs:
         if workload not in known:
             p.error(f"unknown workload {workload!r}; BENCHMARK.json declares {', '.join(known)}")
     doc = {"seconds": args.seconds, "runs": [], "summary": {}}
     pair = 0
-    for workload, seeds in plan:
+    for workload, seeds in args.runs:
         for seed in seeds:
             order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in order:
