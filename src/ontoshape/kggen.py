@@ -80,18 +80,22 @@ def mint_entity_id(class_name: str, key: str) -> str:
 
 
 def _check_schema_sources(s: KGSchema, d: Dataset) -> None:
+    """Raise ``DatasetError`` for the first table, key or attachment of ``s``
+    missing from ``d``. Each source is looked up in its table's set of
+    column names, so the check is linear in the schema's sources."""
+    columns = {tname: set(t.attributes) for tname, t in d.tables.items()}
     for cls, tname in s.class_tables.items():
-        if tname not in d.tables:
+        if tname not in columns:
             raise DatasetError(f"schema maps {cls} to table {tname!r} missing from the dataset")
     for cls, (tname, attr) in s.class_keys.items():
-        if tname not in d.tables:
+        if tname not in columns:
             raise DatasetError(f"key of {cls} names table {tname!r} missing from the dataset")
-        if attr not in d.tables[tname].attributes:
+        if attr not in columns[tname]:
             raise DatasetError(f"key of {cls} names attribute {tname}.{attr} missing from the dataset")
     for prop, _, (tname, attr) in s.data_attachments:
-        if tname not in d.tables:
+        if tname not in columns:
             raise DatasetError(f"attachment {prop} names table {tname!r} missing from the dataset")
-        if attr not in d.tables[tname].attributes:
+        if attr not in columns[tname]:
             raise DatasetError(f"attachment {prop} names attribute {tname}.{attr} missing from the dataset")
 
 

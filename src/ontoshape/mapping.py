@@ -116,6 +116,13 @@ def parse_userinfo(text: str) -> UserInfo:
     if not isinstance(main_class, str) or not main_class:
         raise ParseError("main_class required")
     entity_rules = _rules(doc, "entity_rules", ("attribute_class", "entity_class", "relation"), EntityRule)
+    first: dict[str, int] = {}
+    for i, rule in enumerate(entity_rules):
+        j = first.setdefault(rule.attribute_class, i)
+        if j != i:
+            raise ParseError(
+                f"entity_rules[{i}] repeats attribute_class {rule.attribute_class!r} of entity_rules[{j}]"
+            )
     connection_rules = _rules(doc, "connection_rules", ("from", "to", "relation"), ConnectionRule)
     prefix = doc.get("fallback_relation_prefix", "has")
     if not isinstance(prefix, str) or not prefix:

@@ -14,6 +14,13 @@ Parsing is order-independent: a property may textually precede the class
 declarations it refers to. Serialization sorts each section so that
 parse/serialize round-trips are byte stable.
 
+A line is accepted by one compiled pattern (``_DECLARATION``) that takes
+the directive, the identifiers and any whitespace around them, as
+``str.split`` would. Only a line the pattern rejects is stripped, split and
+checked token by token: it is skipped when blank or a comment, and
+otherwise raises the ``ParseError`` that names its fault, with the same
+message and line as a reader that checks every line that way.
+
 The path queries are the schema builders' questions: the direct relation
 from one class to another, and one BFS (``_bfs``) that either follows edge
 direction, for which classes a class reaches, or ignores it, for distances
@@ -35,7 +42,15 @@ from types import MappingProxyType
 
 from .errors import ParseError
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_IDENT = re.compile(rf"{_NAME}\Z")
+_ID = f"({_NAME})"
+# a well-formed declaration line, padding included: \s and str.split agree
+# on whitespace, so each group is exactly one token that _IDENT accepts
+_DECLARATION = re.compile(
+    rf"\s*(?:class\s+{_ID}|objprop\s+{_ID}\s+{_ID}\s+{_ID}|dataprop\s+{_ID}\s+{_ID})\s*\Z"
+)
+_ARITY = {"class": 2, "objprop": 4, "dataprop": 3}
 
 
 @dataclass(frozen=True)
@@ -82,22 +97,26 @@ class Ontology:
         self.classes = frozenset(self.classes)
         self.object_properties = frozenset(self.object_properties)
         self.data_properties = frozenset(self.data_properties)
-        for _, dom, rng in sorted(self.object_properties):
-            _require_declared(self, dom, rng)
-        for _, dom in sorted(self.data_properties):
-            _require_declared(self, dom)
-        succ: dict[str, set[str]] = {name: set() for name in self.classes}
-        und: dict[str, set[str]] = {name: set() for name in self.classes}
-        for rel, dom, rng in self.object_properties:
-            succ[dom].add(rng)
-            und[dom].add(rng)
-            und[rng].add(dom)
-            key = (dom, rng)
-            if key not in self._direct or rel < self._direct[key]:
-                self._direct[key] = rel
-        for name in self.classes:
-            self._succ[name] = tuple(sorted(succ[name]))
-            self._und[name] = tuple(sorted(und[name]))
+        # one pass in sorted order: the first relation a (domain, range) pair
+        # meets is its smallest
+        succ: dict[str, list[str]] = {}
+        und: dict[str, list[str]] = {}
+        direct = self._direct
+        props = sorted(self.object_properties)
+        for rel, dom, rng in props:
+            if (dom, rng) not in direct:
+                direct[dom, rng] = rel
+                succ.setdefault(dom, []).append(rng)
+                und.setdefault(dom, []).append(rng)
+                und.setdefault(rng, []).append(dom)
+        if (und.keys() | {dom for _, dom in self.data_properties}) - self.classes:
+            # name the first undeclared class in sorted property order
+            for _, dom, rng in props:
+                _require_declared(self, dom, rng)
+            for _, dom in sorted(self.data_properties):
+                _require_declared(self, dom)
+        self._succ = {name: tuple(sorted(succ.get(name, ()))) for name in self.classes}
+        self._und = {name: tuple(sorted(set(und.get(name, ())))) for name in self.classes}
 
     def __getstate__(self):  # a proxy cannot be pickled; workers rebuild their own maps
         return {**self.__dict__, "_dist": {}}
@@ -115,6 +134,19 @@ def _check_ident(name: str, lineno: int) -> None:
         raise ParseError(f"invalid identifier {name!r}", lineno)
 
 
+def _check_rejected(raw: str, lineno: int) -> None:
+    """Pass a blank or comment line; raise the ``ParseError`` of any other
+    line that ``_DECLARATION`` rejects."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return
+    parts = line.split()
+    if _ARITY.get(parts[0]) == len(parts):
+        for name in parts[1:]:
+            _check_ident(name, lineno)
+    raise ParseError(f"unrecognized directive {line!r}", lineno)
+
+
 def parse_ontology(text: str) -> Ontology:
     """Parse an OSF document into an :class:`Ontology`.
 
@@ -124,42 +156,37 @@ def parse_ontology(text: str) -> Ontology:
     classes: dict[str, int] = {}
     objprops: dict[tuple[str, str, str], int] = {}
     dataprops: dict[tuple[str, str], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = text.splitlines()
+    for lineno, decl in enumerate(map(_DECLARATION.match, lines), start=1):
+        if decl is None:
+            _check_rejected(lines[lineno - 1], lineno)
             continue
-        parts = line.split()
-        if parts[0] == "class" and len(parts) == 2:
-            name = parts[1]
-            _check_ident(name, lineno)
+        name, rel, dom, rng, prop, prop_dom = decl.groups()
+        if name is not None:
             if name in classes:
                 raise ParseError(f"duplicate class declaration {name!r}", lineno)
             classes[name] = lineno
-        elif parts[0] == "objprop" and len(parts) == 4:
-            rel, dom, rng = parts[1], parts[2], parts[3]
-            for name in (rel, dom, rng):
-                _check_ident(name, lineno)
+        elif rel is not None:
             key = (rel, dom, rng)
             if key in objprops:
                 raise ParseError(f"duplicate object property {rel} {dom} {rng}", lineno)
             objprops[key] = lineno
-        elif parts[0] == "dataprop" and len(parts) == 3:
-            prop, dom = parts[1], parts[2]
-            for name in (prop, dom):
-                _check_ident(name, lineno)
-            key = (prop, dom)
-            if key in dataprops:
-                raise ParseError(f"duplicate data property {prop} {dom}", lineno)
-            dataprops[key] = lineno
         else:
-            raise ParseError(f"unrecognized directive {line!r}", lineno)
-    for (rel, dom, rng), lineno in sorted(objprops.items(), key=lambda kv: kv[1]):
-        for name in (dom, rng):
-            if name not in classes:
-                raise ParseError(f"undeclared class {name}", lineno)
-    for (prop, dom), lineno in sorted(dataprops.items(), key=lambda kv: kv[1]):
-        if dom not in classes:
-            raise ParseError(f"undeclared class {dom}", lineno)
+            key = (prop, prop_dom)
+            if key in dataprops:
+                raise ParseError(f"duplicate data property {prop} {prop_dom}", lineno)
+            dataprops[key] = lineno
+    used = {c for _, dom, rng in objprops for c in (dom, rng)}
+    used.update(dom for _, dom in dataprops)
+    if used - classes.keys():
+        # name the first undeclared class in line order
+        for (rel, dom, rng), lineno in sorted(objprops.items(), key=lambda kv: kv[1]):
+            for name in (dom, rng):
+                if name not in classes:
+                    raise ParseError(f"undeclared class {name}", lineno)
+        for (prop, dom), lineno in sorted(dataprops.items(), key=lambda kv: kv[1]):
+            if dom not in classes:
+                raise ParseError(f"undeclared class {dom}", lineno)
     return Ontology(frozenset(classes), frozenset(objprops), frozenset(dataprops))
 
 

@@ -27,6 +27,7 @@ Both builders are pure: they never mutate their inputs.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from urllib.parse import quote, unquote
 
@@ -298,6 +299,8 @@ def reshape(
             class_tables.setdefault(c, tname)
         elif c not in o.classes:
             log.warning("table %s maps to undeclared class %s; ignored", tname, c)
+        else:
+            log.warning("table %s maps to %s, which an attribute also maps to; table dropped", tname, c)
 
     unmapped = []
     for table, attr in _main_table_first(d):
@@ -384,7 +387,13 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
 # ---------------------------------------------------------------------------
 # schema text format
 
+# the tokens quote(token, safe="_-") returns unchanged, less "."
+_PLAIN_TOKEN = re.compile(r"[A-Za-z0-9_\-~]*\Z")
+
+
 def _enc(token: str) -> str:
+    if _PLAIN_TOKEN.match(token):
+        return token
     # quote keeps ".", which separates table from attribute in source tokens
     return quote(token, safe="_-").replace(".", "%2E")
 

@@ -1,5 +1,5 @@
-"""Summary arithmetic of ``tools/bench_pairs.py``: spreads, win counts and
-the closing table."""
+"""Summary arithmetic of ``tools/bench_pairs.py``: spreads, win counts,
+verdicts and the closing table."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 METRICS = [
-    {"name": "pipeline_s", "better": "lower"},
-    {"name": "triples_per_s", "better": "higher"},
+    {"name": "pipeline_s", "better": "lower", "bound": 0.2},
+    {"name": "triples_per_s", "better": "higher", "bound": 0.2},
 ]
 
 
@@ -75,10 +75,10 @@ def test_table_has_one_line_per_workload_and_metric():
             _run(2, "change", 0.09, 70.0, "a"), _run(2, "parent", 0.08, 80.0, "a"),
             _run(7, "parent", 1.5, 10.0, "b"), _run(7, "change", 1.5, 12.5, "b")]
     assert bench_pairs._table(bench_pairs._summary(runs, METRICS)) == [
-        "a pipeline_s: parent 0.0885 change 0.0876 won 1 lost 1",
-        "a triples_per_s: parent 80 change 80 won 1 lost 1",
-        "b pipeline_s: parent 1.5 change 1.5 won 0 lost 0",
-        "b triples_per_s: parent 10 change 12.5 won 1 lost 0",
+        "a pipeline_s: parent 0.0885 change 0.0876 won 1 lost 1 held",
+        "a triples_per_s: parent 80 change 80 won 1 lost 1 held",
+        "b pipeline_s: parent 1.5 change 1.5 won 0 lost 0 held",
+        "b triples_per_s: parent 10 change 12.5 won 1 lost 0 gain",
     ]
 
 
@@ -101,9 +101,44 @@ def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
     argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0",
-                          "w triples_per_s: parent 5 change 5 won 0 lost 0"]
+    assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0 gain",
+                          "w triples_per_s: parent 5 change 5 won 0 lost 0 held"]
     assert json.loads(out.read_text())["summary"]["w"]["pipeline_s"]["change_won"] == 2
+
+
+# (parent, change) pipeline_s per seed 1..10; triples_per_s stays 5 on both sides
+VERDICT_CASES = {
+    # 9 of 10 won, medians 1.0 vs 0.9 and the parent's q3 - q1 is 0
+    "gain": [(1.0, 0.9)] * 9 + [(1.0, 1.1)],
+    # 9 of 10 won, but the medians differ by 0.025, less than the parent's q3 - q1 of 0.25
+    "held": [(1.0 + 0.1 * (i % 6), 0.95 + 0.1 * (i % 6)) for i in range(9)] + [(1.0, 1.1)],
+    # a median 25 % past the parent's, beyond the bound of 20 %
+    "worse": [(1.0, 1.25)] * 10,
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(VERDICT_CASES))
+def test_each_pipeline_line_ends_with_its_verdict(verdict, tmp_path, monkeypatch, capsys):
+    values = dict(enumerate(VERDICT_CASES[verdict], start=1))
+    monkeypatch.setattr(
+        bench_pairs, "_run",
+        lambda checkout, workload, seed, seconds: _run(
+            seed, checkout.name, values[seed][checkout.name == "change"], 5.0)["result"],
+    )
+    argv = _checkouts(tmp_path) + ["--runs", "w=1-10", "--out", str(tmp_path / "pairs.json")]
+    assert bench_pairs.main(argv) == 0
+    pipeline, triples = capsys.readouterr().out.splitlines()[-2:]
+    assert pipeline.startswith("w pipeline_s:") and pipeline.endswith(f" {verdict}")
+    assert triples.endswith(" held")
+
+
+def test_nine_wins_in_ten_pairs_is_the_least_gain():
+    def row(won, lost):
+        return {"parent": {"median": 1.0, "q1": 1.0, "q3": 1.0}, "change": {"median": 0.5},
+                "change_won": won, "change_lost": lost, "tied": 10 - won - lost}
+
+    assert bench_pairs._verdict(row(9, 1), -1, 0.2) == "gain"
+    assert bench_pairs._verdict(row(8, 0), -1, 0.2) == "held"  # two ties count for neither side
 
 
 def test_unknown_workload_is_rejected_before_the_first_run(tmp_path, monkeypatch, capsys):

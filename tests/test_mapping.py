@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import textwrap
 from pathlib import Path
@@ -133,6 +134,18 @@ def test_userinfo_malformed_rule():
 def test_userinfo_rules_must_be_lists_of_string_fields(rules, message):
     with pytest.raises(ParseError, match=message):
         parse_userinfo('{"main_class": "M", ' + rules + "}")
+
+
+def test_userinfo_rejects_a_second_entity_rule_for_one_attribute_class():
+    rules = [
+        {"attribute_class": "Code", "entity_class": "A", "relation": "viaA"},
+        {"attribute_class": "Other", "entity_class": "B", "relation": "viaB"},
+        {"attribute_class": "Code", "entity_class": "B", "relation": "viaB"},
+    ]
+    doc = json.dumps({"main_class": "M", "entity_rules": rules})
+    message = r"^entity_rules\[2\] repeats attribute_class 'Code' of entity_rules\[0\]$"
+    with pytest.raises(ParseError, match=message):
+        parse_userinfo(doc)
 
 
 def test_userinfo_invalid_json():

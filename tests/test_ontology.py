@@ -8,6 +8,7 @@ its own correctness.
 from __future__ import annotations
 
 import pickle
+import re
 from collections import deque
 from itertools import product
 
@@ -353,3 +354,183 @@ def test_equality_and_pickle_ignore_the_distance_memo():
     assert back == warm
     assert back._dist == {} and len(warm._dist) == len(warm.classes)
     assert undirected_distances(back, "WeldingOperation") == undirected_distances(warm, "WeldingOperation")
+
+
+# --- the OSF reader against the line-by-line reader it replaced -------------
+
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _reference_check_ident(name, lineno):
+    if not _REF_IDENT.match(name):
+        raise ParseError(f"invalid identifier {name!r}", lineno)
+
+
+def _reference_parse_ontology(text):
+    """The reader that strips, splits and checks every line on its own, with
+    its declaration checks: the classes, object properties and data
+    properties that ``parse_ontology`` must return, or its ``ParseError``."""
+    classes = {}
+    objprops = {}
+    dataprops = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "class" and len(parts) == 2:
+            name = parts[1]
+            _reference_check_ident(name, lineno)
+            if name in classes:
+                raise ParseError(f"duplicate class declaration {name!r}", lineno)
+            classes[name] = lineno
+        elif parts[0] == "objprop" and len(parts) == 4:
+            rel, dom, rng = parts[1], parts[2], parts[3]
+            for name in (rel, dom, rng):
+                _reference_check_ident(name, lineno)
+            key = (rel, dom, rng)
+            if key in objprops:
+                raise ParseError(f"duplicate object property {rel} {dom} {rng}", lineno)
+            objprops[key] = lineno
+        elif parts[0] == "dataprop" and len(parts) == 3:
+            prop, dom = parts[1], parts[2]
+            for name in (prop, dom):
+                _reference_check_ident(name, lineno)
+            key = (prop, dom)
+            if key in dataprops:
+                raise ParseError(f"duplicate data property {prop} {dom}", lineno)
+            dataprops[key] = lineno
+        else:
+            raise ParseError(f"unrecognized directive {line!r}", lineno)
+    for (rel, dom, rng), lineno in sorted(objprops.items(), key=lambda kv: kv[1]):
+        for name in (dom, rng):
+            if name not in classes:
+                raise ParseError(f"undeclared class {name}", lineno)
+    for (prop, dom), lineno in sorted(dataprops.items(), key=lambda kv: kv[1]):
+        if dom not in classes:
+            raise ParseError(f"undeclared class {dom}", lineno)
+    return frozenset(classes), frozenset(objprops), frozenset(dataprops)
+
+
+def _reference_require_declared(classes, objprops, dataprops):
+    """The ``ValueError`` a direct ``Ontology(...)`` raises: the first
+    undeclared class in sorted property order."""
+    for _, dom, rng in sorted(objprops):
+        for name in (dom, rng):
+            if name not in classes:
+                raise ValueError(f"undeclared class {name}")
+    for _, dom in sorted(dataprops):
+        if dom not in classes:
+            raise ValueError(f"undeclared class {dom}")
+
+
+def _reference_adjacency(classes, objprops):
+    """Successors, neighbours and the smallest direct relation per ordered
+    pair, from one set per class sorted at the end."""
+    succ = {c: set() for c in classes}
+    und = {c: set() for c in classes}
+    direct = {}
+    for rel, dom, rng in objprops:
+        succ[dom].add(rng)
+        und[dom].add(rng)
+        und[rng].add(dom)
+        if (dom, rng) not in direct or rel < direct[dom, rng]:
+            direct[dom, rng] = rel
+    return ({c: tuple(sorted(v)) for c, v in succ.items()},
+            {c: tuple(sorted(v)) for c, v in und.items()}, direct)
+
+
+def _assert_same_queries(o, classes, objprops):
+    succ, und, direct = _reference_adjacency(classes, objprops)
+    for c in sorted(classes):
+        assert o.successors(c) == succ[c]
+        assert o.neighbors(c) == und[c]
+        assert o._direct.get((c, c)) == direct.get((c, c))  # a self-loop has no ClassPair
+    for a, b in product(sorted(classes), repeat=2):
+        if a != b:
+            assert direct_relation(o, ClassPair(a, b)) == direct.get((a, b))
+
+
+_osf_names = st.sampled_from(["A", "B", "C", "_x", "Z9", "abc", "A_1", "classy"])
+_osf_rels = st.sampled_from(["p", "q", "r_1", "class", "objprop"])
+_PADS = [" ", "\t", "\x1f", "\xa0", "　", "\x0b", "\x0c"]
+_BAD_NAMES = ["9lives", "a-b", "é", "A.B", "x%", "Ａ", "#c", "a​b"]
+
+
+@st.composite
+def osf_documents(draw):
+    """A serialized random ontology, then hand edits: blank and comment
+    lines, padding, bad names, repeated and dropped lines, extra tokens and
+    unknown directives."""
+    classes = draw(st.frozensets(_osf_names, max_size=6))
+    pool = sorted(classes) or ["A"]
+    objprops = draw(st.frozensets(st.tuples(_osf_rels, st.sampled_from(pool), st.sampled_from(pool)), max_size=8))
+    dataprops = draw(st.frozensets(st.tuples(_osf_rels, st.sampled_from(pool)), max_size=4))
+    lines = [f"class {c}" for c in classes]
+    lines += [f"objprop {r} {d} {g}" for r, d, g in objprops]
+    lines += [f"dataprop {p} {d}" for p, d in dataprops]
+    lines = draw(st.permutations(lines))
+    pad = st.text(st.sampled_from(_PADS), min_size=1, max_size=3)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(
+            ["blank", "comment", "pad", "bad_name", "repeat", "drop", "trailing", "directive", "bare"]))
+        if kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", draw(pad)])))
+        elif kind == "comment":
+            lines.insert(at, draw(st.sampled_from(["", draw(pad)])) + "# " + draw(st.text(max_size=5)))
+        elif kind == "bare":
+            lines.insert(at, draw(st.sampled_from(["class", "objprop", "dataprop", "objprop p A", "#"])))
+        elif lines and (tokens := lines[min(at, len(lines) - 1)].split()):
+            at = min(at, len(lines) - 1)
+            if kind == "pad":
+                gaps = [draw(pad) for _ in range(len(tokens) + 1)]
+                gaps[0] = draw(st.sampled_from(["", gaps[0]]))
+                gaps[-1] = draw(st.sampled_from(["", gaps[-1]]))
+                lines[at] = gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+            elif kind == "bad_name":
+                tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_BAD_NAMES))
+                lines[at] = " ".join(tokens)
+            elif kind == "repeat":
+                lines.insert(draw(st.integers(0, len(lines))), lines[at])
+            elif kind == "drop":
+                del lines[at]
+            elif kind == "trailing":
+                lines[at] += " " + draw(st.sampled_from(["A", "x", "9"]))
+            else:
+                tokens[0] = draw(st.sampled_from(["klass", "Class", "prop", "objprop", "class", "dataprop"]))
+                lines[at] = " ".join(tokens)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=osf_documents())
+def test_parse_matches_the_line_by_line_reference(text):
+    try:
+        expected = _reference_parse_ontology(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_ontology(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    o = parse_ontology(text)
+    assert (o.classes, o.object_properties, o.data_properties) == expected
+    assert o == Ontology(*expected)
+    _assert_same_queries(o, expected[0], expected[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    classes=st.frozensets(_osf_names, max_size=5),
+    objprops=st.frozensets(st.tuples(_osf_rels, _osf_names, _osf_names), max_size=8),
+    dataprops=st.frozensets(st.tuples(_osf_rels, _osf_names), max_size=4),
+)
+def test_direct_construction_matches_the_reference_checks(classes, objprops, dataprops):
+    try:
+        _reference_require_declared(classes, objprops, dataprops)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Ontology(classes, objprops, dataprops)
+        assert str(got.value) == str(exc)
+        return
+    _assert_same_queries(Ontology(classes, objprops, dataprops), classes, objprops)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import logging
 from collections import Counter
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,17 @@ def test_attribute_mapped_class_is_never_an_entity_candidate():
     s = reshape(o, d, m, UserInfo("M"))
     assert s.classes == {"M"}
     assert s.class_keys == {} and s.class_tables == {"M": "t"}
+
+
+def test_table_of_an_attribute_class_is_dropped_with_a_warning(caplog):
+    o = parse_ontology("class M\nclass Sensor\nobjprop watches M Sensor\n")
+    d = Dataset({"t": Table("t", ["reading"], []), "sensor": Table("sensor", ["x"], [])}, "t")
+    m = MappingSet({"t": "M", "sensor": "Sensor"}, {("t", "reading"): "Sensor", ("sensor", "x"): "Sensor"})
+    with caplog.at_level(logging.WARNING, logger="ontoshape.reshape"):
+        s = reshape(o, d, m, UserInfo("M"))
+    assert "sensor" not in s.class_tables.values()
+    dropped = [r.getMessage() for r in caplog.records if "table dropped" in r.getMessage()]
+    assert dropped == ["table sensor maps to Sensor, which an attribute also maps to; table dropped"]
 
 
 def test_undeclared_attribute_class_is_not_a_candidate(ontology_wx, mappings_wx, caplog):
@@ -501,6 +513,26 @@ def test_schema_source_tokens_survive_odd_names(userinfo_main):
     s = reshape(o, d, m, userinfo_main, include_unmapped=True)
     assert ("hasmy attr/%", "WeldingOperation", ("weird.table", "my attr/%")) in s.data_attachments
     assert parse_schema(serialize_schema(s)) == s
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text())
+def test_schema_token_is_quote_with_dots_encoded(text):
+    assert reshape_module._enc(text) == quote(text, safe="_-").replace(".", "%2E")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.text(min_size=1), min_size=3, max_size=3))
+def test_attach_key_and_table_tokens_round_trip(tokens):
+    prop, table, attr = tokens
+    s = KGSchema(
+        "M", {"M", "K"}, {("r", "M", "K")},
+        {(prop, "M", (table, attr)), ("p", "K", (attr, table))},
+        {"K": (table, attr)}, {"M": table, "K": attr},
+    )
+    text = serialize_schema(s)
+    assert parse_schema(text) == s
+    assert serialize_schema(parse_schema(text)) == text
 
 
 def test_parse_schema_rejects_duplicate_main():

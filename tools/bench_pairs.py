@@ -15,7 +15,12 @@ change won, lost and tied; it is rewritten after every pair, so a run that
 fails keeps the pairs before it. A workload that ``BENCHMARK.json`` does
 not declare, or a seed range that is empty or not numeric, is rejected
 before the first run. At the end it prints one line per workload and
-end-to-end metric: both medians and the pairs won and lost.
+end-to-end metric: both medians, the pairs won and lost, and a verdict:
+``gain`` when the change won at least 9 of every 10 pairs and the medians
+differ, in its favour, by more than the parent's q3 - q1; ``worse`` when
+the change's median is past the parent's by more than the metric's
+``BENCHMARK.json`` bound, a share of the parent's median; ``held``
+otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +60,19 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _verdict(row: dict, sign: int, bound: float) -> str:
+    """``gain``, ``worse`` or ``held`` for one summary row, by the rules the
+    module docstring gives; ``sign`` is 1 when higher is better, else -1."""
+    parent, change = row["parent"], row["change"]
+    better_by = sign * (change["median"] - parent["median"])
+    pairs = row["change_won"] + row["change_lost"] + row["tied"]
+    if 10 * row["change_won"] >= 9 * pairs and better_by > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -better_by > bound * abs(parent["median"]):
+        return "worse"
+    return "held"
+
+
 def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -68,13 +86,14 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
             parent = [p["parent"][name]["value"] for p in pairs.values()]
             change = [p["change"][name]["value"] for p in pairs.values()]
             diffs = [sign * (c - p) for p, c in zip(parent, change)]
-            rows[name] = {
+            row = rows[name] = {
                 "parent": _spread(parent),
                 "change": _spread(change),
                 "change_won": sum(d > 0 for d in diffs),
                 "change_lost": sum(d < 0 for d in diffs),
                 "tied": sum(d == 0 for d in diffs),
             }
+            row["verdict"] = _verdict(row, sign, m["bound"])
         out[workload] = rows
     return out
 
@@ -82,7 +101,7 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
 def _table(summary: dict) -> list[str]:
     return [
         f"{workload} {name}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g}"
-        f" won {row['change_won']} lost {row['change_lost']}"
+        f" won {row['change_won']} lost {row['change_lost']} {row['verdict']}"
         for workload, rows in summary.items()
         for name, row in rows.items()
     ]
