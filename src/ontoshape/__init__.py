@@ -23,13 +23,7 @@ from .ontology import (
     parse_ontology,
     serialize_ontology,
 )
-from .reshape import (
-    KGSchema,
-    baseline_schema,
-    parse_schema,
-    reshape,
-    serialize_schema,
-)
+from .reshape import KGSchema, baseline_schema, parse_schema, serialize_schema
 from .tabular import Dataset, Table, list_attributes, load_dataset, load_table, subsample_attributes
 
 __all__ = [
@@ -59,7 +53,6 @@ __all__ = [
     "parse_ontology",
     "parse_schema",
     "parse_userinfo",
-    "reshape",
     "serialize_mappings",
     "serialize_ntriples",
     "serialize_ontology",

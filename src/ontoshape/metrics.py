@@ -8,14 +8,15 @@ literal triples never contribute. The root-to-leaf depth looks out from the
 main-class entities, the global depth is the largest shortest-path distance
 found in any connected component.
 
-Both depths are exact. On a tree component a double sweep (a BFS from a
-main entity, then one from the farthest node it reached) gives the
-diameter. On any other component the double sweep and a BFS from the middle
-of its path (iFUB's 4-sweep, Crescenzi et al., TCS 2013) seed per-node
-eccentricity bounds (Takes & Kosters, CIKM 2011); more BFS run only while
-some node's upper bound exceeds the largest eccentricity found. The
-root-to-leaf depth comes from the same bounds, restricted to main-class
-nodes.
+Both depths are exact. Each component's first BFS starts at its first
+main entity, if it has one, and also finds the component's nodes. On a
+tree component a double sweep (that BFS, then one from the farthest node
+it reached) gives the diameter. On any other component the double sweep
+and a BFS from the middle of its path (iFUB's 4-sweep, Crescenzi et al.,
+TCS 2013) seed per-node eccentricity bounds (Takes & Kosters, CIKM 2011);
+more BFS run only while some node's upper bound exceeds the largest
+eccentricity found. The root-to-leaf depth comes from the same bounds,
+restricted to main-class nodes.
 
 ``ROWS`` is the one definition of the report rows, in report order: (label,
 report field, divisor into the shown unit, how repeated runs combine).
@@ -25,6 +26,7 @@ report field, divisor into the shown unit, how repeated runs combine).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from operator import itemgetter
 from statistics import mean
 
@@ -113,16 +115,17 @@ class _Eccentricities:
         self.hi = [n] * n
         # distance from the source of the latest BFS in the node's component
         self.dist = [0] * n
-        # number of the latest BFS that reached the node
-        self._seen = [0] * n
+        # number of the latest BFS that reached the node; 0 until one does
+        self.seen = [0] * n
         self.sweeps = 0
 
-    def sweep(self, start: int) -> tuple[int, int]:
+    def sweep(self, start: int) -> list[list[int]]:
         """BFS from ``start`` over its component; tightens the bounds of
-        every node reached and returns (a farthest node, its distance)."""
+        every node reached and returns the levels: the nodes at distance 0,
+        1, ... from ``start``, the farthest last."""
         self.sweeps += 1
         tag = self.sweeps
-        adj, seen = self.adj, self._seen
+        adj, seen = self.adj, self.seen
         seen[start] = tag
         frontier = [start]
         levels = [frontier]
@@ -147,17 +150,18 @@ class _Eccentricities:
                     lo[node] = low
                 if hi[node] > high:
                     hi[node] = high
-        return levels[-1][0], ecc
+        return levels
 
 
 def _component_depths(
-    ecc: _Eccentricities, comp: list[int], mains: list[int], tree: bool
+    ecc: _Eccentricities, far: int, comp: list[int], mains: list[int], tree: bool
 ) -> tuple[int, int]:
     """(largest eccentricity of a node in ``mains``, diameter) of one
-    connected component with at least two nodes."""
+    connected component with at least two nodes, once its first sweep has
+    run and found ``far`` farthest."""
     lo, hi = ecc.lo, ecc.hi
-    far, _ = ecc.sweep(mains[0] if mains else comp[0])
-    end, diameter = ecc.sweep(far)
+    levels = ecc.sweep(far)
+    end, diameter = levels[-1][0], len(levels) - 1
     # on a tree the double sweep is exact; elsewhere it is a lower bound
     if not tree:
         # iFUB's 4-sweep: the middle of the double-sweep path lies near a
@@ -177,7 +181,7 @@ def _component_depths(
             else:
                 pick = min(open_nodes, key=lo.__getitem__)
             widest = not widest
-            diameter = max(diameter, ecc.sweep(pick)[1])
+            diameter = max(diameter, len(ecc.sweep(pick)) - 1)
     if not mains:
         return 0, diameter
     while True:
@@ -212,26 +216,19 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     is_main = [cls == mc for cls, _ in g.entities.values()]
 
     ecc = _Eccentricities(adj)
-    in_comp = [False] * n
+    seen = ecc.seen
     root_depth = global_depth = 0
-    for start in range(n):
-        if in_comp[start]:
+    # main entities first, so that a component holding one starts there;
+    # each component's first sweep also finds its nodes
+    for start in chain(compress(range(n), is_main), range(n)):
+        if seen[start] or not adj[start]:
             continue
-        in_comp[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if not in_comp[nxt]:
-                    in_comp[nxt] = True
-                    comp.append(nxt)
-                    stack.append(nxt)
-        if len(comp) == 1:
-            continue
+        levels = ecc.sweep(start)
+        comp = [node for level in levels for node in level]
         edges = sum(len(adj[node]) for node in comp) // 2
         tree = edges == len(comp) - 1 or sum(len(set(adj[node])) for node in comp) // 2 == len(comp) - 1
         mains = [node for node in comp if is_main[node]]
-        root, diameter = _component_depths(ecc, comp, mains, tree)
+        root, diameter = _component_depths(ecc, levels[-1][0], comp, mains, tree)
         root_depth = max(root_depth, root)
         global_depth = max(global_depth, diameter)
     return (root_depth, global_depth)
@@ -258,7 +255,7 @@ def build_report(
         object_prop_count=object_props,
         data_prop_count=data_props,
         entity_count=entity_count,
-        dummy_count=count_dummy_entities(g),
+        dummy_count=len(g.entities) - entity_count,
         root_to_leaf_depth=root_depth,
         global_depth=global_depth,
     )

@@ -34,7 +34,8 @@ class Dataset:
 
 def load_table(path: Path) -> Table:
     """Read one ``<name>.csv`` file (comma separated, double-quote quoting,
-    UTF-8, header first). Cell values are preserved byte for byte."""
+    UTF-8, header first, header names nonempty and distinct). Cell values
+    are preserved byte for byte."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -42,7 +43,9 @@ def load_table(path: Path) -> Table:
         if header is None:
             return Table(path.stem, [], [])
         seen = set()
-        for name in header:
+        for column, name in enumerate(header, start=1):
+            if not name:
+                raise DatasetError(f"{path.name}: empty header name in column {column}")
             if name in seen:
                 raise DatasetError(f"{path.name}: duplicate header name {name!r}")
             seen.add(name)

@@ -22,13 +22,13 @@ METRICS = [
 ]
 
 
-def _run(seed, side, pipeline_s, triples_per_s, workload="w"):
+def _run(seed, side, pipeline_s, triples_per_s, workload="w", failed=0):
     values = {"pipeline_s": pipeline_s, "triples_per_s": triples_per_s}
     return {
         "workload": workload,
         "seed": seed,
         "side": side,
-        "result": {"metrics": {k: {"value": v} for k, v in values.items()}},
+        "result": {"failed": failed, "metrics": {k: {"value": v} for k, v in values.items()}},
     }
 
 
@@ -75,10 +75,10 @@ def test_table_has_one_line_per_workload_and_metric():
             _run(2, "change", 0.09, 70.0, "a"), _run(2, "parent", 0.08, 80.0, "a"),
             _run(7, "parent", 1.5, 10.0, "b"), _run(7, "change", 1.5, 12.5, "b")]
     assert bench_pairs._table(bench_pairs._summary(runs, METRICS)) == [
-        "a pipeline_s: parent 0.0885 change 0.0876 won 1 lost 1 held",
-        "a triples_per_s: parent 80 change 80 won 1 lost 1 held",
-        "b pipeline_s: parent 1.5 change 1.5 won 0 lost 0 held",
-        "b triples_per_s: parent 10 change 12.5 won 1 lost 0 gain",
+        "a pipeline_s: parent 0.0885 change 0.0876 won 1 lost 1 failed 0/0 held",
+        "a triples_per_s: parent 80 change 80 won 1 lost 1 failed 0/0 held",
+        "b pipeline_s: parent 1.5 change 1.5 won 0 lost 0 failed 0/0 held",
+        "b triples_per_s: parent 10 change 12.5 won 1 lost 0 failed 0/0 gain",
     ]
 
 
@@ -101,8 +101,8 @@ def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
     argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0 gain",
-                          "w triples_per_s: parent 5 change 5 won 0 lost 0 held"]
+    assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0 failed 0/0 gain",
+                          "w triples_per_s: parent 5 change 5 won 0 lost 0 failed 0/0 held"]
     assert json.loads(out.read_text())["summary"]["w"]["pipeline_s"]["change_won"] == 2
 
 
@@ -110,8 +110,11 @@ def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
 VERDICT_CASES = {
     # 9 of 10 won, medians 1.0 vs 0.9 and the parent's q3 - q1 is 0
     "gain": [(1.0, 0.9)] * 9 + [(1.0, 1.1)],
-    # 9 of 10 won, but the medians differ by 0.025, less than the parent's q3 - q1 of 0.25
-    "held": [(1.0 + 0.1 * (i % 6), 0.95 + 0.1 * (i % 6)) for i in range(9)] + [(1.0, 1.1)],
+    # 9 of 10 won, but both medians are 1.015; the parent's q3 - q1 of 0.025 is
+    # inside the bound of 0.2 * 1.015
+    "held": [(1.0 + 0.01 * (i % 6), 0.995 + 0.01 * (i % 6)) for i in range(9)] + [(1.0, 1.1)],
+    # 9 of 10 won, but the parent's q3 - q1 of 0.25 is wider than the bound of 0.2 * 1.15
+    "unresolved": [(1.0 + 0.1 * (i % 6), 0.95 + 0.1 * (i % 6)) for i in range(9)] + [(1.0, 1.1)],
     # a median 25 % past the parent's, beyond the bound of 20 %
     "worse": [(1.0, 1.25)] * 10,
 }
@@ -135,10 +138,34 @@ def test_each_pipeline_line_ends_with_its_verdict(verdict, tmp_path, monkeypatch
 def test_nine_wins_in_ten_pairs_is_the_least_gain():
     def row(won, lost):
         return {"parent": {"median": 1.0, "q1": 1.0, "q3": 1.0}, "change": {"median": 0.5},
-                "change_won": won, "change_lost": lost, "tied": 10 - won - lost}
+                "change_won": won, "change_lost": lost, "tied": 10 - won - lost,
+                "change_beat_every_parent_run": False, "failed": {"parent": 0, "change": 0}}
 
     assert bench_pairs._verdict(row(9, 1), -1, 0.2) == "gain"
     assert bench_pairs._verdict(row(8, 0), -1, 0.2) == "held"  # two ties count for neither side
+
+
+def test_a_change_that_failed_more_ops_gets_no_gain():
+    runs = []
+    for seed in range(1, 11):
+        runs += [_run(seed, "parent", 1.0, 5.0), _run(seed, "change", 0.5, 5.0, failed=int(seed == 4))]
+    summary = bench_pairs._summary(runs, METRICS)
+    row = summary["w"]["pipeline_s"]
+    assert row["change_won"] == 10 and row["failed"] == {"parent": 0, "change": 1}
+    assert row["verdict"] == "held"
+    assert bench_pairs._table(summary)[0] == "w pipeline_s: parent 1 change 0.5 won 10 lost 0 failed 0/1 held"
+
+
+def test_a_wide_parent_spread_is_held_only_when_every_change_run_is_better():
+    # the parent's q3 - q1 of 1.0 is wider than the bound of 0.2 * 1.5
+    parent = [1.0] * 5 + [2.0] * 5
+    for change, verdict in [(0.99, "held"), (1.01, "unresolved")]:
+        runs = []
+        for seed, value in enumerate(parent):
+            runs += [_run(seed, "parent", value, 5.0), _run(seed, "change", change, 5.0)]
+        row = bench_pairs._summary(runs, METRICS)["w"]["pipeline_s"]
+        # the medians differ by less than that spread, so neither is a gain
+        assert (row["parent"]["q3"] - row["parent"]["q1"], row["verdict"]) == (1.0, verdict)
 
 
 def test_unknown_workload_is_rejected_before_the_first_run(tmp_path, monkeypatch, capsys):

@@ -114,6 +114,17 @@ def test_reshape_include_unmapped_then_generate(workdir):
     assert '"x y" .' in kg_file.read_text(encoding="utf-8")
 
 
+def test_reshape_rejects_an_empty_header_name(workdir, capsys):
+    # an unnamed column would become the schema token "welding_operation.", which cannot be read back
+    (workdir / "data" / "welding_operation.csv").write_text(
+        "operation_id,,program_id\nop1,x,pg1\n", encoding="utf-8"
+    )
+    schema_file = workdir / "schema.txt"
+    assert main(_reshape_argv(workdir, schema_file) + ["--include-unmapped"]) == 1
+    assert "error: welding_operation.csv: empty header name in column 2" in capsys.readouterr().err
+    assert not schema_file.exists()
+
+
 def test_metrics_counts_the_bytes_of_a_crlf_file(workdir, capsys):
     rows = "".join(f'op{i},pg{i},{i}.5,"[{i},2]"\n' for i in range(60))
     (workdir / "data" / "welding_operation.csv").write_text(

@@ -278,15 +278,28 @@ def test_redundant_triples_keep_a_tree_on_the_tree_path(g):
     tree_flags = []
     real = metrics_module._component_depths
 
-    def spy(ecc, comp, mains, tree):
+    def spy(ecc, far, comp, mains, tree):
         tree_flags.append(tree)
-        return real(ecc, comp, mains, tree)
+        return real(ecc, far, comp, mains, tree)
 
     with mock.patch.object(metrics_module, "_component_depths", spy):
         got = depth_metrics(g, "M")
     # one call per component with an edge, each on the tree path
     assert tree_flags == [True] * len(_components_with_edges(g))
     assert got == _oracle_depths(g.entities, g.object_triples, "M")
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.one_of(_sparse_graphs(), _trees_with_redundant_triples()), rnd=st.randoms())
+def test_depths_do_not_depend_on_entity_order(g, rnd):
+    # the entities dict's order picks where each component's first sweep starts
+    items = list(g.entities.items())
+    shuffled = items[:]
+    rnd.shuffle(shuffled)
+    want = depth_metrics(g, "M")
+    for order in (items[::-1], shuffled):
+        reordered = KnowledgeGraph(dict(order), g.object_triples, g.literal_triples)
+        assert depth_metrics(reordered, "M") == want
 
 
 def _components_with_edges(g):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import importlib
 import logging
+import types
 from collections import Counter
 from urllib.parse import quote
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontoshape.reshape as reshape_module
 from conftest import make_dataset2
 from ontoshape.errors import ParseError, SchemaError
 from ontoshape.mapping import ConnectionRule, EntityRule, MappingSet, UserInfo, parse_mappings
@@ -29,8 +30,13 @@ from ontoshape.reshape import (
 from ontoshape.syndata import SynthConfig, generate_synthetic
 from ontoshape.tabular import Dataset, Table
 
-# the package exports the reshape function under the submodule's name
-reshape_module = importlib.import_module("ontoshape.reshape")
+
+def test_package_attribute_reshape_is_the_submodule():
+    import ontoshape
+    import ontoshape.reshape as r
+
+    assert isinstance(r, types.ModuleType) and ontoshape.reshape is r
+    assert r.reshape is reshape and callable(r.undirected_distances)
 
 
 def _single_table(attributes, rows=()):

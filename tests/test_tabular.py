@@ -57,6 +57,13 @@ def test_duplicate_header(tmp_path):
         load_table(path)
 
 
+def test_empty_header_name_reports_its_column(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,,v\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"^t\.csv: empty header name in column 2$"):
+        load_table(path)
+
+
 def test_empty_file_is_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

@@ -10,17 +10,24 @@ For each workload and each seed of its range, both checkouts run
 ``perfbench/run.py --trace 0`` once, each in a fresh process; which side
 runs first alternates from one pair to the next. The output file holds the
 last JSON line of every run and, per workload and end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles and how many pairs the
-change won, lost and tied; it is rewritten after every pair, so a run that
+``BENCHMARK.json``, each side's median and quartiles, how many pairs the
+change won, lost and tied, whether every change run beat every parent run,
+and each side's failed ops; it is rewritten after every pair, so a run that
 fails keeps the pairs before it. A workload that ``BENCHMARK.json`` does
 not declare, or a seed range that is empty or not numeric, is rejected
 before the first run. At the end it prints one line per workload and
-end-to-end metric: both medians, the pairs won and lost, and a verdict:
-``gain`` when the change won at least 9 of every 10 pairs and the medians
-differ, in its favour, by more than the parent's q3 - q1; ``worse`` when
-the change's median is past the parent's by more than the metric's
-``BENCHMARK.json`` bound, a share of the parent's median; ``held``
-otherwise.
+end-to-end metric: both medians, the pairs won and lost, the ops each side
+failed over all its runs (parent/change), and a verdict:
+
+- ``gain`` when the change won at least 9 of every 10 pairs, the medians
+  differ, in its favour, by more than the parent's q3 - q1, and the change
+  failed no more ops than the parent;
+- ``worse`` when the change's median is past the parent's by more than the
+  metric's ``BENCHMARK.json`` bound, a share of the parent's median;
+- ``unresolved`` when the parent's q3 - q1 is wider than that bound, so the
+  runs cannot show a move within it, unless every run of the change beat
+  every run of the parent;
+- ``held`` otherwise.
 """
 
 from __future__ import annotations
@@ -61,15 +68,20 @@ def _spread(values: list[float]) -> dict:
 
 
 def _verdict(row: dict, sign: int, bound: float) -> str:
-    """``gain``, ``worse`` or ``held`` for one summary row, by the rules the
-    module docstring gives; ``sign`` is 1 when higher is better, else -1."""
+    """``gain``, ``worse``, ``unresolved`` or ``held`` for one summary row,
+    by the rules the module docstring gives; ``sign`` is 1 when higher is
+    better, else -1."""
     parent, change = row["parent"], row["change"]
     better_by = sign * (change["median"] - parent["median"])
+    spread, allowed = parent["q3"] - parent["q1"], bound * abs(parent["median"])
     pairs = row["change_won"] + row["change_lost"] + row["tied"]
-    if 10 * row["change_won"] >= 9 * pairs and better_by > parent["q3"] - parent["q1"]:
+    no_more_failed = row["failed"]["change"] <= row["failed"]["parent"]
+    if 10 * row["change_won"] >= 9 * pairs and better_by > spread and no_more_failed:
         return "gain"
-    if -better_by > bound * abs(parent["median"]):
+    if -better_by > allowed:
         return "worse"
+    if spread > allowed and not row["change_beat_every_parent_run"]:
+        return "unresolved"
     return "held"
 
 
@@ -77,9 +89,11 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
+        failed = {"parent": 0, "change": 0}
         for r in runs:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+                failed[r["side"]] += r["result"]["failed"]
         rows = {}
         for m in metrics:
             name, sign = m["name"], (1 if m["better"] == "higher" else -1)
@@ -92,6 +106,8 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_won": sum(d > 0 for d in diffs),
                 "change_lost": sum(d < 0 for d in diffs),
                 "tied": sum(d == 0 for d in diffs),
+                "change_beat_every_parent_run": min(sign * c for c in change) > max(sign * p for p in parent),
+                "failed": failed,
             }
             row["verdict"] = _verdict(row, sign, m["bound"])
         out[workload] = rows
@@ -101,7 +117,8 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
 def _table(summary: dict) -> list[str]:
     return [
         f"{workload} {name}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g}"
-        f" won {row['change_won']} lost {row['change_lost']} {row['verdict']}"
+        f" won {row['change_won']} lost {row['change_lost']}"
+        f" failed {row['failed']['parent']}/{row['failed']['change']} {row['verdict']}"
         for workload, rows in summary.items()
         for name, row in rows.items()
     ]
