@@ -97,6 +97,8 @@ def run_experiment(cfg: ExperimentConfig, inputs: Inputs, jobs: int = 1) -> list
     Results come back ordered by count, repetition, then the configured
     approach order, regardless of the worker count.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     o, d, m, u = inputs
     retained = key_attributes(m, d)
     available = len(d.main.attributes) - len(retained & set(d.main.attributes))

@@ -17,7 +17,7 @@ from .errors import OntoshapeError
 from .mapping import MappingSet, UserInfo, parse_mappings, parse_userinfo
 from .ontology import parse_ontology
 from .reshape import baseline_schema, parse_schema, reshape, serialize_schema
-from .tabular import Dataset, load_dataset
+from .tabular import Dataset, load_dataset, table_paths
 
 
 class _UsageError(Exception):
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _pick_main_table(args) -> str:
     if args.main_table:
         return args.main_table
-    names = sorted(p.stem for p in Path(args.data).glob("*.csv"))
+    names = [p.stem for p in table_paths(args.data)]
     if len(names) == 1:
         return names[0]
     if syndata.MAIN_TABLE in names:

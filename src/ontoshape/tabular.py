@@ -6,8 +6,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from . import _philox
 from .errors import DatasetError
 
 
@@ -60,12 +59,24 @@ def load_table(path: Path) -> Table:
     return Table(path.stem, list(header), rows)
 
 
+def table_paths(directory: str | Path) -> list[Path]:
+    """The ``<table>.csv`` files under ``directory``, sorted.
+
+    A missing directory raises ``FileNotFoundError``, one without tables
+    ``DatasetError``.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"data directory not found: {directory}")
+    paths = sorted(directory.glob("*.csv"))
+    if not paths:
+        raise DatasetError(f"no <table>.csv files in {directory}")
+    return paths
+
+
 def load_dataset(directory: str | Path, main_table: str) -> Dataset:
     """Load every ``*.csv`` file under ``directory`` as one table each."""
-    directory = Path(directory)
-    tables = {}
-    for path in sorted(directory.glob("*.csv")):
-        tables[path.stem] = load_table(path)
+    tables = {path.stem: load_table(path) for path in table_paths(directory)}
     if main_table not in tables:
         raise DatasetError(f"main table not found: {main_table}")
     return Dataset(tables, main_table)
@@ -84,21 +95,17 @@ def subsample_attributes(d: Dataset, k: int, retained: set[str], seed: int) -> D
     """Return a dataset whose main table keeps the ``retained`` attributes
     plus ``k`` others sampled uniformly without replacement.
 
-    Sampling uses a counter-based generator seeded with ``seed``, so equal
-    inputs give byte-equal results. Attribute order and the other tables
-    are left untouched.
+    Sampling draws from the counter-based Philox generator seeded with
+    ``seed`` (see ``_philox``), so equal inputs give byte-equal results.
+    Attribute order and the other tables are left untouched. A negative
+    ``k`` or ``seed`` raises ``ValueError``.
     """
     main = d.main
     kept_keys = set(retained) & set(main.attributes)
     candidates = [a for a in main.attributes if a not in kept_keys]
     if k > len(candidates):
         raise ValueError(f"k too large: {k} > {len(candidates)} non-key attributes")
-    if k and candidates:
-        rng = np.random.Generator(np.random.Philox(seed))
-        picked_idx = rng.choice(len(candidates), size=k, replace=False)
-        picked = {candidates[i] for i in picked_idx}
-    else:
-        picked = set()
+    picked = {candidates[i] for i in _philox.sample(seed, len(candidates), k)}
     keep = [a for a in main.attributes if a in kept_keys or a in picked]
     rows = [{a: row[a] for a in keep} for row in main.rows]
     tables = dict(d.tables)

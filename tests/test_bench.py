@@ -97,6 +97,13 @@ def test_both_approaches_share_the_sample(small_inputs):
         assert reports["baseline"].data_prop_count == reports["reshape"].data_prop_count
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_rejected(small_inputs, jobs):
+    cfg = ExperimentConfig(attribute_counts=(2,), repetitions=1)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment(cfg, small_inputs, jobs=jobs)
+
+
 def test_parallel_jobs_match_sequential(small_inputs):
     cfg = ExperimentConfig(attribute_counts=(2, 4), repetitions=2, seed=7)
     seq = run_experiment(cfg, small_inputs)

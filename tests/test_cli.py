@@ -198,6 +198,23 @@ def test_missing_input_file_is_io_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_data_directory_is_io_error(workdir, capsys):
+    argv = _reshape_argv(workdir, workdir / "schema.txt")
+    argv[argv.index("-d") + 1] = str(workdir / "nodata")
+    assert main(argv) == 2
+    assert "nodata" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("main_table", [[], ["--main-table", "welding_operation"]])
+def test_data_directory_without_tables_is_validation_error(workdir, capsys, main_table):
+    (workdir / "empty").mkdir()
+    argv = _reshape_argv(workdir, workdir / "schema.txt") + main_table
+    argv[argv.index("-d") + 1] = str(workdir / "empty")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "no <table>.csv files in" in err and "--main-table" not in err
+
+
 def test_bad_ontology_is_validation_error(workdir, capsys):
     (workdir / "ontology.osf").write_text("class A\nobjprop r A B\n", encoding="utf-8")
     argv = _reshape_argv(workdir, workdir / "schema.txt")
@@ -253,6 +270,17 @@ def test_bench_bad_counts_is_validation_error(tmp_path, capsys):
     ]
     assert main(argv) == 1
     assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_is_validation_error(tmp_path, capsys, jobs):
+    argv = [
+        "bench", "--synth-attrs", "5", "--rows", "8", "--counts", "2",
+        "--reps", "1", "--jobs", jobs, "--out", str(tmp_path / "bench"),
+    ]
+    assert main(argv) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_same_seed_runs_are_byte_identical(workdir, tmp_path):

@@ -43,6 +43,18 @@ def test_missing_main_table(tmp_path):
         load_dataset(tmp_path, "sensors")
 
 
+def test_missing_data_directory_names_its_path(tmp_path):
+    missing = tmp_path / "nowhere"
+    with pytest.raises(FileNotFoundError, match="nowhere"):
+        load_dataset(missing, "welding_operation")
+
+
+def test_data_directory_without_tables(tmp_path):
+    (tmp_path / "notes.txt").write_text("x\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"no <table>\.csv files in"):
+        load_dataset(tmp_path, "welding_operation")
+
+
 def test_ragged_row_reports_row_number(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,c,d\n1,2,3,4\n1,2,3\n", encoding="utf-8")
