@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,8 +21,6 @@ from .mapping import MappingSet, UserInfo
 from .ontology import Ontology
 from .reshape import baseline_schema, identifier_stem, reshape
 from .tabular import Dataset, subsample_attributes
-
-log = logging.getLogger(__name__)
 
 APPROACHES = ("baseline", "reshape")
 
@@ -111,17 +108,12 @@ def run_experiment(cfg: ExperimentConfig, inputs: Inputs, jobs: int = 1) -> list
         for count in cfg.attribute_counts
         for rep in range(cfg.repetitions)
     ]
-    results: list[RunResult] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_run_cell, cells):
-                results.extend(batch)
+            batches = list(pool.map(_run_cell, cells))
     else:
-        for cell in cells:
-            if cell[4] == 0:
-                log.info("running attribute count %d (%d repetitions)", cell[3], cfg.repetitions)
-            results.extend(_run_cell(cell))
-    return results
+        batches = map(_run_cell, cells)
+    return [result for batch in batches for result in batch]
 
 
 def aggregate_runs(results: list[RunResult]) -> dict[tuple[str, int], dict[str, float]]:

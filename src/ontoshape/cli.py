@@ -112,7 +112,7 @@ def _pick_main_table(args) -> str:
 
 
 def _load_tables(args) -> tuple[MappingSet, Dataset]:
-    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8"))
+    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8-sig"))
     return mappings, load_dataset(args.data, _pick_main_table(args))
 
 

@@ -1,26 +1,28 @@
 """Materialize entity graphs from tables under a schema; read and write N-Triples.
 
 Materialization runs the main table first, then, in name order, every
-other table a schema class is mapped to. A plan built once per table says
-what each of its rows yields:
+other table a schema class is mapped to. A plan built once per table lists
+what each row yields as (class, key column or none): the anchor, which is
+the main class on the main table and the table's class elsewhere; then the
+other classes keyed by a column of this table, in name order, the main
+class left out; then, on the main table, the unkeyed classes mapped to it.
+One rule mints each entry: ``<Class>/<key>`` from the key cell, shared by
+every row with that key, or, with no column, ``<Class>/row<i>`` on the
+main table and ``<Class>/<table>_row<j>`` elsewhere. So every class a row
+yields, other than dummies and the joined main entity, is keyed by a
+column of this table or else numbered by the row. Besides the plan:
 
-- one anchor entity, of the main class on the main table and of the
-  table's class elsewhere. It is ``<Class>/<key>`` when a column of this
-  table keys the class, and numbered otherwise: ``<Class>/row<i>`` on the
-  main table, ``<Class>/<table>_row<j>`` elsewhere;
-- one ``<Class>/<key>`` entity per other class keyed by a column of this
-  table, shared by every row with the same key;
-- on the main table only, ``<Class>/row<i>`` for each unkeyed class mapped
-  to it, and a dummy ``_:dummy_<Class>_row<i>`` for each class with
-  neither key nor table;
+- on the main table, a dummy ``_:dummy_<Class>_row<i>`` for each class
+  with neither key nor table;
 - elsewhere, when the table has the main class's key column, the main
   entity with that key (the join). It takes the anchor's place on a table
   mapped to the main class.
 
-A row with an empty key cell is skipped; a row whose join value matches no
-main entity keeps its entities free-standing. Attribute values become
-literal triples on their owner's entity, and every schema edge whose two
-endpoint entities exist for the row becomes an object triple.
+The first empty key cell in plan order skips the row with one warning; a
+row whose join value matches no main entity keeps its entities
+free-standing. Attribute values become literal triples on their owner's
+entity, and every schema edge whose two endpoint entities exist for the
+row becomes an object triple.
 
 In N-Triples, literals are escaped by one rule, the ``str.translate``
 table ``_ESCAPES``; a literal is translated only when it holds one of that
@@ -87,16 +89,13 @@ def _check_schema_sources(s: KGSchema, d: Dataset) -> None:
     for cls, tname in s.class_tables.items():
         if tname not in columns:
             raise DatasetError(f"schema maps {cls} to table {tname!r} missing from the dataset")
-    for cls, (tname, attr) in s.class_keys.items():
+    sources = [(f"key of {cls}", src) for cls, src in s.class_keys.items()]
+    sources += [(f"attachment {prop}", src) for prop, _, src in s.data_attachments]
+    for label, (tname, attr) in sources:
         if tname not in columns:
-            raise DatasetError(f"key of {cls} names table {tname!r} missing from the dataset")
+            raise DatasetError(f"{label} names table {tname!r} missing from the dataset")
         if attr not in columns[tname]:
-            raise DatasetError(f"key of {cls} names attribute {tname}.{attr} missing from the dataset")
-    for prop, _, (tname, attr) in s.data_attachments:
-        if tname not in columns:
-            raise DatasetError(f"attachment {prop} names table {tname!r} missing from the dataset")
-        if attr not in columns[tname]:
-            raise DatasetError(f"attachment {prop} names attribute {tname}.{attr} missing from the dataset")
+            raise DatasetError(f"{label} names attribute {tname}.{attr} missing from the dataset")
 
 
 def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGraph:
@@ -120,63 +119,47 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
         log.warning("key of %s comes from table %s, not the main table; using row numbers", mc, mc_key[0])
         mc_key = None
     unkeyed = sorted(c for c in s.classes if c != mc and c not in s.class_keys)
-    main_numbered = [c for c in unkeyed if s.class_tables.get(c) == main_name]
     main_dummies = [c for c in unkeyed if c not in s.class_tables]
-    dummy_set = set(main_dummies)
-    attach_by_table: dict[str, list[tuple[str, str, str]]] = {}
-    for prop, owner, (tname, attr) in sorted(s.data_attachments):
-        attach_by_table.setdefault(tname, []).append((prop, owner, attr))
+    attach_list = sorted(s.data_attachments)
     edge_list = sorted(s.edges)
-    kinds = {cls: (cls, cls in dummy_set) for cls in {*s.classes, *s.class_tables, *s.class_keys}}
+    kinds = {cls: (cls, False) for cls in {*s.classes, *s.class_tables, *s.class_keys}}
+    kinds.update((cls, (cls, True)) for cls in main_dummies)
     secondary = {t: cls for cls, t in s.class_tables.items() if t != main_name}
 
     for tname, anchor in [(main_name, mc), *sorted(secondary.items())]:
-        # the plan: which classes this table's rows produce, and from where
         table = d.tables[tname]
         on_main = tname == main_name
-        keyed = {cls: attr for cls, (ktab, attr) in sorted(s.class_keys.items()) if ktab == tname}
-        anchor_key = keyed.pop(anchor, None)
-        keyed.pop(mc, None)  # main entities come from the main table or the join
-        key_sources.update((tname, attr) for attr in keyed.values())
-        if anchor_key is not None:
-            key_sources.add((tname, anchor_key))
-        numbered = main_numbered if on_main else []
+        # the plan: (class, key column of this table, or None for the row number)
+        keyed = {cls: attr for cls, (ktab, attr) in s.class_keys.items() if ktab == tname}
+        plan = [(anchor, keyed.get(anchor))]
+        plan += sorted((cls, attr) for cls, attr in keyed.items() if cls not in (anchor, mc))
+        if on_main:
+            plan += [(cls, None) for cls in unkeyed if s.class_tables.get(cls) == tname]
+        key_sources.update((tname, attr) for _, attr in plan if attr is not None)
         dummies = main_dummies if on_main else []
         join = mc_key[1] if mc_key and not on_main and mc_key[1] in table.attributes else None
-        present = {anchor, *keyed, *numbered, *dummies}
+        present = {cls for cls, _ in plan}.union(dummies)
         if join is not None:
             present.add(mc)
-        attaches = [a for a in attach_by_table.get(tname, ()) if a[1] in present]
+        attaches = [(prop, owner, attr) for prop, owner, (t, attr) in attach_list
+                    if t == tname and owner in present]
         edges = [e for e in edge_list if e[1] in present and e[2] in present]
         prefix = "row" if on_main else f"{tname}_row"
 
         for j, row in enumerate(table.rows):
             number = f"{prefix}{j}"
-            if anchor_key is None:
-                value = number
-            else:
-                value = row[anchor_key]
-                if not value:
-                    log.warning("%s row %d: empty key %s; row skipped", tname, j, anchor_key)
-                    continue
-            ids = {anchor: mint_entity_id(anchor, value)}
-            skip = False
-            for cls, attr in keyed.items():
-                key = row[attr]
+            ids = {}
+            for cls, attr in plan:
+                key = number if attr is None else row[attr]
                 if not key:
                     log.warning("%s row %d: empty key %s for %s; row skipped", tname, j, attr, cls)
-                    skip = True
                     break
                 ids[cls] = mint_entity_id(cls, key)
-            if skip:
+            if len(ids) < len(plan):
                 continue
-            for cls in numbered:
-                ids[cls] = mint_entity_id(cls, number)
             for cls in dummies:
                 ids[cls] = f"_:dummy_{cls}_{number}"
-            if on_main:
-                mc_id_by_key[value] = ids[mc]
-            elif join is not None:
+            if join is not None:
                 mcid = mc_id_by_key.get(row[join])
                 if mcid is None:
                     log.warning(
@@ -186,6 +169,8 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
                 else:
                     ids[mc] = mcid
                     key_sources.add((tname, join))
+            elif on_main and mc_key is not None:
+                mc_id_by_key[row[mc_key[1]]] = ids[mc]
             for cls, eid in ids.items():
                 if eid not in entities:
                     entities[eid] = kinds[cls]

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .ontology import _IDENT, _NAME
 
 MAPPING_HEADER = ["kind", "table", "attribute", "class"]
 
@@ -118,16 +119,28 @@ def parse_userinfo(text: str) -> UserInfo:
     entity_rules = _rules(doc, "entity_rules", ("attribute_class", "entity_class", "relation"), EntityRule)
     first: dict[str, int] = {}
     for i, rule in enumerate(entity_rules):
+        _check_name(rule.entity_class, f"entity_rules[{i}] entity_class")
+        _check_name(rule.relation, f"entity_rules[{i}] relation")
         j = first.setdefault(rule.attribute_class, i)
         if j != i:
             raise ParseError(
                 f"entity_rules[{i}] repeats attribute_class {rule.attribute_class!r} of entity_rules[{j}]"
             )
     connection_rules = _rules(doc, "connection_rules", ("from", "to", "relation"), ConnectionRule)
+    for i, rule in enumerate(connection_rules):
+        _check_name(rule.relation, f"connection_rules[{i}] relation")
     prefix = doc.get("fallback_relation_prefix", "has")
-    if not isinstance(prefix, str) or not prefix:
-        raise ParseError("fallback_relation_prefix must be a nonempty string")
+    if not isinstance(prefix, str):
+        raise ParseError("fallback_relation_prefix must be a string")
+    _check_name(prefix, "fallback_relation_prefix")
     return UserInfo(main_class, entity_rules, connection_rules, prefix)
+
+
+def _check_name(value: str, field: str) -> None:
+    """Reject a name that would not survive a schema file: it must be an
+    identifier under the ontology format's rule."""
+    if not _IDENT.match(value):
+        raise ParseError(f"{field} {value!r} is not an identifier ({_NAME})")
 
 
 def _rules(doc: dict, key: str, fields: tuple[str, str, str], rule_type: type) -> tuple:

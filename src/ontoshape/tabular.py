@@ -33,10 +33,10 @@ class Dataset:
 
 def load_table(path: Path) -> Table:
     """Read one ``<name>.csv`` file (comma separated, double-quote quoting,
-    UTF-8, header first, header names nonempty and distinct). Cell values
-    are preserved byte for byte."""
+    UTF-8 with any leading byte-order mark ignored, header first, header
+    names nonempty and distinct). Cell values are preserved byte for byte."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -193,6 +193,18 @@ def test_bad_seed_range_is_rejected_before_the_first_run(spec, tmp_path, monkeyp
     assert calls == [] and not out.exists()
 
 
+def test_a_seed_given_twice_for_one_workload_is_rejected_before_the_first_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: calls.append(args))
+    out = tmp_path / "pairs.json"
+    argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "w=2-3", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "w seed 2 is given twice; pairs are matched by seed" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_pairs_done_before_a_failing_run_are_written(tmp_path, monkeypatch):
     def run(checkout, workload, seed, seconds):
         if seed == 3:

@@ -191,6 +191,29 @@ def test_malformed_userinfo_rule_is_validation_error(workdir, capsys):
     assert "entity_rules[0] needs" in capsys.readouterr().err
 
 
+def test_userinfo_name_that_is_no_identifier_writes_no_schema(workdir, capsys):
+    (workdir / "user.json").write_text(
+        '{"main_class": "WeldingOperation", "entity_rules": [{"attribute_class": '
+        '"WeldingProgramID", "entity_class": "Prog Ram", "relation": "has prog"}]}',
+        encoding="utf-8",
+    )
+    out = workdir / "schema.txt"
+    assert main(_reshape_argv(workdir, out) + ["-u", str(workdir / "user.json")]) == 1
+    assert "entity_rules[0] entity_class 'Prog Ram' is not an identifier" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tables_and_mappings_saved_with_a_bom_give_the_same_schema(workdir):
+    plain = workdir / "plain.txt"
+    assert main(_reshape_argv(workdir, plain)) == 0
+    bom = b"\xef\xbb\xbf"
+    (workdir / "mappings.csv").write_bytes(bom + MAPPINGS_WX.encode("utf-8"))
+    (workdir / "data" / "welding_operation.csv").write_bytes(bom + DATA_2.encode("utf-8"))
+    with_bom = workdir / "bom.txt"
+    assert main(_reshape_argv(workdir, with_bom)) == 0
+    assert with_bom.read_text(encoding="utf-8") == plain.read_text(encoding="utf-8")
+
+
 def test_missing_input_file_is_io_error(workdir, capsys):
     argv = _reshape_argv(workdir, workdir / "schema.txt")
     argv[argv.index("-o") + 1] = str(workdir / "nope.osf")

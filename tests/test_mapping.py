@@ -136,6 +136,38 @@ def test_userinfo_rules_must_be_lists_of_string_fields(rules, message):
         parse_userinfo('{"main_class": "M", ' + rules + "}")
 
 
+_RULE = {"attribute_class": "ProgramID", "entity_class": "Program", "relation": "hasProgram"}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"entity_rules": [{**_RULE, "entity_class": "Prog Ram"}]},
+     r"^entity_rules\[0\] entity_class 'Prog Ram' is not an identifier"),
+    ({"entity_rules": [_RULE, {**_RULE, "attribute_class": "Other", "relation": "has prog"}]},
+     r"^entity_rules\[1\] relation 'has prog' is not an identifier"),
+    ({"entity_rules": [{**_RULE, "entity_class": "Grüße"}]},
+     r"^entity_rules\[0\] entity_class 'Grüße' is not an identifier"),
+    ({"connection_rules": [{"from": "A", "to": "B", "relation": "links-to"}]},
+     r"^connection_rules\[0\] relation 'links-to' is not an identifier"),
+    ({"fallback_relation_prefix": "has "}, r"^fallback_relation_prefix 'has ' is not an identifier"),
+    ({"fallback_relation_prefix": "9has"}, r"^fallback_relation_prefix '9has' is not an identifier"),
+    ({"fallback_relation_prefix": ""}, r"^fallback_relation_prefix '' is not an identifier"),
+    ({"fallback_relation_prefix": 5}, r"^fallback_relation_prefix must be a string$"),
+])
+def test_userinfo_names_written_to_a_schema_must_be_identifiers(fields, message):
+    with pytest.raises(ParseError, match=message):
+        parse_userinfo(json.dumps({"main_class": "M", **fields}))
+
+
+def test_userinfo_attribute_and_connected_classes_are_not_checked_as_names():
+    doc = {"main_class": "M", "fallback_relation_prefix": "_rel2",
+           "entity_rules": [{**_RULE, "attribute_class": "program id"}],
+           "connection_rules": [{"from": "a b", "to": "c-d", "relation": "feeds_1"}]}
+    u = parse_userinfo(json.dumps(doc))
+    assert u.entity_rules == (EntityRule("program id", "Program", "hasProgram"),)
+    assert u.connection_rules == (ConnectionRule("a b", "c-d", "feeds_1"),)
+    assert u.fallback_relation_prefix == "_rel2"
+
+
 def test_userinfo_rejects_a_second_entity_rule_for_one_attribute_class():
     rules = [
         {"attribute_class": "Code", "entity_class": "A", "relation": "viaA"},

@@ -37,6 +37,16 @@ def test_quoted_cells_preserved(tmp_path):
     assert d.main.rows[1]["current_array"] == "[3,4]"
 
 
+def test_leading_bom_is_ignored(tmp_path):
+    plain = load_table(_write_data2(tmp_path) / "welding_operation.csv")
+    path = tmp_path / "bom" / "welding_operation.csv"
+    path.parent.mkdir()
+    path.write_bytes(b"\xef\xbb\xbf" + DATA_2.encode("utf-8"))
+    t = load_table(path)
+    assert t.attributes == plain.attributes == ["operation_id", "program_id", "current_mean", "current_array"]
+    assert t.rows == plain.rows
+
+
 def test_missing_main_table(tmp_path):
     _write_data2(tmp_path)
     with pytest.raises(DatasetError, match="main table not found: sensors"):

@@ -14,8 +14,9 @@ last JSON line of every run and, per workload and end-to-end metric of
 change won, lost and tied, whether every change run beat every parent run,
 and each side's failed ops; it is rewritten after every pair, so a run that
 fails keeps the pairs before it. A workload that ``BENCHMARK.json`` does
-not declare, or a seed range that is empty or not numeric, is rejected
-before the first run. At the end it prints one line per workload and
+not declare, a seed range that is empty or not numeric, or a seed given
+twice for one workload (pairs are matched by seed), is rejected before the
+first run. At the end it prints one line per workload and
 end-to-end metric: both medians, the pairs won and lost, the ops each side
 failed over all its runs (parent/change), and a verdict:
 
@@ -135,9 +136,14 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
-    for workload, _ in args.runs:
+    given: set[tuple[str, int]] = set()
+    for workload, seeds in args.runs:
         if workload not in known:
             p.error(f"unknown workload {workload!r}; BENCHMARK.json declares {', '.join(known)}")
+        for seed in seeds:
+            if (workload, seed) in given:
+                p.error(f"{workload} seed {seed} is given twice; pairs are matched by seed")
+            given.add((workload, seed))
     doc = {"seconds": args.seconds, "runs": [], "summary": {}}
     pair = 0
     for workload, seeds in args.runs:
