@@ -16,18 +16,11 @@ from .mapping import (
     serialize_mappings,
     serialize_userinfo,
 )
-from .ontology import (
-    ClassPair,
-    Ontology,
-    direct_relation,
-    parse_ontology,
-    serialize_ontology,
-)
+from .ontology import Ontology, parse_ontology, serialize_ontology
 from .reshape import KGSchema, baseline_schema, parse_schema, serialize_schema
 from .tabular import Dataset, Table, list_attributes, load_dataset, load_table, subsample_attributes
 
 __all__ = [
-    "ClassPair",
     "ConnectionRule",
     "Dataset",
     "DatasetError",
@@ -42,7 +35,6 @@ __all__ = [
     "Table",
     "UserInfo",
     "baseline_schema",
-    "direct_relation",
     "generate_kg",
     "list_attributes",
     "load_dataset",

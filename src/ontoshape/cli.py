@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--chain-depth", type=int, default=4)
     p.add_argument("--entities", type=int, default=2)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
     return parser
@@ -111,14 +110,19 @@ def _pick_main_table(args) -> str:
     raise _UsageError("--main-table is required when the data directory holds several tables")
 
 
+def _read_text(path: str) -> str:
+    """A text input file as UTF-8, with any leading byte-order mark ignored."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load_tables(args) -> tuple[MappingSet, Dataset]:
-    mappings = parse_mappings(Path(args.mappings).read_text(encoding="utf-8-sig"))
+    mappings = parse_mappings(_read_text(args.mappings))
     return mappings, load_dataset(args.data, _pick_main_table(args))
 
 
 def _load_userinfo(args) -> UserInfo:
     if args.userinfo:
-        info = parse_userinfo(Path(args.userinfo).read_text(encoding="utf-8"))
+        info = parse_userinfo(_read_text(args.userinfo))
         if args.main_class:
             info.main_class = args.main_class
         return info
@@ -128,7 +132,7 @@ def _load_userinfo(args) -> UserInfo:
 
 
 def _cmd_schema(args) -> int:
-    ontology = parse_ontology(Path(args.ontology).read_text(encoding="utf-8"))
+    ontology = parse_ontology(_read_text(args.ontology))
     mappings, dataset = _load_tables(args)
     info = _load_userinfo(args)
     if args.command == "reshape":
@@ -140,7 +144,7 @@ def _cmd_schema(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    schema = parse_schema(Path(args.schema).read_text(encoding="utf-8"))
+    schema = parse_schema(_read_text(args.schema))
     mappings, dataset = _load_tables(args)
     graph = kggen.generate_kg(schema, dataset, mappings, schema.main_class)
     Path(args.out).write_text(kggen.serialize_ntriples(graph, args.base_iri), encoding="utf-8")
@@ -148,11 +152,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    schema = parse_schema(Path(args.schema).read_text(encoding="utf-8"))
+    schema = parse_schema(_read_text(args.schema))
     mappings, dataset = _load_tables(args)
-    raw = Path(args.kg).read_bytes()  # the size on disk, line endings included
-    graph = kggen.load_ntriples(raw.decode("utf-8"), args.base_iri, schema)
-    report = metrics.build_report(graph, schema, dataset, mappings, schema.main_class, storage_bytes=len(raw))
+    graph = kggen.load_ntriples(_read_text(args.kg), args.base_iri, schema)
+    size = Path(args.kg).stat().st_size  # the size on disk, line endings included
+    report = metrics.build_report(graph, schema, dataset, mappings, schema.main_class, storage_bytes=size)
     rendered = metrics.report_text(report)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
@@ -165,9 +169,7 @@ def _cmd_bench(args) -> int:
     counts = tuple(int(c) for c in args.counts.split(",") if c.strip())
     approaches = tuple(a.strip() for a in args.approaches.split(",") if a.strip())
     cfg = bench.ExperimentConfig(counts, args.reps, args.seed, approaches)
-    synth_cfg = syndata.SynthConfig(
-        args.synth_attrs, args.rows, args.chain_depth, args.synth_entities, args.seed
-    )
+    synth_cfg = syndata.SynthConfig(args.synth_attrs, args.rows, args.chain_depth, args.synth_entities)
     inputs = syndata.generate_synthetic(synth_cfg)
     results = bench.run_experiment(cfg, inputs, jobs=args.jobs)
     csv_doc, text_doc = bench.render_report(bench.aggregate_runs(results))
@@ -180,7 +182,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = syndata.SynthConfig(args.attrs, args.rows, args.chain_depth, args.entities, args.seed)
+    cfg = syndata.SynthConfig(args.attrs, args.rows, args.chain_depth, args.entities)
     syndata.write_fixture_tree(cfg, args.out)
     return 0
 

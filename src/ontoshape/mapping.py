@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .ontology import _IDENT, _NAME
+from .tabular import _csv_records
 
 MAPPING_HEADER = ["kind", "table", "attribute", "class"]
 
@@ -33,15 +34,16 @@ class MappingSet:
 
 
 def parse_mappings(text: str) -> MappingSet:
-    """Parse the mapping CSV. Duplicate keys, empty class cells and unknown
-    kinds are rejected with the offending row number."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    """Parse the mapping CSV. Malformed quoting, duplicate keys, class
+    cells that are empty or not identifiers, and unknown kinds are rejected
+    with the offending row number."""
+    records = _csv_records(io.StringIO(text), ParseError)
+    _, header = next(records, (1, None))
     if header != MAPPING_HEADER:
         raise ParseError(f"mapping header must be {','.join(MAPPING_HEADER)}", 1)
     table_map: dict[str, str] = {}
     attribute_map: dict[tuple[str, str], str] = {}
-    for lineno, record in enumerate(reader, start=2):
+    for lineno, record in records:
         if not record:
             continue
         if len(record) != 4:
@@ -49,6 +51,8 @@ def parse_mappings(text: str) -> MappingSet:
         kind, table, attribute, cls = (c.strip() for c in record)
         if not cls:
             raise ParseError("empty class cell", lineno)
+        if not _IDENT.match(cls):
+            raise ParseError(f"class {cls!r} is not an identifier ({_NAME})", lineno)
         if kind == "table":
             if attribute:
                 raise ParseError("table mapping must leave the attribute cell empty", lineno)

@@ -18,6 +18,13 @@ more BFS run only while some node's upper bound exceeds the largest
 eccentricity found. The root-to-leaf depth comes from the same bounds,
 restricted to main-class nodes.
 
+This costs a few BFS per component on trees, such as graphs whose rows
+share no entity, but not in general. When rows share entities, nearly every
+node's eccentricity equals the diameter, so a BFS from ``u`` bounds another
+node ``v`` only by ``ecc(u) + d(u, v)``, which lies above the diameter, and
+the loop can sweep from almost every node: O(V·E). One 1,000-row baseline
+graph with shared program and machine keys took 226 s (ROADMAP item 1).
+
 ``ROWS`` is the one definition of the report rows, in report order: (label,
 report field, divisor into the shown unit, how repeated runs combine).
 ``row_values`` applies it, for ``report_text`` and ``bench`` alike.
@@ -85,16 +92,12 @@ def data_coverage(g: KnowledgeGraph, d: Dataset) -> float:
     return sum(1 for ta in attrs if ta in covered) / len(attrs)
 
 
-def count_dummy_entities(g: KnowledgeGraph) -> int:
-    return sum(map(itemgetter(1), g.entities.values()))
-
-
 def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
     """(class count, object triple count, literal triple count, entity
     count), with dummies excluded from the entity count. A literal triple
     counts once however many source rows gave it, as in the N-Triples
     file."""
-    non_dummy = len(g.entities) - count_dummy_entities(g)
+    non_dummy = len(g.entities) - sum(map(itemgetter(1), g.entities.values()))
     literals = set(map(itemgetter(0, 1, 2), g.literal_triples))
     return (len(s.classes), len(g.object_triples), len(literals), non_dummy)
 
@@ -199,7 +202,9 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     Root-to-leaf is the largest distance from any main-class entity to an
     entity reachable from it; global is the largest distance between any
     two entities in the same component. An empty graph yields (0, 0).
-    Both are exact and cost a few BFS per component, not one per node.
+    Both are exact. A tree component costs a few BFS; when rows share
+    entities, a component can cost one BFS per node, O(V·E) (see the
+    module docstring).
     """
     index = {eid: i for i, eid in enumerate(g.entities)}
     n = len(index)

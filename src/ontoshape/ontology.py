@@ -21,10 +21,12 @@ checked token by token: it is skipped when blank or a comment, and
 otherwise raises the ``ParseError`` that names its fault, with the same
 message and line as a reader that checks every line that way.
 
-The path queries are the schema builders' questions: the direct relation
-from one class to another, and one BFS (``_bfs``) that either follows edge
-direction, for which classes a class reaches, or ignores it, for distances
-memoised per ontology and read-only. The BFS runs level by level, so every
+The schema builders read the ontology through three maps built once per
+``Ontology``: ``_direct``, the smallest relation per (domain, range) pair,
+and the sorted successor (``_succ``) and neighbour (``_und``) tuples per
+class. One BFS (``_bfs``) runs over either, following edge direction for
+which classes a class reaches or ignoring it for distances, memoised per
+ontology and read-only. The BFS runs level by level, so every
 class of a level gets the same hop count. Lexicographically smallest
 shortest walks over those distances stop at reached classes; each step
 takes the first neighbour, in sorted order, that is one hop closer.
@@ -51,20 +53,6 @@ _DECLARATION = re.compile(
     rf"\s*(?:class\s+{_ID}|objprop\s+{_ID}\s+{_ID}\s+{_ID}|dataprop\s+{_ID}\s+{_ID})\s*\Z"
 )
 _ARITY = {"class": 2, "objprop": 4, "dataprop": 3}
-
-
-@dataclass(frozen=True)
-class ClassPair:
-    """Ordered pair of two distinct class names."""
-
-    from_class: str
-    to_class: str
-
-    def __post_init__(self):
-        if self.from_class == self.to_class:
-            raise ValueError(
-                f"class pair must name two distinct classes, got {self.from_class!r} twice"
-            )
 
 
 @dataclass
@@ -120,13 +108,6 @@ class Ontology:
 
     def __getstate__(self):  # a proxy cannot be pickled; workers rebuild their own maps
         return {**self.__dict__, "_dist": {}}
-
-    def successors(self, name: str) -> tuple[str, ...]:
-        return self._succ.get(name, ())
-
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        """Adjacent classes with edge direction ignored."""
-        return self._und.get(name, ())
 
 
 def _check_ident(name: str, lineno: int) -> None:
@@ -202,14 +183,6 @@ def _require_declared(o: Ontology, *names: str) -> None:
     for name in names:
         if name not in o.classes:
             raise ValueError(f"undeclared class {name}")
-
-
-def direct_relation(o: Ontology, pair: ClassPair) -> str | None:
-    """Relation name of an object property from ``pair.from_class`` to
-    ``pair.to_class``, or None. The lexicographically smallest name wins
-    when several parallel properties exist."""
-    _require_declared(o, pair.from_class, pair.to_class)
-    return o._direct.get((pair.from_class, pair.to_class))
 
 
 def _bfs(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:

@@ -33,7 +33,7 @@ from urllib.parse import quote, unquote
 
 from .errors import ParseError, SchemaError
 from .mapping import MappingSet, UserInfo
-from .ontology import ClassPair, Ontology, _bfs, direct_relation, shortest_walks, undirected_distances
+from .ontology import Ontology, _bfs, shortest_walks, undirected_distances
 from .tabular import Dataset, list_attributes
 
 log = logging.getLogger(__name__)
@@ -111,8 +111,9 @@ def _link_relation(c: str, u: UserInfo) -> str:
     return u.fallback_relation_prefix + c
 
 
-def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
-    """Wire up the classes of a schema using the ontology as the guide.
+def connect_classes(s: KGSchema, o: Ontology, u: UserInfo) -> set[tuple[str, str, str]]:
+    """The edges that wire up the classes of a schema, ``s.edges``
+    included, using the ontology as the guide.
 
     Ordered pairs of distinct declared classes are visited in sorted
     order. A pair already linked (either direction) is skipped; a direct
@@ -123,6 +124,7 @@ def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
     names them or to the main class. Last, each part of the schema the main
     class cannot reach over its edges is linked through its smallest class.
     """
+    mc = s.main_class
     if mc not in s.classes:
         raise SchemaError(f"main class {mc!r} is not part of the schema")
     edges = set(s.edges)
@@ -152,6 +154,7 @@ def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
             add(_link_relation(c, u), mc, c)
 
     names = sorted(s.classes)
+    direct = o._direct
     for ci in names:
         reach = None  # classes ci reaches along edge direction, read on first need
         for cj in names:
@@ -159,7 +162,7 @@ def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
                 continue
             if ci not in o.classes or cj not in o.classes:
                 continue
-            rel = direct_relation(o, ClassPair(ci, cj))
+            rel = direct.get((ci, cj))
             if rel is not None:
                 add(rel, ci, cj)
                 continue
@@ -203,19 +206,13 @@ def connect_classes(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSchema:
             reached.update(comp)
             log.warning("classes %s cannot reach %s through the ontology; linking %s", sorted(comp), mc, rep)
             add(_link_relation(rep, u), mc, rep)
-
-    return KGSchema(
-        s.main_class,
-        set(s.classes),
-        edges,
-        set(s.data_attachments),
-        dict(s.class_keys),
-        dict(s.class_tables),
-    )
+    return edges
 
 
-def assign_data_properties(s: KGSchema, o: Ontology, m: MappingSet, d: Dataset) -> KGSchema:
-    """Attach every mapped attribute of ``d`` to a schema class.
+def assign_data_properties(
+    s: KGSchema, o: Ontology, m: MappingSet, d: Dataset
+) -> set[tuple[str, str, tuple[str, str]]]:
+    """The attachment of every mapped attribute of ``d`` to a schema class.
 
     Attributes recorded in ``s.class_keys`` identify entities: the one
     keying the main class is consumed by entity ids and gets no attachment,
@@ -225,9 +222,8 @@ def assign_data_properties(s: KGSchema, o: Ontology, m: MappingSet, d: Dataset) 
     lexicographically smallest name). Attributes mapped to names the
     ontology does not declare fall back to the main class with a warning.
     """
-    attachments = set(s.data_attachments)
-    class_keys = dict(s.class_keys)
-    key_owner = {src: cls for cls, src in class_keys.items()}
+    attachments = set()
+    key_owner = {src: cls for cls, src in s.class_keys.items()}
     mc = s.main_class
     # undirected distance is symmetric: one BFS per schema class answers
     # every attribute
@@ -256,7 +252,7 @@ def assign_data_properties(s: KGSchema, o: Ontology, m: MappingSet, d: Dataset) 
                 table, attr, cp, mc,
             )
             attachments.add(("has" + cp, mc, (table, attr)))
-    return KGSchema(mc, set(s.classes), set(s.edges), attachments, class_keys, dict(s.class_tables))
+    return attachments
 
 
 def reshape(
@@ -314,16 +310,16 @@ def reshape(
         classes.add(entity_class)
         _claim_key(class_keys, entity_class, (table, attr))
 
-    base = KGSchema(mc, classes, set(), set(), class_keys, class_tables)
-    connected = connect_classes(base, mc, o, u)
-    full = assign_data_properties(connected, o, m, d)
-
+    s = KGSchema(mc, classes, set(), set(), class_keys, class_tables)
+    s.edges = connect_classes(s, o, u)
+    attachments = assign_data_properties(s, o, m, d)
     for table, attr in unmapped:
         if include_unmapped:
-            full.data_attachments.add((u.fallback_relation_prefix + attr, mc, (table, attr)))
+            attachments.add((u.fallback_relation_prefix + attr, mc, (table, attr)))
         else:
             log.warning("attribute %s.%s has no mapping and is not represented", table, attr)
-    return full
+    s.data_attachments = attachments
+    return s
 
 
 def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema:

@@ -29,7 +29,6 @@ class SynthConfig:
     n_rows: int
     chain_depth: int = 4
     n_entity_classes: int = 2
-    seed: int = 1
 
     def __post_init__(self):
         if self.n_attributes < 0 or self.n_rows < 0 or self.n_entity_classes < 0:
@@ -48,8 +47,7 @@ def generate_synthetic(c: SynthConfig) -> tuple[Ontology, Dataset, MappingSet, U
     """Build (ontology, dataset, mappings, user info) for a configuration.
 
     The layout is fully determined by the configuration, so equal configs
-    give equal outputs. The seed rides along for harness wiring (attribute
-    sub-sampling downstream), it does not randomize the fixture itself.
+    give equal outputs; nothing in it is random.
     """
     classes = {MAIN_CLASS}
     objprops: set[tuple[str, str, str]] = set()

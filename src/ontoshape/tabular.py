@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,14 +32,29 @@ class Dataset:
         return self.tables[self.main_table]
 
 
+def _csv_records(
+    lines: Iterable[str], fail: Callable[[str, int], Exception]
+) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each CSV record, the header as row 1. The
+    reader is strict: an unterminated quote or a character after a closing
+    quote raises ``fail(message, row)`` for the row it is in, rather than
+    taking in the rows after it or dropping the quote."""
+    row = 0
+    try:
+        for row, record in enumerate(csv.reader(lines, strict=True), start=1):
+            yield row, record
+    except csv.Error as exc:
+        raise fail(f"malformed CSV: {exc}", row + 1) from exc
+
+
 def load_table(path: Path) -> Table:
     """Read one ``<name>.csv`` file (comma separated, double-quote quoting,
     UTF-8 with any leading byte-order mark ignored, header first, header
     names nonempty and distinct). Cell values are preserved byte for byte."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _csv_records(fh, lambda msg, row: DatasetError(f"{path.name} row {row}: {msg}"))
+        _, header = next(records, (1, None))
         if header is None:
             return Table(path.stem, [], [])
         seen = set()
@@ -49,8 +65,7 @@ def load_table(path: Path) -> Table:
                 raise DatasetError(f"{path.name}: duplicate header name {name!r}")
             seen.add(name)
         rows = []
-        # row numbers count the header as row 1
-        for rownum, record in enumerate(reader, start=2):
+        for rownum, record in records:
             if len(record) != len(header):
                 raise DatasetError(
                     f"{path.name} row {rownum}: expected {len(header)} cells, got {len(record)}"

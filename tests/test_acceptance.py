@@ -60,7 +60,7 @@ class _Criterion:
 @pytest.fixture(scope="module")
 def full_bench():
     """The default benchmark: 6 counts x 10 reps x 2 approaches, 1000 rows."""
-    inputs = generate_synthetic(SynthConfig(60, 1000, chain_depth=4, n_entity_classes=2, seed=1))
+    inputs = generate_synthetic(SynthConfig(60, 1000, chain_depth=4, n_entity_classes=2))
     cfg = ExperimentConfig()
     start = time.perf_counter()
     results = run_experiment(cfg, inputs)
@@ -336,7 +336,7 @@ def test_criterion_7_bruteforce_file_check(tmp_path):
     with _Criterion(7) as c:
         fixture = tmp_path / "fixture"
         write_fixture_tree(
-            SynthConfig(n_attributes=4, n_rows=50, chain_depth=3, n_entity_classes=2, seed=9),
+            SynthConfig(n_attributes=4, n_rows=50, chain_depth=3, n_entity_classes=2),
             fixture,
         )
         common = [
@@ -367,7 +367,7 @@ def test_criterion_8_byte_identical_runs(tmp_path):
             root = tmp_path / name
             assert cli_main([
                 "synth", "--attrs", "6", "--rows", "40", "--chain-depth", "3",
-                "--entities", "2", "--seed", "11", "--out", str(root),
+                "--entities", "2", "--out", str(root),
             ]) == 0
             schema_file = root / "schema.txt"
             nt_file = root / "kg.nt"

@@ -26,12 +26,17 @@ from ontoshape.reshape import KGSchema, _claim_key, _main_table_first, baseline_
 from ontoshape.tabular import Dataset, Table
 
 
+def _reference_neighbors(o: Ontology, c: str) -> set[str]:
+    props = o.object_properties
+    return {rng for _, dom, rng in props if dom == c} | {dom for _, dom, rng in props if rng == c}
+
+
 def _reference_distances(o: Ontology, source: str) -> dict[str, int]:
     dist = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for nxt in o.neighbors(node):
+        for nxt in _reference_neighbors(o, node):
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
@@ -43,7 +48,7 @@ def _reference_walk(o: Ontology, source: str, target: str, dist: dict[str, int])
     current = source
     while current != target:
         want = dist[current] - 1
-        current = min(w for w in o.neighbors(current) if dist.get(w) == want)
+        current = min(w for w in _reference_neighbors(o, current) if dist.get(w) == want)
         path.append(current)
     return path
 

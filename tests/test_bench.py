@@ -24,7 +24,7 @@ from ontoshape.metrics import ROW_LABELS, ROWS, MetricsReport, format_value, rep
 from ontoshape.syndata import SynthConfig, generate_synthetic
 from ontoshape.tabular import Dataset, Table
 
-SMALL = SynthConfig(n_attributes=6, n_rows=12, chain_depth=2, n_entity_classes=1, seed=3)
+SMALL = SynthConfig(n_attributes=6, n_rows=12, chain_depth=2, n_entity_classes=1)
 
 
 @pytest.fixture(scope="module")

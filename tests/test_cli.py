@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 from conftest import DATA_2, MAPPINGS_WX, ONTOLOGY_WX
 
@@ -11,6 +15,8 @@ from ontoshape.mapping import UserInfo, parse_mappings
 from ontoshape.ontology import parse_ontology
 from ontoshape.reshape import parse_schema, reshape, serialize_schema
 from ontoshape.tabular import load_dataset
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -203,6 +209,42 @@ def test_userinfo_name_that_is_no_identifier_writes_no_schema(workdir, capsys):
     assert not out.exists()
 
 
+def _pipeline(workdir, tag, ontology, userinfo, schema_in=None, kg_in=None):
+    """Run reshape, generate and metrics; ``schema_in`` and ``kg_in`` replace
+    the schema and N-Triples files the earlier commands wrote. The report
+    comes without its storage row, which reads the size on disk, BOM
+    included."""
+    inputs = ["-d", str(workdir / "data"), "-m", str(workdir / "mappings.csv")]
+    schema, kg, report = (workdir / f"{tag}.{ext}" for ext in ("schema", "nt", "report"))
+    assert main(["reshape", "-o", str(ontology), "-u", str(userinfo), *inputs, "--out", str(schema)]) == 0
+    schema_in = schema_in or schema
+    assert main(["generate", "-s", str(schema_in), *inputs, "--out", str(kg)]) == 0
+    kg_in = kg_in or kg
+    assert main(["metrics", "-k", str(kg_in), "-s", str(schema_in), *inputs, "--out", str(report)]) == 0
+    rows = [row for row in report.read_text(encoding="utf-8").splitlines() if not row.startswith("storage")]
+    return schema.read_bytes(), kg.read_bytes(), rows
+
+
+def test_ontology_userinfo_schema_and_ntriples_saved_with_a_bom_give_the_same_output(workdir):
+    userinfo = workdir / "user.json"
+    userinfo.write_text('{"main_class": "WeldingOperation"}', encoding="utf-8")
+    plain = _pipeline(workdir, "plain", workdir / "ontology.osf", userinfo)
+
+    def with_bom(name, data):
+        path = workdir / name
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        return path
+
+    got = _pipeline(
+        workdir, "bom",
+        with_bom("bom.osf", ONTOLOGY_WX.encode("utf-8")),
+        with_bom("bom.json", userinfo.read_bytes()),
+        schema_in=with_bom("bom_in.schema", plain[0]),
+        kg_in=with_bom("bom_in.nt", plain[1]),
+    )
+    assert got == plain
+
+
 def test_tables_and_mappings_saved_with_a_bom_give_the_same_schema(workdir):
     plain = workdir / "plain.txt"
     assert main(_reshape_argv(workdir, plain)) == 0
@@ -265,7 +307,7 @@ def test_synth_writes_fixture_tree(tmp_path):
     out = tmp_path / "fixture"
     argv = [
         "synth", "--attrs", "4", "--rows", "6", "--chain-depth", "2",
-        "--entities", "1", "--seed", "9", "--out", str(out),
+        "--entities", "1", "--out", str(out),
     ]
     assert main(argv) == 0
     assert (out / "ontology.osf").is_file()
@@ -331,3 +373,16 @@ def test_main_table_flag_required_with_several_tables(workdir, capsys):
 
     argv += ["--main-table", "welding_operation"]
     assert main(argv) == 0
+
+
+def test_readme_quick_start_runs(tmp_path, capsys):
+    readme = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Quick start\n.*?```\n(.*?)```", readme, re.S)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 4
+    for line in commands:
+        program, *args = shlex.split(line)
+        assert program == "ontoshape"
+        argv = [re.sub(r"\Ademo(?=/|\Z)", str(tmp_path), arg) for arg in args]
+        assert main(argv) == 0, line
+    assert "global depth" in capsys.readouterr().out

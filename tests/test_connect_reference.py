@@ -17,25 +17,33 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontoshape.errors import SchemaError
 from ontoshape.mapping import ConnectionRule, EntityRule, UserInfo
-from ontoshape.ontology import ClassPair, Ontology, direct_relation
+from ontoshape.ontology import Ontology
 from ontoshape.reshape import KGSchema, _link_relation, connect_classes
 
 log = logging.getLogger("ontoshape.reshape")
 
 
-def _reference_has_indirect(o: Ontology, pair: ClassPair) -> bool:
-    src, dst = pair.from_class, pair.to_class
-    queue = deque(w for w in o.successors(src) if w != dst)
+def _reference_successors(o: Ontology, c: str) -> set[str]:
+    return {rng for _, dom, rng in o.object_properties if dom == c}
+
+
+def _reference_direct(o: Ontology, ci: str, cj: str) -> str | None:
+    return min((rel for rel, dom, rng in o.object_properties if (dom, rng) == (ci, cj)), default=None)
+
+
+def _reference_has_indirect(o: Ontology, src: str, dst: str) -> bool:
+    queue = deque(w for w in _reference_successors(o, src) if w != dst)
     seen = set(queue) | {src}
     while queue:
         node = queue.popleft()
-        for nxt in o.successors(node):
+        for nxt in _reference_successors(o, node):
             if nxt == dst:
                 return True
             if nxt not in seen:
@@ -104,11 +112,10 @@ def _reference_connect(s: KGSchema, mc: str, o: Ontology, u: UserInfo) -> KGSche
                 continue
             if ci not in o.classes or cj not in o.classes:
                 continue
-            pair = ClassPair(ci, cj)
-            rel = direct_relation(o, pair)
+            rel = _reference_direct(o, ci, cj)
             if rel is not None:
                 add(rel, ci, cj)
-            elif _reference_has_indirect(o, pair):
+            elif _reference_has_indirect(o, ci, cj):
                 user_rel = rule_for.get((ci, cj))
                 if user_rel is not None:
                     add(user_rel, ci, cj)
@@ -201,6 +208,6 @@ def _run(connect, s, mc, o, u):
 def test_connect_matches_pairwise_reference(inputs):
     s, mc, o, u = inputs
     expected, expected_warnings = _run(_reference_connect, s, mc, o, u)
-    got, warnings = _run(connect_classes, s, mc, o, u)
+    got, warnings = _run(lambda s, mc, o, u: replace(s, edges=connect_classes(s, o, u)), s, mc, o, u)
     assert got == expected
     assert warnings == expected_warnings

@@ -72,6 +72,26 @@ def test_unknown_kind():
         parse_mappings("kind,table,attribute,class\ncolumn,t,a,X\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('attribute,t,a,X\ntable,"t,,Y\nattribute,t,b,Z\n', "line 3: malformed CSV: unexpected end of data"),
+        ('attribute,t,a,"X"Y\n', "line 2: malformed CSV: ',' expected after '\"'"),
+    ],
+    ids=["unterminated", "after-closing-quote"],
+)
+def test_malformed_quoting_names_its_row(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_mappings("kind,table,attribute,class\n" + text)
+
+
+@pytest.mark.parametrize("cls", ["my class", "9Lives", "A.B", "Prog-Ram", "Ä"])
+def test_class_cell_must_be_an_identifier(cls):
+    for row in (f"attribute,t,a,{cls}", f"table,t,,{cls}"):
+        with pytest.raises(ParseError, match=re.escape(f"line 3: class {cls!r} is not an identifier")):
+            parse_mappings(f"kind,table,attribute,class\nattribute,t,ok,Fine\n{row}\n")
+
+
 def test_table_row_with_attribute_cell_rejected():
     with pytest.raises(ParseError, match="attribute cell empty"):
         parse_mappings("kind,table,attribute,class\ntable,t,oops,X\n")
@@ -226,7 +246,7 @@ def test_readme_quick_start_schema_excerpt_matches_reshape():
     readme = README.read_text(encoding="utf-8")
     (block,) = re.findall(r"collapses to three classes:\n\n```\n(.*?)```", readme, re.S)
     excerpt = [line for line in block.splitlines() if line != "..."]
-    schema = serialize_schema(reshape(*generate_synthetic(SynthConfig(6, 100, seed=1))))
+    schema = serialize_schema(reshape(*generate_synthetic(SynthConfig(6, 100))))
     lines = iter(schema.splitlines())
     # an ordered subsequence: each excerpt line occurs after the previous one
     assert all(line in lines for line in excerpt)

@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from ontoshape import ontology as ontology_module
 from ontoshape.errors import ParseError
 from ontoshape.ontology import (
-    ClassPair,
     Ontology,
-    direct_relation,
     parse_ontology,
     serialize_ontology,
     shortest_walks,
@@ -33,14 +31,14 @@ from conftest import ONTOLOGY_W
 
 def _enumerate_simple_paths(o, src, dst, undirected=False):
     """All simple paths src..dst as lists of class names. Brute force."""
-    step = o.neighbors if undirected else o.successors
+    adj = o._und if undirected else o._succ
     paths = []
 
     def walk(node, seen, acc):
         if node == dst:
             paths.append(list(acc))
             return
-        for nxt in step(node):
+        for nxt in adj[node]:
             if nxt not in seen:
                 seen.add(nxt)
                 acc.append(nxt)
@@ -117,25 +115,14 @@ def test_serialize_is_sorted_and_stable():
     assert serialize_ontology(parse_ontology(text)) == text
 
 
-def test_class_pair_rejects_equal_names():
-    with pytest.raises(ValueError):
-        ClassPair("A", "A")
-
-
 def test_direct_relation(ontology_w):
-    pair = ClassPair("WeldingOperation", "WeldingSoftwareSystem")
-    assert direct_relation(ontology_w, pair) == "operatedUnder"
-    assert direct_relation(ontology_w, ClassPair("WeldingOperation", "CurrentMeanValue")) is None
-
-
-def test_direct_relation_requires_declared_classes(ontology_w):
-    with pytest.raises(ValueError, match="undeclared class Nope"):
-        direct_relation(ontology_w, ClassPair("WeldingOperation", "Nope"))
+    assert ontology_w._direct[("WeldingOperation", "WeldingSoftwareSystem")] == "operatedUnder"
+    assert ("WeldingOperation", "CurrentMeanValue") not in ontology_w._direct
 
 
 def test_direct_relation_parallel_edges_pick_smallest():
     o = parse_ontology("class A\nclass B\nobjprop zz A B\nobjprop aa A B\n")
-    assert direct_relation(o, ClassPair("A", "B")) == "aa"
+    assert o._direct[("A", "B")] == "aa"
 
 
 def _reach(o, src):
@@ -163,7 +150,7 @@ def test_indirect_cycle_does_not_fake_a_path():
 def test_direct_and_indirect_are_independent():
     text = "class A\nclass B\nclass C\nobjprop e A C\nobjprop f C B\n"
     o = parse_ontology(text + "objprop d A B\n")
-    assert direct_relation(o, ClassPair("A", "B")) == "d"
+    assert o._direct[("A", "B")] == "d"
     # B stays reachable through C once the direct edge is gone
     assert "B" in _reach(o, "A") and "B" in _reach(parse_ontology(text), "A")
 
@@ -248,7 +235,7 @@ def test_indirect_relation_matches_simple_path_oracle(o):
             assert (dst in reach) == bool(paths)
             # connect_classes asks for reach only without a direct edge; then
             # it is the same as a path through a class other than both ends
-            if src != dst and direct_relation(o, ClassPair(src, dst)) is None:
+            if src != dst and (src, dst) not in o._direct:
                 assert (dst in reach) == any(len(p) >= 3 for p in paths)
 
 
@@ -443,12 +430,10 @@ def _reference_adjacency(classes, objprops):
 def _assert_same_queries(o, classes, objprops):
     succ, und, direct = _reference_adjacency(classes, objprops)
     for c in sorted(classes):
-        assert o.successors(c) == succ[c]
-        assert o.neighbors(c) == und[c]
-        assert o._direct.get((c, c)) == direct.get((c, c))  # a self-loop has no ClassPair
+        assert o._succ[c] == succ[c]
+        assert o._und[c] == und[c]
     for a, b in product(sorted(classes), repeat=2):
-        if a != b:
-            assert direct_relation(o, ClassPair(a, b)) == direct.get((a, b))
+        assert o._direct.get((a, b)) == direct.get((a, b))
 
 
 _osf_names = st.sampled_from(["A", "B", "C", "_x", "Z9", "abc", "A_1", "classy"])

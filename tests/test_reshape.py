@@ -139,14 +139,14 @@ def test_link_takes_the_relation_of_the_first_rule_naming_the_class(rules):
 
 def test_connect_direct_relation(ontology_wx, userinfo_main):
     s = KGSchema("WeldingOperation", {"WeldingOperation", "WeldingProgram"}, set())
-    out = connect_classes(s, "WeldingOperation", ontology_wx, userinfo_main)
-    assert out.edges == {("executes", "WeldingOperation", "WeldingProgram")}
+    out = connect_classes(s, ontology_wx, userinfo_main)
+    assert out == {("executes", "WeldingOperation", "WeldingProgram")}
 
 
 def test_connect_single_class_is_noop(ontology_wx, userinfo_main):
     s = KGSchema("WeldingOperation", {"WeldingOperation"}, set())
-    out = connect_classes(s, "WeldingOperation", ontology_wx, userinfo_main)
-    assert out.edges == set()
+    out = connect_classes(s, ontology_wx, userinfo_main)
+    assert out == set()
 
 
 INDIRECT_ONTOLOGY = """\
@@ -165,16 +165,16 @@ objprop yb Y B
 def test_connect_indirect_hangs_both_off_main():
     o = parse_ontology(INDIRECT_ONTOLOGY)
     s = KGSchema("M", {"M", "A", "B"}, set())
-    out = connect_classes(s, "M", o, UserInfo("M"))
-    assert out.edges == {("hasA", "M", "A"), ("hasB", "M", "B")}
+    out = connect_classes(s, o, UserInfo("M"))
+    assert out == {("hasA", "M", "A"), ("hasB", "M", "B")}
 
 
 def test_connect_indirect_user_rule():
     o = parse_ontology(INDIRECT_ONTOLOGY)
     s = KGSchema("M", {"M", "A", "B"}, set())
     u = UserInfo("M", connection_rules=(ConnectionRule("A", "B", "feeds"),))
-    out = connect_classes(s, "M", o, u)
-    assert ("feeds", "A", "B") in out.edges
+    out = connect_classes(s, o, u)
+    assert ("feeds", "A", "B") in out
 
 
 def test_connect_rule_with_unknown_class_is_skipped(caplog):
@@ -182,16 +182,16 @@ def test_connect_rule_with_unknown_class_is_skipped(caplog):
     s = KGSchema("M", {"M", "A", "B"}, set())
     u = UserInfo("M", connection_rules=(ConnectionRule("A", "Nowhere", "feeds"),))
     with caplog.at_level(logging.WARNING):
-        out = connect_classes(s, "M", o, u)
+        out = connect_classes(s, o, u)
     assert "skipped" in caplog.text
-    assert out.edges == {("hasA", "M", "A"), ("hasB", "M", "B")}
+    assert out == {("hasA", "M", "A"), ("hasB", "M", "B")}
 
 
 def test_connect_links_isolated_class_to_main():
     o = parse_ontology("class M\nclass Z\n")
     s = KGSchema("M", {"M", "Z"}, set())
-    out = connect_classes(s, "M", o, UserInfo("M"))
-    assert out.edges == {("hasZ", "M", "Z")}
+    out = connect_classes(s, o, UserInfo("M"))
+    assert out == {("hasZ", "M", "Z")}
 
 
 def test_connect_stitches_disconnected_cluster(caplog):
@@ -199,16 +199,16 @@ def test_connect_stitches_disconnected_cluster(caplog):
     o = parse_ontology("class M\nclass A\nclass B\nobjprop ab A B\n")
     s = KGSchema("M", {"M", "A", "B"}, set())
     with caplog.at_level(logging.WARNING):
-        out = connect_classes(s, "M", o, UserInfo("M"))
-    assert ("ab", "A", "B") in out.edges
-    assert ("hasA", "M", "A") in out.edges
+        out = connect_classes(s, o, UserInfo("M"))
+    assert ("ab", "A", "B") in out
+    assert ("hasA", "M", "A") in out
     assert "cannot reach" in caplog.text
 
 
 def test_connect_requires_main_in_schema(ontology_wx, userinfo_main):
     s = KGSchema("WeldingOperation", {"WeldingProgram"}, set())
     with pytest.raises(SchemaError):
-        connect_classes(s, "WeldingOperation", ontology_wx, userinfo_main)
+        connect_classes(s, ontology_wx, userinfo_main)
 
 
 def test_reshape_fixture(ontology_wx, mappings_wx, dataset_2, userinfo_main):
@@ -364,7 +364,7 @@ def test_assign_owner_matches_all_pairs_oracle(case):
     o, mc, schema, d, m = case
     s = KGSchema(mc, set(schema), set())
     got = assign_data_properties(s, o, m, d)
-    owners = {src: owner for _, owner, src in got.data_attachments}
+    owners = {src: owner for _, owner, src in got}
     dist = _all_pairs_undirected(o)
     for (table, attr), cp in m.attribute_map.items():
         near = [

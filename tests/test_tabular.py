@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import DATA_2, make_dataset2
@@ -69,6 +71,24 @@ def test_ragged_row_reports_row_number(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,c,d\n1,2,3,4\n1,2,3\n", encoding="utf-8")
     with pytest.raises(DatasetError, match=r"row 3: expected 4 cells, got 3"):
+        load_table(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the open quote would otherwise take in row 3 as part of one cell
+        ('id,v\n1,"a\n2,b\n', "row 2: malformed CSV: unexpected end of data"),
+        # a character after the closing quote would otherwise be glued on
+        ('id,v\n1,"a"b\n2,c\n', "row 2: malformed CSV: ',' expected after '\"'"),
+        ('id,"v\n', "row 1: malformed CSV: unexpected end of data"),
+    ],
+    ids=["unterminated", "after-closing-quote", "unterminated-header"],
+)
+def test_malformed_quoting_names_its_row(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetError, match=re.escape(f"t.csv {message}")):
         load_table(path)
 
 
