@@ -154,7 +154,8 @@ def _cmd_generate(args) -> int:
 def _cmd_metrics(args) -> int:
     schema = parse_schema(_read_text(args.schema))
     mappings, dataset = _load_tables(args)
-    graph = kggen.load_ntriples(_read_text(args.kg), args.base_iri, schema)
+    with open(args.kg, encoding="utf-8-sig") as lines:
+        graph = kggen.load_ntriples(lines, args.base_iri, schema)
     size = Path(args.kg).stat().st_size  # the size on disk, line endings included
     report = metrics.build_report(graph, schema, dataset, mappings, schema.main_class, storage_bytes=size)
     rendered = metrics.report_text(report)

@@ -28,6 +28,11 @@ In N-Triples, literals are escaped by one rule, the ``str.translate``
 table ``_ESCAPES``; a literal is translated only when it holds one of that
 table's characters. Reading decodes exactly N-Triples' escapes and rejects
 one that names a surrogate code point, which no UTF-8 file can hold.
+
+Both directions can stream. The writer returns the document, or, given a
+text sink, writes the sorted lines to it a few thousand at a time and never
+builds the whole document. The reader takes the document or any iterable
+of lines, such as an open text file, so it never holds the whole text.
 """
 
 from __future__ import annotations
@@ -36,8 +41,11 @@ import logging
 import re
 import string
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
+from typing import Protocol
 from urllib.parse import quote
 
 from .errors import DatasetError, ParseError, SchemaError
@@ -230,7 +238,20 @@ def _unescape_literal(value: str, lineno: int) -> str:
     return _ESCAPE.sub(one, value)
 
 
-def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> str:
+# lines joined into one string per write to a sink
+_CHUNK_LINES = 2048
+
+
+class TextSink(Protocol):
+    """What :func:`serialize_ntriples` writes to: an open text file, a
+    ``StringIO`` or anything else with ``write(str)``."""
+
+    def write(self, chunk: str, /) -> object: ...
+
+
+def serialize_ntriples(
+    g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI, out: TextSink | None = None
+) -> str | None:
     """Write the graph as N-Triples, one triple per line, lines sorted.
 
     Entity and property IRIs are the base IRI plus the local name; dummy
@@ -238,6 +259,11 @@ def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> s
     distinct (subject, property, value) literal is one line, and each
     entity's term is formatted once. The output is byte stable for a given
     graph.
+
+    Without ``out`` the document is returned. With ``out``, the same text
+    goes to ``out.write`` in chunks of up to ``_CHUNK_LINES`` whole lines,
+    each ending in a newline, and None is returned; the document is never
+    built, and an empty graph writes nothing.
     """
     if not base_iri.endswith(("#", "/")):
         raise ValueError("base IRI must end with '#' or '/'")
@@ -257,8 +283,14 @@ def serialize_ntriples(g: KnowledgeGraph, base_iri: str = DEFAULT_BASE_IRI) -> s
         value = value.translate(_ESCAPES) if needs_escape(value) else value
         lines.append(f'{terms.get(subj) or term(subj)} <{base_iri}{prop}> "{value}" .')
     lines.sort()
-    lines.append("")  # the final newline, without copying the joined text again
-    return "\n".join(lines)
+    if out is None:
+        lines.append("")  # the final newline, without copying the joined text again
+        return "\n".join(lines)
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        chunk.append("")
+        out.write("\n".join(chunk))
+    return None
 
 
 _NT_LINE = re.compile(
@@ -267,8 +299,15 @@ _NT_LINE = re.compile(
 _TYPE_TERM = f"<{RDF_TYPE_IRI}>"
 
 
-def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None) -> KnowledgeGraph:
+def load_ntriples(
+    source: str | Iterable[str], base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None
+) -> KnowledgeGraph:
     """Read a graph back from N-Triples written by :func:`serialize_ntriples`.
+
+    ``source`` is the document or an iterable of its lines, such as a text
+    file open for reading; either way it is split into lines as
+    ``str.splitlines`` splits the document, so the graph and the line
+    numbers are the same, and an open file is read one line at a time.
 
     Literal provenance is not stored in the triples, so sources are
     reconstructed from the schema's attachments when one is given (row
@@ -278,6 +317,10 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
     triple, on a blank node as a class, or on a literal with an escape
     N-Triples does not define or that names a surrogate.
     """
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = chain.from_iterable(map(str.splitlines, source))
 
     def local(iri: str) -> str:
         return iri[len(base_iri):] if iri.startswith(base_iri) else iri
@@ -293,7 +336,7 @@ def load_ntriples(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema 
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
     raw_literals: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         match = _NT_LINE.match(raw)
         if match is None:
             line = raw.strip()

@@ -36,14 +36,15 @@ class MappingSet:
 def parse_mappings(text: str) -> MappingSet:
     """Parse the mapping CSV. Malformed quoting, duplicate keys, class
     cells that are empty or not identifiers, and unknown kinds are rejected
-    with the offending row number."""
-    records = _csv_records(io.StringIO(text), ParseError)
-    _, header = next(records, (1, None))
+    with the line the offending record starts on, which is later than its
+    row number once a quoted cell spans lines."""
+    records = _csv_records(io.StringIO(text), lambda msg, _, line: ParseError(msg, line))
+    _, _, header = next(records, (1, 1, None))
     if header != MAPPING_HEADER:
         raise ParseError(f"mapping header must be {','.join(MAPPING_HEADER)}", 1)
     table_map: dict[str, str] = {}
     attribute_map: dict[tuple[str, str], str] = {}
-    for lineno, record in records:
+    for _, lineno, record in records:
         if not record:
             continue
         if len(record) != 4:

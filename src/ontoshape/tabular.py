@@ -33,18 +33,22 @@ class Dataset:
 
 
 def _csv_records(
-    lines: Iterable[str], fail: Callable[[str, int], Exception]
-) -> Iterator[tuple[int, list[str]]]:
-    """(row number, cells) of each CSV record, the header as row 1. The
-    reader is strict: an unterminated quote or a character after a closing
-    quote raises ``fail(message, row)`` for the row it is in, rather than
-    taking in the rows after it or dropping the quote."""
-    row = 0
+    lines: Iterable[str], fail: Callable[[str, int, int], Exception]
+) -> Iterator[tuple[int, int, list[str]]]:
+    """(row number, first line, cells) of each CSV record, the header as
+    row 1 on line 1; a record with a quoted line break spans several lines.
+    The reader is strict: an unterminated quote or a character after a
+    closing quote raises ``fail(message, row, first line)`` for the record
+    it is in, rather than taking in the rows after it or dropping the
+    quote."""
+    reader = csv.reader(lines, strict=True)
+    row, first = 0, 1
     try:
-        for row, record in enumerate(csv.reader(lines, strict=True), start=1):
-            yield row, record
+        for row, record in enumerate(reader, start=1):
+            yield row, first, record
+            first = reader.line_num + 1
     except csv.Error as exc:
-        raise fail(f"malformed CSV: {exc}", row + 1) from exc
+        raise fail(f"malformed CSV: {exc}", row + 1, first) from exc
 
 
 def load_table(path: Path) -> Table:
@@ -53,8 +57,8 @@ def load_table(path: Path) -> Table:
     names nonempty and distinct). Cell values are preserved byte for byte."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = _csv_records(fh, lambda msg, row: DatasetError(f"{path.name} row {row}: {msg}"))
-        _, header = next(records, (1, None))
+        records = _csv_records(fh, lambda msg, row, _: DatasetError(f"{path.name} row {row}: {msg}"))
+        _, _, header = next(records, (1, 1, None))
         if header is None:
             return Table(path.stem, [], [])
         seen = set()
@@ -65,7 +69,7 @@ def load_table(path: Path) -> Table:
                 raise DatasetError(f"{path.name}: duplicate header name {name!r}")
             seen.add(name)
         rows = []
-        for rownum, record in records:
+        for rownum, _, record in records:
             if len(record) != len(header):
                 raise DatasetError(
                     f"{path.name} row {rownum}: expected {len(header)} cells, got {len(record)}"

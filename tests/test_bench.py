@@ -18,9 +18,12 @@ from ontoshape.bench import (
     key_attributes,
     render_report,
     run_experiment,
+    run_one,
 )
+from ontoshape.kggen import generate_kg, serialize_ntriples
 from ontoshape.mapping import MappingSet
 from ontoshape.metrics import ROW_LABELS, ROWS, MetricsReport, format_value, report_text
+from ontoshape.reshape import baseline_schema, reshape
 from ontoshape.syndata import SynthConfig, generate_synthetic
 from ontoshape.tabular import Dataset, Table
 
@@ -114,6 +117,18 @@ def test_parallel_jobs_match_sequential(small_inputs):
         for r in rs
     ]
     assert strip(seq) == strip(par)
+
+
+def test_storage_bytes_are_the_utf8_size_of_the_document(small_inputs):
+    o, d, m, u = small_inputs
+    main = d.main
+    rows = [dict(row) for row in main.rows]
+    attr = next(a for a in main.attributes if a not in key_attributes(m, d))
+    rows[0][attr] = "grüße ✓"
+    d = Dataset({**d.tables, main.name: Table(main.name, main.attributes, rows)}, d.main_table)
+    for approach, schema in (("baseline", baseline_schema(o, d, m, u.main_class)), ("reshape", reshape(o, d, m, u))):
+        document = serialize_ntriples(generate_kg(schema, d, m, u.main_class))
+        assert run_one(approach, o, d, m, u).storage_bytes == len(document.encode("utf-8")) > len(document)
 
 
 def test_experiment_runs_at_most_one_bfs_per_class(monkeypatch):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import DATA_2, MAPPINGS_WX, ONTOLOGY_WX
 
+import ontoshape
 from ontoshape.cli import main
 from ontoshape.kggen import generate_kg, serialize_ntriples
 from ontoshape.mapping import UserInfo, parse_mappings
@@ -155,6 +159,15 @@ def test_metrics_counts_the_bytes_of_a_crlf_file(workdir, capsys):
     assert lf_row.endswith(f"  {len(lf) / 1e6:.4f}")
     assert crlf_row.endswith(f"  {len(crlf) / 1e6:.4f}")
     assert crlf_row != lf_row
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # bench imports the process pool only for --jobs above 1
+    src = str(Path(ontoshape.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ontoshape.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_missing_required_flag_is_usage_error(workdir, capsys):

@@ -85,6 +85,20 @@ def test_malformed_quoting_names_its_row(text, message):
         parse_mappings("kind,table,attribute,class\n" + text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('attribute,t,"a\nb",X\nattribute,t,c,\n', "line 4: empty class cell"),
+        ('attribute,t,"a\n\nb",X\n\ntable,"t,,Y\n', "line 6: malformed CSV: unexpected end of data"),
+    ],
+    ids=["empty-class", "unterminated"],
+)
+def test_errors_name_the_line_a_record_starts_on(text, message):
+    # a quoted cell spanning lines puts later records on a line past their row number
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_mappings("kind,table,attribute,class\n" + text)
+
+
 @pytest.mark.parametrize("cls", ["my class", "9Lives", "A.B", "Prog-Ram", "Ä"])
 def test_class_cell_must_be_an_identifier(cls):
     for row in (f"attribute,t,a,{cls}", f"table,t,,{cls}"):

@@ -8,6 +8,10 @@ escape through one translate table only the literals that need it, and
 keep one string per local name; on every graph here they must write the
 same bytes and read back an equal graph, with the same entity order and
 the same ``ParseError`` line.
+
+The streaming forms are checked against the plain ones: what the writer
+sends to a sink joins to the returned document, and the reader gives the
+same graph or the same error from an open file as from the file's text.
 """
 
 from __future__ import annotations
@@ -15,18 +19,25 @@ from __future__ import annotations
 import re
 import string
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_golden import CASES
+
+from ontoshape import kggen
 from ontoshape.errors import ParseError
 from ontoshape.kggen import (
+    _CHUNK_LINES,
     _ESCAPES,
     _NEEDS_ESCAPE,
     DEFAULT_BASE_IRI,
     RDF_TYPE_IRI,
     KnowledgeGraph,
+    generate_kg,
     load_ntriples,
     mint_entity_id,
     serialize_ntriples,
@@ -350,3 +361,131 @@ def test_loader_keeps_one_object_per_predicate_class_and_source():
     assert len(groups["sources"]) == 4  # p on the three A entities and on B/1
     for label, values in groups.items():
         assert len({id(v) for v in values}) == len(set(values)), label
+
+
+def _streamed(g: KnowledgeGraph, base: str = DEFAULT_BASE_IRI) -> list[str]:
+    """Every string the writer sends to a sink, one per write."""
+    chunks: list[str] = []
+    assert serialize_ntriples(g, base, out=SimpleNamespace(write=chunks.append)) is None
+    return chunks
+
+
+def _assert_whole_chunks(chunks: list[str], most: int) -> None:
+    for chunk in chunks:
+        assert chunk.endswith("\n")
+        assert 1 <= chunk.count("\n") <= most
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sink_gets_the_document_bytes_on_golden_cases(name):
+    s, d, m, mc = CASES[name]()
+    g = generate_kg(s, d, m, mc)
+    chunks = _streamed(g)
+    assert b"".join(c.encode("utf-8") for c in chunks) == serialize_ntriples(g).encode("utf-8")
+    _assert_whole_chunks(chunks, _CHUNK_LINES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), base=_BASES, per_chunk=st.sampled_from([1, 2, 5]))
+def test_sink_gets_the_document_in_chunks_of_whole_lines(g, base, per_chunk):
+    document = serialize_ntriples(g, base)
+    saved = kggen._CHUNK_LINES
+    kggen._CHUNK_LINES = per_chunk
+    try:
+        chunks = _streamed(g, base)
+    finally:
+        kggen._CHUNK_LINES = saved
+    assert "".join(chunks).encode("utf-8") == document.encode("utf-8")
+    _assert_whole_chunks(chunks, per_chunk)
+    assert len(chunks) == -(-document.count("\n") // per_chunk)
+
+
+def test_sink_gets_no_more_than_one_chunk_per_write():
+    entities = {f"A/{i}": ("A", False) for i in range(2 * _CHUNK_LINES + 7)}
+    chunks = _streamed(KnowledgeGraph(entities, set(), set()))
+    assert [c.count("\n") for c in chunks] == [_CHUNK_LINES, _CHUNK_LINES, 7]
+
+
+def test_sink_of_an_empty_graph_gets_no_write():
+    assert _streamed(KnowledgeGraph({}, set(), set())) == []
+
+
+def test_sink_chunks_count_bytes_not_characters():
+    g = KnowledgeGraph({"A/x": ("A", False)}, set(), {("A/x", "p", "grüße ✓ \U0001F600", None)})
+    document = serialize_ntriples(g)
+    size = sum(len(c.encode("utf-8")) for c in _streamed(g))
+    assert size == len(document.encode("utf-8")) == len(document) + 1 + 1 + 2 + 3  # ü, ß, ✓, 😀
+
+
+def _same_read_from_file(path, base: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None) -> None:
+    """The graph or the error from the open file equals the one from its text."""
+    text = path.read_text(encoding="utf-8-sig")
+    try:
+        want = load_ntriples(text, base, schema)
+    except ParseError as err:
+        with pytest.raises(ParseError) as info, open(path, encoding="utf-8-sig") as fh:
+            load_ntriples(fh, base, schema)
+        assert (info.value.line, str(info.value)) == (err.line, str(err))
+        return
+    with open(path, encoding="utf-8-sig") as fh:
+        got = load_ntriples(fh, base, schema)
+    assert got == want
+    assert list(got.entities) == list(want.entities)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_loader_reads_golden_files_as_their_text(name, tmp_path):
+    s, d, m, mc = CASES[name]()
+    path = tmp_path / "kg.nt"
+    path.write_text(serialize_ntriples(generate_kg(s, d, m, mc)), encoding="utf-8")
+    _same_read_from_file(path, schema=s)
+
+
+# characters str.splitlines breaks at but a text file's line iterator does not
+_SPLITLINES_ONLY = ["\v", "\x1c", "\x85", "\u2028"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=_graphs(),
+    schema=st.sampled_from([None, _SCHEMA]),
+    data=st.data(),
+    bom=st.booleans(),
+)
+def test_loader_reads_drawn_files_as_their_text(tmp_path_factory, g, schema, data, bom):
+    breaks = st.sampled_from(["\n", "\r\n", "\r", *_SPLITLINES_ONLY])
+    lines = serialize_ntriples(g).splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", " ", "\t"])))
+    if lines and data.draw(st.booleans()):
+        # a raw break inside a line splits it into two that are no triples
+        i = data.draw(st.integers(0, len(lines) - 1))
+        cut = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:cut] + data.draw(st.sampled_from(_SPLITLINES_ONLY)) + lines[i][cut:]
+    text = "".join(line + data.draw(breaks) for line in lines)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\n\r\v\x1c\x85\u2028")  # no final line break
+    path = tmp_path_factory.mktemp("drawn") / "kg.nt"
+    path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+    _same_read_from_file(path, schema=schema)
+
+
+def test_loader_reads_a_large_file_in_less_memory_than_the_file(tmp_path):
+    entities = {f"A/{i:06d}": ("A", False) for i in range(6000)}
+    objects = {(f"A/{i:06d}", "next", f"A/{i + 1:06d}") for i in range(5999)}
+    literals = {(eid, prop, f"{prop} of {eid} ✓", None) for eid in entities for prop in ("p", "q")}
+    g = KnowledgeGraph(entities, objects, literals)
+    path = tmp_path / "kg.nt"
+    path.write_text(serialize_ntriples(g).replace("\n", "\r\n"), encoding="utf-8", newline="")
+    size = path.stat().st_size
+    assert size >= 1_000_000
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            back = load_ntriples(fh)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < size
+    assert (back.entities, back.object_triples) == (entities, objects)
+    assert {t[:3] for t in back.literal_triples} == {t[:3] for t in literals}

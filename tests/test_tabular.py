@@ -82,8 +82,10 @@ def test_ragged_row_reports_row_number(tmp_path):
         # a character after the closing quote would otherwise be glued on
         ('id,v\n1,"a"b\n2,c\n', "row 2: malformed CSV: ',' expected after '\"'"),
         ('id,"v\n', "row 1: malformed CSV: unexpected end of data"),
+        # rows, not file lines: the cell spanning lines 2-3 keeps the next record row 3
+        ('id,v\n1,"a\nb"\n2,"c\n', "row 3: malformed CSV: unexpected end of data"),
     ],
-    ids=["unterminated", "after-closing-quote", "unterminated-header"],
+    ids=["unterminated", "after-closing-quote", "unterminated-header", "after-multiline-cell"],
 )
 def test_malformed_quoting_names_its_row(tmp_path, text, message):
     path = tmp_path / "t.csv"
