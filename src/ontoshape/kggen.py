@@ -24,15 +24,21 @@ free-standing. Attribute values become literal triples on their owner's
 entity, and every schema edge whose two endpoint entities exist for the
 row becomes an object triple.
 
+A graph is a set of triples, as RDF defines it, so a literal that several
+rows give is stored once; beside the literals the graph keeps the
+(table, attribute) pairs that gave any, not which row gave which.
+
 In N-Triples, literals are escaped by one rule, the ``str.translate``
 table ``_ESCAPES``; a literal is translated only when it holds one of that
-table's characters. Reading decodes exactly N-Triples' escapes and rejects
-one that names a surrogate code point, which no UTF-8 file can hold.
+table's characters. A surrogate code point is no character and no UTF-8
+file can hold it: the writer rejects a literal that holds one, and the
+reader rejects an escape that names one.
 
 Both directions can stream. The writer returns the document, or, given a
 text sink, writes the sorted lines to it a few thousand at a time and never
 builds the whole document. The reader takes the document or any iterable
-of lines, such as an open text file, so it never holds the whole text.
+of lines, such as an open text file, which it splits a few hundred lines
+at a time, so it never holds the whole text.
 """
 
 from __future__ import annotations
@@ -41,10 +47,9 @@ import logging
 import re
 import string
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import islice
 from typing import Protocol
 from urllib.parse import quote
 
@@ -65,17 +70,27 @@ _PLAIN_KEY = re.compile(r"[A-Za-z0-9_.\-~]+\Z")
 class KnowledgeGraph:
     """Entities plus object and literal triples.
 
-    ``entities`` maps an entity id to its (class, dummy flag). Literal
-    triples carry their provenance as (table, attribute, row index), or
-    None when a graph was re-read from a triples file. ``key_sources``
-    records the attributes whose values were consumed as entity keys; those
-    attributes are represented in entity ids rather than literals.
+    ``entities`` maps an entity id to its (class, dummy flag).
+    ``literals`` holds each distinct (subject, property, value) once, one
+    per N-Triples literal line. ``literal_sources`` records the
+    (table, attribute) pairs that gave at least one literal, and
+    ``key_sources`` those whose values were consumed as entity keys, which
+    are represented in entity ids rather than literals. A graph read back
+    from a triples file without a schema has neither.
     """
 
     entities: dict[str, tuple[str, bool]]
     object_triples: set[tuple[str, str, str]]
-    literal_triples: set[tuple[str, str, str, tuple[str, str, int] | None]]
+    literals: set[tuple[str, str, str]]
     key_sources: frozenset[tuple[str, str]] = frozenset()
+    literal_sources: frozenset[tuple[str, str]] = frozenset()
+
+    @property
+    def literal_triples(self) -> Iterator[tuple[str, str, str, None]]:
+        """Each literal as (subject, property, value, None): the 4-field
+        form that ``perfbench/pipeline.py`` unpacks. The package reads
+        ``literals``."""
+        return ((subj, prop, value, None) for subj, prop, value in self.literals)
 
 
 def mint_entity_id(class_name: str, key: str) -> str:
@@ -118,7 +133,8 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
 
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
-    literals: list[tuple[str, str, str, tuple[str, str, int]]] = []
+    literals: set[tuple[str, str, str]] = set()
+    literal_sources: set[tuple[str, str]] = set()
     key_sources: set[tuple[str, str]] = set()
     mc_id_by_key: dict[str, str] = {}
 
@@ -149,8 +165,8 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
         present = {cls for cls, _ in plan}.union(dummies)
         if join is not None:
             present.add(mc)
-        attaches = [(prop, owner, attr) for prop, owner, (t, attr) in attach_list
-                    if t == tname and owner in present]
+        attaches = [(prop, owner, src[1], src) for prop, owner, src in attach_list
+                    if src[0] == tname and owner in present]
         edges = [e for e in edge_list if e[1] in present and e[2] in present]
         prefix = "row" if on_main else f"{tname}_row"
 
@@ -182,20 +198,21 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
             for cls, eid in ids.items():
                 if eid not in entities:
                     entities[eid] = kinds[cls]
-            for prop, owner, attr in attaches:
+            for prop, owner, attr, src in attaches:
                 sid = ids.get(owner)
                 if sid is None:
                     continue
                 value = row[attr]
                 if value:
-                    literals.append((sid, prop, value, (tname, attr, j)))
+                    literals.add((sid, prop, value))
+                    literal_sources.add(src)
             for rel, f, t in edges:
                 sf = ids.get(f)
                 st = ids.get(t)
                 if sf is not None and st is not None:
                     objects.add((sf, rel, st))
 
-    return KnowledgeGraph(entities, objects, set(literals), frozenset(key_sources))
+    return KnowledgeGraph(entities, objects, literals, frozenset(key_sources), frozenset(literal_sources))
 
 
 # the one escaping rule for literals: N-Triples' short escapes for
@@ -207,7 +224,10 @@ _ESCAPES = str.maketrans({
     **{chr(c): f"\\u{c:04X}" for c in [*range(0x20), 0x85, 0x2028, 0x2029]},
     "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
 })
-_NEEDS_ESCAPE = re.compile(f"[{re.escape(''.join(map(chr, _ESCAPES)))}]")
+# what sends a literal off the plain path: a character of the table, or a
+# surrogate, which the writer rejects
+_NEEDS_ESCAPE = re.compile(f"[{re.escape(''.join(map(chr, _ESCAPES)))}\ud800-\udfff]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 # N-Triples' ECHAR set; \u and \U are decoded separately
@@ -256,9 +276,10 @@ def serialize_ntriples(
 
     Entity and property IRIs are the base IRI plus the local name; dummy
     entities keep their blank-node labels. Each entity, object triple and
-    distinct (subject, property, value) literal is one line, and each
-    entity's term is formatted once. The output is byte stable for a given
-    graph.
+    literal is one line, and each entity's term is formatted once. The
+    output is byte stable for a given graph. A literal holding a surrogate
+    code point, which UTF-8 cannot encode, raises ``ValueError`` naming its
+    subject and property before anything is returned or written.
 
     Without ``out`` the document is returned. With ``out``, the same text
     goes to ``out.write`` in chunks of up to ``_CHUNK_LINES`` whole lines,
@@ -279,8 +300,13 @@ def serialize_ntriples(
     for subj, rel, obj in g.object_triples:
         lines.append(f"{terms.get(subj) or term(subj)} <{base_iri}{rel}> {terms.get(obj) or term(obj)} .")
     needs_escape = _NEEDS_ESCAPE.search
-    for subj, prop, value in set(map(itemgetter(0, 1, 2), g.literal_triples)):
-        value = value.translate(_ESCAPES) if needs_escape(value) else value
+    for subj, prop, value in g.literals:
+        if needs_escape(value):
+            if _SURROGATE.search(value):
+                raise ValueError(
+                    f"literal of {subj!r} {prop!r} holds a surrogate code point, which UTF-8 cannot encode"
+                )
+            value = value.translate(_ESCAPES)
         lines.append(f'{terms.get(subj) or term(subj)} <{base_iri}{prop}> "{value}" .')
     lines.sort()
     if out is None:
@@ -297,6 +323,20 @@ _NT_LINE = re.compile(
     r'\s*(<[^>]*>|_:\S+)\s+(<[^>]*>)\s+(<[^>]*>|_:\S+|"[^"\\]*(?:\\.[^"\\]*)*")\s*\.\s*\Z'
 )
 _TYPE_TERM = f"<{RDF_TYPE_IRI}>"
+# file lines joined into one string per split when reading: a few thousand
+# split no faster, and blocks of a few hundred kB left the process's peak
+# RSS about 1 MB higher after reading a 5.6 MB file
+_READ_LINES = 256
+
+
+def _file_lines(source: Iterable[str]) -> Iterator[str]:
+    """The lines of the text ``source`` yields, split as ``str.splitlines``
+    splits that text. ``source`` must yield whole lines that keep their
+    line ends, as a text file does, so that no break is cut in two; each
+    block of ``_READ_LINES`` of them is joined and split at once."""
+    source = iter(source)
+    while block := "".join(islice(source, _READ_LINES)):
+        yield from block.splitlines()
 
 
 def load_ntriples(
@@ -304,15 +344,17 @@ def load_ntriples(
 ) -> KnowledgeGraph:
     """Read a graph back from N-Triples written by :func:`serialize_ntriples`.
 
-    ``source`` is the document or an iterable of its lines, such as a text
-    file open for reading; either way it is split into lines as
-    ``str.splitlines`` splits the document, so the graph and the line
-    numbers are the same, and an open file is read one line at a time.
+    ``source`` is the document or an iterable of its lines that keep their
+    line ends, such as a text file open for reading; either way it is split
+    into lines as ``str.splitlines`` splits the document, so the graph and
+    the line numbers are the same, and an open file is read a block of
+    lines at a time.
 
-    Literal provenance is not stored in the triples, so sources are
-    reconstructed from the schema's attachments when one is given (row
-    indices stay unknown) and ``key_sources`` is taken from the schema's
-    key declarations. Without a schema those fields stay empty. Raises
+    Literal provenance is not stored in the triples. With a schema, each
+    distinct (property, owner class) among the literals is credited to the
+    first of the schema's attachments for it, in sorted order, and
+    ``key_sources`` is taken from the schema's key declarations of the
+    classes present. Without a schema both source sets stay empty. Raises
     :class:`ParseError` with the line number on a line that is not a
     triple, on a blank node as a class, or on a literal with an escape
     N-Triples does not define or that names a surrogate.
@@ -320,7 +362,7 @@ def load_ntriples(
     if isinstance(source, str):
         lines = source.splitlines()
     else:
-        lines = chain.from_iterable(map(str.splitlines, source))
+        lines = _file_lines(source)
 
     def local(iri: str) -> str:
         return iri[len(base_iri):] if iri.startswith(base_iri) else iri
@@ -335,7 +377,7 @@ def load_ntriples(
     kinds: dict[tuple[str, bool], tuple[str, bool]] = {}
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
-    raw_literals: list[tuple[str, str, str]] = []
+    literals: set[tuple[str, str, str]] = set()
     for lineno, raw in enumerate(lines, start=1):
         match = _NT_LINE.match(raw)
         if match is None:
@@ -349,7 +391,7 @@ def load_ntriples(
             value = obj_t[1:-1]
             if "\\" in value:
                 value = _unescape_literal(value, lineno)
-            raw_literals.append((subj, names.get(pred_t) or name(pred_t), value))
+            literals.add((subj, names.get(pred_t) or name(pred_t), value))
         elif pred_t == _TYPE_TERM:
             if obj_t[0] == "_":
                 raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
@@ -360,15 +402,14 @@ def load_ntriples(
         else:
             objects.add((subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)))
 
-    sources: dict[tuple[str, str], tuple[str, str, int]] = {}
-    for prop, owner, (tname, attr) in sorted(schema.data_attachments) if schema else ():
-        sources.setdefault((prop, owner), (tname, attr, -1))
-    literals: set[tuple[str, str, str, tuple[str, str, int] | None]] = {
-        (subj, prop, value, sources.get((prop, entities.get(subj, ("", False))[0])))
-        for subj, prop, value in raw_literals
-    }
-    key_sources: frozenset[tuple[str, str]] = frozenset()
-    if schema is not None:
-        present = {cls for cls, _ in entities.values()}
-        key_sources = frozenset(src for cls, src in schema.class_keys.items() if cls in present)
-    return KnowledgeGraph(entities, objects, literals, key_sources)
+    if schema is None:
+        return KnowledgeGraph(entities, objects, literals)
+    sources: dict[tuple[str, str], tuple[str, str]] = {}
+    for prop, owner, src in sorted(schema.data_attachments):
+        sources.setdefault((prop, owner), src)
+    no_kind = ("", False)
+    owned = {(prop, entities.get(subj, no_kind)[0]) for subj, prop, _ in literals}
+    literal_sources = frozenset(sources[key] for key in owned & sources.keys())
+    present = {cls for cls, _ in entities.values()}
+    key_sources = frozenset(src for cls, src in schema.class_keys.items() if cls in present)
+    return KnowledgeGraph(entities, objects, literals, key_sources, literal_sources)

@@ -80,26 +80,25 @@ class MetricsReport:
 def data_coverage(g: KnowledgeGraph, d: Dataset) -> float:
     """Fraction of the dataset's attributes represented in the graph.
 
-    An attribute counts as covered when at least one literal triple stems
-    from it or when its values were consumed as entity keys. A dataset
-    without attributes is fully covered by definition.
+    An attribute counts as covered when it is one of the graph's
+    ``literal_sources``, which gave at least one literal triple, or one of
+    its ``key_sources``, whose values were consumed as entity keys. A
+    dataset without attributes is fully covered by definition.
     """
     attrs = list_attributes(d)
     if not attrs:
         return 1.0
-    covered = {src[:2] for src in set(map(itemgetter(3), g.literal_triples)) if src is not None}
-    covered |= set(g.key_sources)
+    covered = g.literal_sources | g.key_sources
     return sum(1 for ta in attrs if ta in covered) / len(attrs)
 
 
 def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
     """(class count, object triple count, literal triple count, entity
-    count), with dummies excluded from the entity count. A literal triple
-    counts once however many source rows gave it, as in the N-Triples
-    file."""
+    count), with dummies excluded from the entity count. The graph keeps
+    each literal triple once however many source rows gave it, so each
+    counts once, as in the N-Triples file."""
     non_dummy = len(g.entities) - sum(map(itemgetter(1), g.entities.values()))
-    literals = set(map(itemgetter(0, 1, 2), g.literal_triples))
-    return (len(s.classes), len(g.object_triples), len(literals), non_dummy)
+    return (len(s.classes), len(g.object_triples), len(g.literals), non_dummy)
 
 
 class _Eccentricities:

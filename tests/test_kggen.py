@@ -63,8 +63,8 @@ def test_reshaped_fixture_kg(reshaped, dataset_2, mappings_wx):
         ("WeldingOperation/op1", "executes", "WeldingProgram/pg1"),
         ("WeldingOperation/op2", "executes", "WeldingProgram/pg2"),
     }
-    assert len(g.literal_triples) == 6
-    values = {(s, p, v) for s, p, v, _ in g.literal_triples}
+    assert len(g.literals) == 6
+    values = g.literals
     assert ("WeldingProgram/pg1", "hasWeldingProgramID", "pg1") in values
     assert ("WeldingOperation/op1", "hasCurrentMeanValue", "10.5") in values
     assert ("WeldingOperation/op2", "hasCurrentArrayValue", "[3,4]") in values
@@ -91,8 +91,8 @@ def test_baseline_fixture_kg(ontology_wx, mappings_wx, dataset_2):
     assert len(g.entities) - len(dummies) == 8
     # 7 ontology edges instantiated per row
     assert len(g.object_triples) == 14
-    assert len(g.literal_triples) == 6
-    values = {(p, v) for _, p, v, _ in g.literal_triples}
+    assert len(g.literals) == 6
+    values = {(p, v) for _, p, v in g.literals}
     assert ("hasValue", "10.5") in values
     assert ("hasValue", "pg1") in values
 
@@ -101,9 +101,9 @@ def test_baseline_beats_reshape_in_triples(ontology_wx, mappings_wx, dataset_2, 
     b = baseline_schema(ontology_wx, dataset_2, mappings_wx, MC)
     gb = generate_kg(b, dataset_2, mappings_wx, MC)
     gr = generate_kg(reshaped, dataset_2, mappings_wx, MC)
-    assert len(gb.object_triples) + len(gb.literal_triples) > len(
+    assert len(gb.object_triples) + len(gb.literals) > len(
         gr.object_triples
-    ) + len(gr.literal_triples)
+    ) + len(gr.literals)
 
 
 def test_repeated_key_values_merge(reshaped, mappings_wx):
@@ -128,7 +128,7 @@ def test_empty_dataset_empty_kg(reshaped, mappings_wx):
     g = generate_kg(reshaped, d, mappings_wx, MC)
     assert g.entities == {}
     assert g.object_triples == set()
-    assert g.literal_triples == set()
+    assert g.literals == set()
 
 
 def test_empty_key_skips_row(reshaped, mappings_wx, caplog):
@@ -152,7 +152,7 @@ def test_missing_values_produce_no_literal(reshaped, mappings_wx):
     t = Table("welding_operation", list(rows[0]), rows)
     d = Dataset({t.name: t}, t.name)
     g = generate_kg(reshaped, d, mappings_wx, MC)
-    assert all(p != "hasCurrentMeanValue" for _, p, _, _ in g.literal_triples)
+    assert all(p != "hasCurrentMeanValue" for _, p, _ in g.literals)
 
 
 def test_generate_requires_main_class(reshaped, dataset_2, mappings_wx):
@@ -205,7 +205,7 @@ def test_secondary_table_joins_to_main(caplog):
     g = generate_kg(s, d, m, "Operation")
     assert ("Operation/op1", "hasSensor", "Sensor/s1") in g.object_triples
     assert ("Operation/op2", "hasSensor", "Sensor/s2") in g.object_triples
-    values = {(sub, p, v) for sub, p, v, _ in g.literal_triples}
+    values = g.literals
     assert ("Sensor/s1", "hasReadingValue", "5.0") in values
     assert ("Sensor/s1", "hasSensorID", "s1") in values
     assert not any(dummy for _, dummy in g.entities.values())
@@ -246,10 +246,9 @@ def test_load_round_trip(reshaped, dataset_2, mappings_wx):
     back = load_ntriples(text, schema=reshaped)
     assert back.entities == g.entities
     assert back.object_triples == g.object_triples
-    assert {(s, p, v) for s, p, v, _ in back.literal_triples} == {
-        (s, p, v) for s, p, v, _ in g.literal_triples
-    }
+    assert back.literals == g.literals
     assert back.key_sources == g.key_sources
+    assert back.literal_sources == g.literal_sources
 
 
 def test_load_round_trip_keeps_blank_nodes(ontology_wx, mappings_wx, dataset_2):
@@ -279,7 +278,7 @@ def test_load_rejects_bad_unicode_escape(escape):
 def test_load_decodes_every_echar():
     text = r'<http://example.org/kg#C/x> <http://example.org/kg#p> "t\tb\bn\nr\rf\fq\"a\'s\\" .' + "\n"
     back = load_ntriples(text)
-    assert {v for _, _, v, _ in back.literal_triples} == {"t\tb\bn\nr\rf\fq\"a's\\"}
+    assert {v for _, _, v in back.literals} == {"t\tb\bn\nr\rf\fq\"a's\\"}
 
 
 @pytest.mark.parametrize("escape", [r"\q", r"\a", r"\0", r"\/"])
@@ -298,10 +297,10 @@ def test_literal_values_survive_round_trip(value):
     g = KnowledgeGraph(
         {"C/x": ("C", False)},
         set(),
-        {("C/x", "hasV", value, None)},
+        {("C/x", "hasV", value)},
     )
     back = load_ntriples(serialize_ntriples(g))
-    assert {(s, p, v) for s, p, v, _ in back.literal_triples} == {("C/x", "hasV", value)}
+    assert back.literals == {("C/x", "hasV", value)}
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,13 +11,19 @@ import dataclasses
 import random
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_generate_reference import _inputs, _reference_generate_kg
+from test_ntriples import _reference_load
+
 from ontoshape import metrics as metrics_module
+from ontoshape.errors import DatasetError, SchemaError
 from ontoshape.kggen import KnowledgeGraph, generate_kg, load_ntriples, serialize_ntriples
+from ontoshape.mapping import MappingSet
 from ontoshape.metrics import (
     ROW_LABELS,
+    MetricsReport,
     build_report,
     data_coverage,
     depth_metrics,
@@ -26,7 +32,7 @@ from ontoshape.metrics import (
 )
 from ontoshape.reshape import KGSchema, baseline_schema, reshape
 from ontoshape.syndata import MAIN_CLASS, MAIN_TABLE, SynthConfig, generate_synthetic
-from ontoshape.tabular import Dataset, Table
+from ontoshape.tabular import Dataset, Table, list_attributes
 
 MC = "WeldingOperation"
 
@@ -47,8 +53,9 @@ def test_coverage_full(ontology_wx, mappings_wx, dataset_2, userinfo_main):
 
 def test_coverage_counts_missing_attribute(ontology_wx, mappings_wx, dataset_2, userinfo_main):
     (_, g), _ = _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main)
-    kept = {t for t in g.literal_triples if t[1] != "hasCurrentArrayValue"}
-    gutted = KnowledgeGraph(g.entities, g.object_triples, kept, g.key_sources)
+    kept = {t for t in g.literals if t[1] != "hasCurrentArrayValue"}
+    sources = g.literal_sources - {("welding_operation", "current_array")}
+    gutted = KnowledgeGraph(g.entities, g.object_triples, kept, g.key_sources, sources)
     assert data_coverage(gutted, dataset_2) == 0.75
 
 
@@ -81,7 +88,8 @@ def test_report_counts_match_read_back_when_rows_share_keys():
         g = generate_kg(s, d, m, MAIN_CLASS)
         text = serialize_ntriples(g)
         literal_lines = sum(1 for line in text.splitlines() if line.endswith('" .'))
-        assert literal_lines < len(g.literal_triples)  # rows repeat literals
+        cells = sum(1 for _, _, (_, attr) in s.data_attachments for row in table.rows if row[attr])
+        assert literal_lines == len(g.literals) < cells  # rows repeat literals
         reports = [
             build_report(graph, s, d, m, MAIN_CLASS, storage_bytes=len(text))
             for graph in (g, load_ntriples(text, schema=s))
@@ -90,6 +98,44 @@ def test_report_counts_match_read_back_when_rows_share_keys():
         # read-back coverage differs for its own reasons; every count agrees
         same = [dataclasses.replace(r, data_coverage=0.0) for r in reports]
         assert same[0] == same[1]
+
+
+def _per_row_report(g: KnowledgeGraph, s: KGSchema, d: Dataset, mc: str) -> MetricsReport:
+    """``build_report``'s rules for a graph whose literals are (subject,
+    property, value, (table, attribute, row) or None), one per source row,
+    as graphs kept them before they kept a set of distinct triples."""
+    attrs = list_attributes(d)
+    covered = {src[:2] for *_, src in g.literals if src is not None} | g.key_sources
+    dummies = sum(1 for _, dummy in g.entities.values() if dummy)
+    root_depth, global_depth = depth_metrics(g, mc)
+    return MetricsReport(
+        data_coverage=sum(1 for ta in attrs if ta in covered) / len(attrs) if attrs else 1.0,
+        time_cost_ms=0.0,
+        storage_bytes=0,
+        class_count=len(s.classes),
+        object_prop_count=len(g.object_triples),
+        data_prop_count=len({t[:3] for t in g.literals}),
+        entity_count=len(g.entities) - dummies,
+        dummy_count=dummies,
+        root_to_leaf_depth=root_depth,
+        global_depth=global_depth,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_inputs())
+def test_report_matches_the_per_row_literal_rules(inputs):
+    s, d, mc = inputs
+    m = MappingSet({}, {})
+    try:
+        per_row = _reference_generate_kg(s, d, m, mc)
+    except (DatasetError, SchemaError):
+        assume(False)
+    g = generate_kg(s, d, m, mc)
+    assert build_report(g, s, d, m, mc) == _per_row_report(per_row, s, d, mc)
+    text = serialize_ntriples(g)
+    back = load_ntriples(text, schema=s)
+    assert build_report(back, s, d, m, mc) == _per_row_report(_reference_load(text, schema=s), s, d, mc)
 
 
 def test_kg_counts_empty():
@@ -297,7 +343,7 @@ def test_depths_do_not_depend_on_entity_order(g, rnd):
     rnd.shuffle(shuffled)
     want = depth_metrics(g, "M")
     for order in (items[::-1], shuffled):
-        reordered = KnowledgeGraph(dict(order), g.object_triples, g.literal_triples)
+        reordered = KnowledgeGraph(dict(order), g.object_triples, g.literals)
         assert depth_metrics(reordered, "M") == want
 
 

@@ -9,9 +9,16 @@ keep one string per local name; on every graph here they must write the
 same bytes and read back an equal graph, with the same entity order and
 the same ``ParseError`` line.
 
+The references keep each literal as (subject, property, value, source),
+as graphs did before they kept literals as a set; a test compares their
+distinct triples and (table, attribute) sources with the package's.
+
 The streaming forms are checked against the plain ones: what the writer
 sends to a sink joins to the returned document, and the reader gives the
 same graph or the same error from an open file as from the file's text.
+
+Drawn literals may hold a lone surrogate, which no UTF-8 document can; a
+test that serializes a drawn graph expects the writer to reject it.
 """
 
 from __future__ import annotations
@@ -197,24 +204,49 @@ def _graphs(draw) -> KnowledgeGraph:
         return KnowledgeGraph(entities, set(), set())
     end = st.sampled_from(ends)
     objects = draw(st.sets(st.tuples(end, _NAMES, end), max_size=12))
-    provenance = st.none() | st.tuples(st.just("t"), st.sampled_from(["a", "b"]), st.integers(0, 3))
-    literals = draw(st.sets(st.tuples(end, _NAMES, _VALUES, provenance), max_size=10))
-    if literals:
-        # one (s, p, v) from two rows: one line in the file
-        subj, prop, value, src = min(literals, key=repr)
-        literals.add((subj, prop, value, ("t", "a", 99) if src is None else None))
-    return KnowledgeGraph(entities, objects, literals)
+    literals = draw(st.sets(st.tuples(end, _NAMES, _VALUES), max_size=10))
+    # the writer ignores sources, so drawn ones must leave the document as it is
+    sources = draw(st.frozensets(st.tuples(st.just("t"), st.sampled_from(["a", "b"]))))
+    return KnowledgeGraph(entities, objects, literals, literal_sources=sources)
+
+
+def _holds_surrogate(value: str) -> bool:
+    return any(0xD800 <= ord(c) <= 0xDFFF for c in value)
+
+
+def _document(g: KnowledgeGraph, base: str = DEFAULT_BASE_IRI) -> str | None:
+    """The document of ``g``, or None once the writer has rejected a
+    literal of ``g`` that holds a surrogate, naming its subject and
+    property."""
+    bad = {(subj, prop) for subj, prop, value in g.literals if _holds_surrogate(value)}
+    if not bad:
+        return serialize_ntriples(g, base)
+    with pytest.raises(ValueError, match="holds a surrogate code point") as info:
+        serialize_ntriples(g, base)
+    assert any(f"literal of {subj!r} {prop!r} " in str(info.value) for subj, prop in bad)
+    return None
+
+
+def _kept(g: KnowledgeGraph) -> KnowledgeGraph:
+    """A reference graph, whose literals are (subject, property, value,
+    source or None), as the package keeps it: its distinct triples, and the
+    (table, attribute) of every literal's source."""
+    literals = {t[:3] for t in g.literals}
+    sources = frozenset(t[3][:2] for t in g.literals if t[3] is not None)
+    return KnowledgeGraph(g.entities, g.object_triples, literals, g.key_sources, sources)
 
 
 @settings(max_examples=300, deadline=None)
 @given(g=_graphs(), base=_BASES)
 @example(g=KnowledgeGraph({}, set(), set()), base=DEFAULT_BASE_IRI)
 def test_serializer_matches_reference(g, base):
-    assert serialize_ntriples(g, base) == _reference_serialize(g, base)
+    document = _document(g, base)
+    if document is not None:
+        assert document == _reference_serialize(g, base)
 
 
 def test_serializer_escapes_line_breaks_and_controls():
-    g = KnowledgeGraph({}, set(), {("C/x", "p", "\x85\u2028\u2029\x00\x1f\x7f\t\"\\", None)})
+    g = KnowledgeGraph({}, set(), {("C/x", "p", "\x85\u2028\u2029\x00\x1f\x7f\t\"\\")})
     line = (
         '<http://example.org/kg#C/x> <http://example.org/kg#p> '
         '"\\u0085\\u2028\\u2029\\u0000\\u001F\x7f\\t\\"\\\\" .\n'
@@ -238,19 +270,21 @@ def _assert_same_read(text: str, base: str, schema: KGSchema | None) -> None:
         assert (info.value.line, str(info.value)) == (err.line, str(err))
         return
     got = load_ntriples(text, base, schema)
-    assert got == want
+    assert got == _kept(want)
     assert list(got.entities) == list(want.entities)
 
 
 @settings(max_examples=200, deadline=None)
 @given(g=_graphs(), base=_BASES, schema=st.sampled_from([None, _SCHEMA]))
 def test_loader_matches_reference(g, base, schema):
-    text = serialize_ntriples(g, base)
+    text = _document(g, base)
+    if text is None:
+        return
     _assert_same_read(text, base, schema)
     back = load_ntriples(text, base, schema)
     assert back.entities == g.entities
     assert back.object_triples == g.object_triples
-    assert {t[:3] for t in back.literal_triples} == {t[:3] for t in g.literal_triples}
+    assert back.literals == g.literals
 
 
 _GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
@@ -265,9 +299,12 @@ _GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
     bad_line=st.booleans(),
 )
 def test_loader_matches_reference_on_edited_files(g, schema, data, line_end, bad_line):
+    document = _document(g)
+    if document is None:
+        return
     edge = st.sampled_from(["", " ", "\t"])
     lines = []
-    for line in serialize_ntriples(g).splitlines():
+    for line in document.splitlines():
         # subject and predicate hold no space, and every line ends " ."
         subj, pred, rest = line.split(" ", 2)
         obj = rest[:-2]
@@ -308,7 +345,7 @@ def test_load_rejects_blank_class():
 def test_load_decodes_escapes_next_to_the_surrogate_range():
     text = r'<http://example.org/kg#C/x> <http://example.org/kg#p> "\uD7FF\uE000\U0001F600" .' + "\n"
     back = load_ntriples(text)
-    (value,) = {v for _, _, v, _ in back.literal_triples}
+    (value,) = {v for _, _, v in back.literals}
     assert value == "\ud7ff\ue000\U0001f600"
     assert value.encode("utf-8")
 
@@ -338,7 +375,10 @@ _ODD_SPACES = st.text(" \t\x1f\xa0\u3000", max_size=3)
 @settings(max_examples=200, deadline=None)
 @given(g=_graphs(), schema=st.sampled_from([None, _SCHEMA]), data=st.data(), bad_line=st.booleans())
 def test_loader_matches_reference_on_lines_padded_with_unicode_spaces(g, schema, data, bad_line):
-    lines = [data.draw(_ODD_SPACES) + line + data.draw(_ODD_SPACES) for line in serialize_ntriples(g).splitlines()]
+    document = _document(g)
+    if document is None:
+        return
+    lines = [data.draw(_ODD_SPACES) + line + data.draw(_ODD_SPACES) for line in document.splitlines()]
     lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_ODD_SPACES))
     if bad_line:
         lines.insert(data.draw(st.integers(0, len(lines))), "\u3000<http://example.org/kg#C/x> no .\xa0\x1f")
@@ -348,17 +388,17 @@ def test_loader_matches_reference_on_lines_padded_with_unicode_spaces(g, schema,
 def test_loader_keeps_one_object_per_predicate_class_and_source():
     entities = {"A/1": ("A", False), "A/2": ("A", False), "B/1": ("B", False), "_:dummy_A_row1": ("A", True)}
     objects = {("A/1", "rel", "B/1"), ("A/2", "rel", "B/1"), ("_:dummy_A_row1", "rel", "A/1")}
-    literals = {(subj, prop, f"{subj} {prop}", None) for subj in entities for prop in ("p", "q")}
+    literals = {(subj, prop, f"{subj} {prop}") for subj in entities for prop in ("p", "q")}
     back = load_ntriples(serialize_ntriples(KnowledgeGraph(entities, objects, literals)), DEFAULT_BASE_IRI, _SCHEMA)
-    assert {t[:3] for t in back.literal_triples} == {t[:3] for t in literals}
+    assert back.literals == literals
+    # p on the A entities and on B/1; no Main entity holds q
+    assert back.literal_sources == {("t", "a"), ("t", "b")}
     groups = {
-        "predicates": [p for _, p, _, _ in back.literal_triples] + [r for _, r, _ in back.object_triples],
+        "predicates": [p for _, p, _ in back.literals] + [r for _, r, _ in back.object_triples],
         "classes": [cls for cls, _ in back.entities.values()],
         "kinds": list(back.entities.values()),
-        "sources": [src for *_, src in back.literal_triples if src is not None],
-        "names": [*back.entities, *(s for s, _, _, _ in back.literal_triples), *(o for _, _, o in back.object_triples)],
+        "names": [*back.entities, *(s for s, _, _ in back.literals), *(o for _, _, o in back.object_triples)],
     }
-    assert len(groups["sources"]) == 4  # p on the three A entities and on B/1
     for label, values in groups.items():
         assert len({id(v) for v in values}) == len(set(values)), label
 
@@ -387,11 +427,22 @@ def test_sink_gets_the_document_bytes_on_golden_cases(name):
 
 @settings(max_examples=200, deadline=None)
 @given(g=_graphs(), base=_BASES, per_chunk=st.sampled_from([1, 2, 5]))
+@example(
+    g=KnowledgeGraph({"A/0": ("A", False), "A/00": ("A", False)}, set(), {("A/0", "p", "\ud800")}),
+    base=DEFAULT_BASE_IRI,
+    per_chunk=1,
+)
 def test_sink_gets_the_document_in_chunks_of_whole_lines(g, base, per_chunk):
-    document = serialize_ntriples(g, base)
+    document = _document(g, base)
     saved = kggen._CHUNK_LINES
     kggen._CHUNK_LINES = per_chunk
     try:
+        if document is None:
+            chunks: list[str] = []
+            with pytest.raises(ValueError, match="holds a surrogate code point"):
+                serialize_ntriples(g, base, out=SimpleNamespace(write=chunks.append))
+            assert chunks == []
+            return
         chunks = _streamed(g, base)
     finally:
         kggen._CHUNK_LINES = saved
@@ -411,23 +462,25 @@ def test_sink_of_an_empty_graph_gets_no_write():
 
 
 def test_sink_chunks_count_bytes_not_characters():
-    g = KnowledgeGraph({"A/x": ("A", False)}, set(), {("A/x", "p", "grüße ✓ \U0001F600", None)})
+    g = KnowledgeGraph({"A/x": ("A", False)}, set(), {("A/x", "p", "grüße ✓ \U0001F600")})
     document = serialize_ntriples(g)
     size = sum(len(c.encode("utf-8")) for c in _streamed(g))
     assert size == len(document.encode("utf-8")) == len(document) + 1 + 1 + 2 + 3  # ü, ß, ✓, 😀
 
 
-def _same_read_from_file(path, base: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None) -> None:
+def _same_read_from_file(
+    path, base: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None, newline: str | None = None
+) -> None:
     """The graph or the error from the open file equals the one from its text."""
     text = path.read_text(encoding="utf-8-sig")
     try:
         want = load_ntriples(text, base, schema)
     except ParseError as err:
-        with pytest.raises(ParseError) as info, open(path, encoding="utf-8-sig") as fh:
+        with pytest.raises(ParseError) as info, open(path, encoding="utf-8-sig", newline=newline) as fh:
             load_ntriples(fh, base, schema)
         assert (info.value.line, str(info.value)) == (err.line, str(err))
         return
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         got = load_ntriples(fh, base, schema)
     assert got == want
     assert list(got.entities) == list(want.entities)
@@ -453,8 +506,11 @@ _SPLITLINES_ONLY = ["\v", "\x1c", "\x85", "\u2028"]
     bom=st.booleans(),
 )
 def test_loader_reads_drawn_files_as_their_text(tmp_path_factory, g, schema, data, bom):
+    document = _document(g)
+    if document is None:
+        return
     breaks = st.sampled_from(["\n", "\r\n", "\r", *_SPLITLINES_ONLY])
-    lines = serialize_ntriples(g).splitlines()
+    lines = document.splitlines()
     for _ in range(data.draw(st.integers(0, 3))):
         lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", " ", "\t"])))
     if lines and data.draw(st.booleans()):
@@ -473,7 +529,7 @@ def test_loader_reads_drawn_files_as_their_text(tmp_path_factory, g, schema, dat
 def test_loader_reads_a_large_file_in_less_memory_than_the_file(tmp_path):
     entities = {f"A/{i:06d}": ("A", False) for i in range(6000)}
     objects = {(f"A/{i:06d}", "next", f"A/{i + 1:06d}") for i in range(5999)}
-    literals = {(eid, prop, f"{prop} of {eid} ✓", None) for eid in entities for prop in ("p", "q")}
+    literals = {(eid, prop, f"{prop} of {eid} ✓") for eid in entities for prop in ("p", "q")}
     g = KnowledgeGraph(entities, objects, literals)
     path = tmp_path / "kg.nt"
     path.write_text(serialize_ntriples(g).replace("\n", "\r\n"), encoding="utf-8", newline="")
@@ -488,4 +544,44 @@ def test_loader_reads_a_large_file_in_less_memory_than_the_file(tmp_path):
         tracemalloc.stop()
     assert peak - held < size
     assert (back.entities, back.object_triples) == (entities, objects)
-    assert {t[:3] for t in back.literal_triples} == {t[:3] for t in literals}
+    assert back.literals == literals
+
+
+@pytest.mark.parametrize("value", ["\ud800", "a\udfffb", "\n\ud800\\"])
+def test_writer_rejects_a_surrogate_before_writing_anything(value):
+    entities = {f"A/{i}": ("A", False) for i in range(2 * _CHUNK_LINES)}
+    g = KnowledgeGraph(entities, set(), {("A/1", "p", "fine"), ("A/7", "q", value)})
+    message = "literal of 'A/7' 'q' holds a surrogate code point"
+    with pytest.raises(ValueError, match=message):
+        serialize_ntriples(g)
+    chunks: list[str] = []
+    with pytest.raises(ValueError, match=message):
+        serialize_ntriples(g, out=SimpleNamespace(write=chunks.append))
+    assert chunks == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=_graphs(),
+    schema=st.sampled_from([None, _SCHEMA]),
+    data=st.data(),
+    per_block=st.sampled_from([1, 2, 3, kggen._READ_LINES]),
+    newline=st.sampled_from([None, ""]),
+)
+def test_loader_splits_file_lines_in_blocks_as_their_text(tmp_path_factory, g, schema, data, per_block, newline):
+    # newline="" keeps "\r\n" and a lone "\r" at the end of a file line
+    document = _document(g)
+    if document is None:
+        return
+    breaks = st.sampled_from(["\n", "\r\n", "\r", *_SPLITLINES_ONLY])
+    lines = document.splitlines()
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(0, len(lines))), "not a triple")
+    path = tmp_path_factory.mktemp("blocks") / "kg.nt"
+    path.write_bytes("".join(line + data.draw(breaks) for line in lines).encode("utf-8"))
+    saved = kggen._READ_LINES
+    kggen._READ_LINES = per_block
+    try:
+        _same_read_from_file(path, schema=schema, newline=newline)
+    finally:
+        kggen._READ_LINES = saved
