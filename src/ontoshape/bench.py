@@ -2,12 +2,13 @@
 
 Every (attribute count, repetition) cell draws its own attribute sample,
 seeded with the base seed plus the repetition index, and both approaches
-run on that same sample. Timing covers schema building, materialization
-and triples serialization; loading the shared inputs is excluded. The
-storage space is the UTF-8 size of the N-Triples document, counted chunk
-by chunk as the serializer writes it, so no run builds the document. All
-non-timing metrics are deterministic, so a rerun or a reshuffled schedule
-reproduces them exactly.
+run on that same sample. Every cell runs in this process, one after the
+other, so no run is timed while another runs beside it. Timing covers
+schema building, materialization and triples serialization; loading the
+shared inputs is excluded. The storage space is the UTF-8 size of the
+N-Triples document, counted chunk by chunk as the serializer writes it, so
+no run builds the document. All non-timing metrics are deterministic, so a
+rerun reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class ExperimentConfig:
     attribute_counts: tuple[int, ...] = (10, 20, 30, 40, 50, 60)
     repetitions: int = 10
     seed: int = 1
-    approaches: tuple[str, ...] = APPROACHES
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -42,9 +42,6 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.attribute_counts, self.attribute_counts[1:])
         ):
             raise ValueError("attribute_counts must be nonempty and strictly increasing")
-        unknown = set(self.approaches) - set(APPROACHES)
-        if unknown or not self.approaches:
-            raise ValueError(f"approaches must be a nonempty subset of {APPROACHES}")
 
 
 @dataclass(frozen=True)
@@ -93,21 +90,16 @@ def run_one(approach: str, o: Ontology, d: Dataset, m: MappingSet, u: UserInfo) 
     )
 
 
-def _run_cell(args: tuple[Inputs, tuple[str, ...], set[str], int, int, int]) -> list[RunResult]:
-    inputs, approaches, retained, count, rep, seed = args
-    o, d, m, u = inputs
-    sample = subsample_attributes(d, count, retained, seed + rep)
-    return [RunResult(ap, count, rep, run_one(ap, o, sample, m, u)) for ap in approaches]
-
-
 def run_experiment(cfg: ExperimentConfig, inputs: Inputs, jobs: int = 1) -> list[RunResult]:
-    """Run every (count, repetition, approach) combination.
+    """Run every (count, repetition, approach) combination in this process.
 
-    Results come back ordered by count, repetition, then the configured
-    approach order, regardless of the worker count.
+    Each (count, repetition) cell draws its sample once and runs every
+    approach of ``APPROACHES`` on it. Results come back ordered by count,
+    repetition, then ``APPROACHES``. ``jobs`` accepts only 1, the value
+    ``perfbench/pipeline.py`` passes.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}: every cell runs in this process")
     o, d, m, u = inputs
     retained = key_attributes(m, d)
     available = len(d.main.attributes) - len(retained & set(d.main.attributes))
@@ -115,20 +107,12 @@ def run_experiment(cfg: ExperimentConfig, inputs: Inputs, jobs: int = 1) -> list
         raise ValueError(
             f"insufficient attributes: need {max(cfg.attribute_counts)}, have {available} non-key"
         )
-    cells = [
-        (inputs, cfg.approaches, retained, count, rep, cfg.seed)
-        for count in cfg.attribute_counts
-        for rep in range(cfg.repetitions)
-    ]
-    if jobs > 1:
-        # imported here: multiprocessing adds about 1.8 MB of RSS to every process that loads it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_run_cell, cells))
-    else:
-        batches = map(_run_cell, cells)
-    return [result for batch in batches for result in batch]
+    results = []
+    for count in cfg.attribute_counts:
+        for rep in range(cfg.repetitions):
+            sample = subsample_attributes(d, count, retained, cfg.seed + rep)
+            results += [RunResult(ap, count, rep, run_one(ap, o, sample, m, u)) for ap in APPROACHES]
+    return results
 
 
 def aggregate_runs(results: list[RunResult]) -> dict[tuple[str, int], dict[str, float]]:
@@ -149,21 +133,18 @@ def aggregate_runs(results: list[RunResult]) -> dict[tuple[str, int], dict[str, 
 def render_report(agg: dict[tuple[str, int], dict[str, float]]) -> tuple[str, str]:
     """Render aggregates as (CSV document, aligned text table).
 
-    Columns are Set 1..Set N in ascending attribute-count order; rows use
-    the fixed metric labels, one block per approach. A set an approach did
-    not run is empty in the CSV and "-" in the text. When both approaches
-    are present the text report ends with the per-set time ratio.
+    ``agg`` holds every (approach, count) cell of a ``run_experiment``
+    grid. Columns are Set 1..Set N in ascending attribute-count order; rows
+    use the fixed metric labels, one block per approach of ``APPROACHES``.
+    The text report ends with the per-set time ratio, "-" where the reshape
+    time is zero.
     """
-    approaches = [ap for ap in APPROACHES if any(k[0] == ap for k in agg)]
     counts = sorted({count for _, count in agg})
     set_headers = [f"Set {i + 1}" for i in range(len(counts))]
     fmt = metrics.format_value
     cells = {
-        (approach, label): [
-            fmt(agg[approach, count][label]) if (approach, count) in agg else None
-            for count in counts
-        ]
-        for approach in approaches
+        (approach, label): [fmt(agg[approach, count][label]) for count in counts]
+        for approach in APPROACHES
         for label in metrics.ROW_LABELS
     }
 
@@ -171,13 +152,13 @@ def render_report(agg: dict[tuple[str, int], dict[str, float]]) -> tuple[str, st
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["approach", "metric"] + set_headers)
     for (approach, label), row in cells.items():
-        writer.writerow([approach, label] + ["" if c is None else c for c in row])
+        writer.writerow([approach, label] + row)
     csv_doc = buf.getvalue()
 
     label_width = max(len(label) for label in metrics.ROW_LABELS) + 2
     col_width = max(12, max(len(h) for h in set_headers) + 2)
     lines = []
-    for approach in approaches:
+    for approach in APPROACHES:
         lines.append(f"== {approach} ==")
         lines.append(" " * label_width + "".join(h.rjust(col_width) for h in set_headers))
         for section, labels in (
@@ -186,18 +167,13 @@ def render_report(agg: dict[tuple[str, int], dict[str, float]]) -> tuple[str, st
         ):
             lines.append(section)
             for label in labels:
-                row = "".join(("-" if c is None else c).rjust(col_width) for c in cells[approach, label])
+                row = "".join(c.rjust(col_width) for c in cells[approach, label])
                 lines.append(label.ljust(label_width) + row)
         lines.append("")
-    if "baseline" in approaches and "reshape" in approaches:
-        ratios = []
-        for count in counts:
-            b = agg.get(("baseline", count))
-            r = agg.get(("reshape", count))
-            if b is None or r is None or r["time cost (sec)"] == 0:
-                ratios.append("-".rjust(col_width))
-            else:
-                ratios.append(fmt(b["time cost (sec)"] / r["time cost (sec)"]).rjust(col_width))
-        lines.append("time ratio (baseline / reshape)".ljust(label_width) + "".join(ratios))
-        lines.append("")
+    ratios = []
+    for count in counts:
+        b, r = agg["baseline", count]["time cost (sec)"], agg["reshape", count]["time cost (sec)"]
+        ratios.append(("-" if r == 0 else fmt(b / r)).rjust(col_width))
+    lines.append("time ratio (baseline / reshape)".ljust(label_width) + "".join(ratios))
+    lines.append("")
     return csv_doc, "\n".join(lines)

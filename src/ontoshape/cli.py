@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated attribute counts, strictly increasing")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--approaches", default="baseline,reshape")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", required=True, help="output directory for report.csv and report.txt")
     p.set_defaults(func=_cmd_bench)
 
@@ -168,11 +166,10 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_bench(args) -> int:
     counts = tuple(int(c) for c in args.counts.split(",") if c.strip())
-    approaches = tuple(a.strip() for a in args.approaches.split(",") if a.strip())
-    cfg = bench.ExperimentConfig(counts, args.reps, args.seed, approaches)
+    cfg = bench.ExperimentConfig(counts, args.reps, args.seed)
     synth_cfg = syndata.SynthConfig(args.synth_attrs, args.rows, args.chain_depth, args.synth_entities)
     inputs = syndata.generate_synthetic(synth_cfg)
-    results = bench.run_experiment(cfg, inputs, jobs=args.jobs)
+    results = bench.run_experiment(cfg, inputs)
     csv_doc, text_doc = bench.render_report(bench.aggregate_runs(results))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

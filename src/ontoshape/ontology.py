@@ -106,7 +106,7 @@ class Ontology:
         self._succ = {name: tuple(sorted(succ.get(name, ()))) for name in self.classes}
         self._und = {name: tuple(sorted(set(und.get(name, ())))) for name in self.classes}
 
-    def __getstate__(self):  # a proxy cannot be pickled; workers rebuild their own maps
+    def __getstate__(self):  # a proxy cannot be pickled; a copy refills the memo on demand
         return {**self.__dict__, "_dist": {}}
 
 

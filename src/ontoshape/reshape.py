@@ -33,7 +33,7 @@ from urllib.parse import quote, unquote
 
 from .errors import ParseError, SchemaError
 from .mapping import MappingSet, UserInfo
-from .ontology import Ontology, _bfs, shortest_walks, undirected_distances
+from .ontology import _IDENT, _NAME, Ontology, _bfs, shortest_walks, undirected_distances
 from .tabular import Dataset, list_attributes
 
 log = logging.getLogger(__name__)
@@ -115,11 +115,11 @@ def connect_classes(s: KGSchema, o: Ontology, u: UserInfo) -> set[tuple[str, str
     """The edges that wire up the classes of a schema, ``s.edges``
     included, using the ontology as the guide.
 
-    Ordered pairs of distinct declared classes are visited in sorted
-    order. A pair already linked (either direction) is skipped; a direct
-    ontology relation is copied. Without one, when the second class is
-    reachable from the first along edge direction, a matching user
-    connection rule is used, or else both ends hang off the main class.
+    Each declared class, in sorted order, visits the other declared
+    classes it reaches along edge direction, in sorted order; no other
+    pair can get an edge. A pair already linked (either direction) is
+    skipped; a direct ontology relation is copied. Without one, a matching
+    user connection rule is used, or else both ends hang off the main class.
     Classes that finish with no relation at all are linked by a rule that
     names them or to the main class. Last, each part of the schema the main
     class cannot reach over its edges is linked through its smallest class.
@@ -154,28 +154,18 @@ def connect_classes(s: KGSchema, o: Ontology, u: UserInfo) -> set[tuple[str, str
             add(_link_relation(c, u), mc, c)
 
     names = sorted(s.classes)
-    direct = o._direct
     for ci in names:
-        reach = None  # classes ci reaches along edge direction, read on first need
-        for cj in names:
+        if ci not in o.classes:
+            continue
+        for cj in sorted(_bfs(o._succ, ci).keys() & s.classes):
             if ci == cj or frozenset((ci, cj)) in linked:
                 continue
-            if ci not in o.classes or cj not in o.classes:
-                continue
-            rel = direct.get((ci, cj))
-            if rel is not None:
+            rel = o._direct.get((ci, cj)) or rule_for.get((ci, cj))
+            if rel:
                 add(rel, ci, cj)
-                continue
-            # with no direct edge, every path from ci to cj has an intermediate class
-            if reach is None:
-                reach = _bfs(o._succ, ci)
-            if cj in reach:
-                user_rel = rule_for.get((ci, cj))
-                if user_rel is not None:
-                    add(user_rel, ci, cj)
-                else:
-                    ensure_mc_link(ci)
-                    ensure_mc_link(cj)
+            else:
+                ensure_mc_link(ci)
+                ensure_mc_link(cj)
 
     # link every class that still touches no relation
     touched = {f for _, f, _ in edges} | {t for _, _, t in edges}
@@ -274,7 +264,9 @@ def reshape(
     classes.
 
     ``include_unmapped=True`` additionally attaches attributes that have no
-    mapping at all to the main class; by default they are only reported.
+    mapping at all to the main class, as the fallback relation prefix plus
+    the column name; a ``SchemaError`` names the first such attribute whose
+    property would not be an identifier. By default they are only reported.
     """
     mc = u.main_class
     if mc not in o.classes:
@@ -315,7 +307,13 @@ def reshape(
     attachments = assign_data_properties(s, o, m, d)
     for table, attr in unmapped:
         if include_unmapped:
-            attachments.add((u.fallback_relation_prefix + attr, mc, (table, attr)))
+            prop = u.fallback_relation_prefix + attr
+            if not _IDENT.match(prop):
+                raise SchemaError(
+                    f"unmapped attribute {table}.{attr} would attach as {prop!r}, "
+                    f"which is not an identifier ({_NAME}); map it or rename the column"
+                )
+            attachments.add((prop, mc, (table, attr)))
         else:
             log.warning("attribute %s.%s has no mapping and is not represented", table, attr)
     s.data_attachments = attachments
@@ -424,6 +422,7 @@ def parse_schema(text: str) -> KGSchema:
     attachments: set[tuple[str, str, tuple[str, str]]] = set()
     class_keys: dict[str, tuple[str, str]] = {}
     class_tables: dict[str, str] = {}
+    table_class: dict[str, str] = {}  # class_tables inverted, to reject a table named twice
     # (class, line) of every class an objprop, attach, key or table line
     # names; classes may be declared after the lines that use them
     used: list[tuple[str, int]] = []
@@ -452,7 +451,11 @@ def parse_schema(text: str) -> KGSchema:
         elif parts[0] == "table" and len(parts) == 3:
             if parts[1] in class_tables:
                 raise ParseError(f"duplicate table line for {parts[1]}", lineno)
-            class_tables[parts[1]] = unquote(parts[2])
+            table = unquote(parts[2])
+            if table in table_class:
+                raise ParseError(f"table {table!r} is already mapped to {table_class[table]}", lineno)
+            class_tables[parts[1]] = table
+            table_class[table] = parts[1]
             used.append((parts[1], lineno))
         else:
             raise ParseError(f"unrecognized directive {line!r}", lineno)

@@ -20,6 +20,7 @@ import pytest
 from conftest import DATA_2, MAPPINGS_WX, ONTOLOGY_WX, make_dataset2
 
 from ontoshape.bench import (
+    APPROACHES,
     ExperimentConfig,
     aggregate_runs,
     key_attributes,
@@ -105,7 +106,7 @@ def test_criterion_1_worked_example():
 def test_criterion_2_zero_dummies(full_bench):
     with _Criterion(2) as c:
         _, cfg, results, wall = full_bench
-        expected_runs = len(cfg.attribute_counts) * cfg.repetitions * len(cfg.approaches)
+        expected_runs = len(cfg.attribute_counts) * cfg.repetitions * len(APPROACHES)
         assert len(results) == expected_runs
         reshaped = [r for r in results if r.approach == "reshape"]
         assert len(reshaped) == expected_runs // 2

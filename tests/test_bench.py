@@ -42,8 +42,6 @@ def test_config_validation():
         ExperimentConfig(attribute_counts=())
     with pytest.raises(ValueError, match="repetitions"):
         ExperimentConfig(repetitions=0)
-    with pytest.raises(ValueError, match="approaches"):
-        ExperimentConfig(approaches=("magic",))
 
 
 def test_key_attributes(small_inputs):
@@ -70,14 +68,6 @@ def test_run_count_and_order(small_inputs):
     ]
 
 
-def test_single_run(small_inputs):
-    cfg = ExperimentConfig(attribute_counts=(2,), repetitions=1, approaches=("reshape",))
-    results = run_experiment(cfg, small_inputs)
-    assert len(results) == 1
-    assert results[0].approach == "reshape"
-    assert results[0].report.dummy_count == 0
-
-
 def test_runs_are_deterministic_except_time(small_inputs):
     cfg = ExperimentConfig(attribute_counts=(2, 3), repetitions=2, seed=11)
     a = run_experiment(cfg, small_inputs)
@@ -100,23 +90,11 @@ def test_both_approaches_share_the_sample(small_inputs):
         assert reports["baseline"].data_prop_count == reports["reshape"].data_prop_count
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_jobs_below_one_is_rejected(small_inputs, jobs):
+@pytest.mark.parametrize("jobs", [0, -3, 2])
+def test_jobs_other_than_one_is_rejected(small_inputs, jobs):
     cfg = ExperimentConfig(attribute_counts=(2,), repetitions=1)
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
+    with pytest.raises(ValueError, match="jobs must be 1"):
         run_experiment(cfg, small_inputs, jobs=jobs)
-
-
-def test_parallel_jobs_match_sequential(small_inputs):
-    cfg = ExperimentConfig(attribute_counts=(2, 4), repetitions=2, seed=7)
-    seq = run_experiment(cfg, small_inputs)
-    par = run_experiment(cfg, small_inputs, jobs=2)
-    strip = lambda rs: [
-        (r.approach, r.attribute_count, r.repetition,
-         {k: v for k, v in vars(r.report).items() if k != "time_cost_ms"})
-        for r in rs
-    ]
-    assert strip(seq) == strip(par)
 
 
 def test_storage_bytes_are_the_utf8_size_of_the_document(small_inputs):
@@ -254,11 +232,3 @@ def test_render_csv_matches_aggregate_values(small_inputs):
     for row in rows[1:]:
         approach, label, value = row[0], row[1], row[2]
         assert value == f"{agg[(approach, 3)][label]:.4f}"
-
-
-def test_render_single_approach_has_no_ratio_line():
-    agg = aggregate_runs([RunResult("reshape", 10, 0, _report())])
-    csv_doc, text = render_report(agg)
-    assert "time ratio" not in text
-    rows = list(csv.reader(io.StringIO(csv_doc)))
-    assert {r[0] for r in rows[1:]} == {"reshape"}

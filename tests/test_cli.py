@@ -103,15 +103,20 @@ def test_generate_and_metrics(workdir, capsys):
     assert "#entities" in report
 
 
-def test_reshape_include_unmapped_then_generate(workdir):
-    # an unmapped column whose name holds a space becomes the property "hasmy attr"
-    (workdir / "data" / "welding_operation.csv").write_text(
-        "operation_id,program_id,my attr\nop1,pg1,x y\n", encoding="utf-8"
-    )
+def test_reshape_include_unmapped_then_generate(workdir, capsys):
+    csv_file = workdir / "data" / "welding_operation.csv"
     schema_file = workdir / "schema.txt"
     kg_file = workdir / "kg.nt"
+    # a column name with a space would make the property "hasmy attr", which is no identifier
+    csv_file.write_text("operation_id,program_id,my attr\nop1,pg1,x y\n", encoding="utf-8")
+    assert main(_reshape_argv(workdir, schema_file) + ["--include-unmapped"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "welding_operation.my attr" in errors[0]
+    assert not schema_file.exists()
+
+    csv_file.write_text("operation_id,program_id,my_attr\nop1,pg1,x y\n", encoding="utf-8")
     assert main(_reshape_argv(workdir, schema_file) + ["--include-unmapped"]) == 0
-    assert "attach hasmy%20attr WeldingOperation welding_operation.my%20attr" in schema_file.read_text(
+    assert "attach hasmy_attr WeldingOperation welding_operation.my_attr" in schema_file.read_text(
         encoding="utf-8"
     ).splitlines()
     assert main([
@@ -162,7 +167,7 @@ def test_metrics_counts_the_bytes_of_a_crlf_file(workdir, capsys):
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # bench imports the process pool only for --jobs above 1
+    # bench runs every cell in this process and starts no process pool
     src = str(Path(ontoshape.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, ontoshape.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
@@ -352,12 +357,26 @@ def test_bench_bad_counts_is_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bench_jobs_below_one_is_validation_error(tmp_path, capsys, jobs):
+    # bench has no --jobs flag, so a value below one is refused before any cell runs
     argv = [
         "bench", "--synth-attrs", "5", "--rows", "8", "--counts", "2",
         "--reps", "1", "--jobs", jobs, "--out", str(tmp_path / "bench"),
     ]
     assert main(argv) == 1
-    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert f"error: unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--approaches", "reshape"]], ids=["jobs", "approaches"])
+def test_bench_removed_flags_are_usage_errors(tmp_path, capsys, flag):
+    # every cell runs in this process, and both approaches always run
+    argv = [
+        "bench", "--synth-attrs", "5", "--rows", "8", "--counts", "2",
+        "--reps", "1", *flag, "--out", str(tmp_path / "bench"),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in err.splitlines()
     assert not (tmp_path / "bench").exists()
 
 

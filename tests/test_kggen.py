@@ -68,8 +68,9 @@ def test_reshaped_fixture_kg(reshaped, dataset_2, mappings_wx):
     assert ("WeldingProgram/pg1", "hasWeldingProgramID", "pg1") in values
     assert ("WeldingOperation/op1", "hasCurrentMeanValue", "10.5") in values
     assert ("WeldingOperation/op2", "hasCurrentArrayValue", "[3,4]") in values
-    # the key attributes live in entity ids, not literals
-    assert (MC in s for s, _, _ in values)
+    # the main key lives in entity ids, not literals
+    assert ("welding_operation", "operation_id") not in g.literal_sources
+    assert not {"op1", "op2"} & {v for _, _, v in values}
     assert ("welding_operation", "operation_id") in g.key_sources
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 import types
 from collections import Counter
 from urllib.parse import quote
@@ -513,12 +514,20 @@ def test_schema_source_tokens_survive_odd_names(userinfo_main):
         {"weird.table": "WeldingOperation"},
         {("weird.table", "col.with dots"): "V"},
     )
-    # the unmapped column's attach line holds the property "hasmy attr/%"
-    t = Table("weird.table", ["col.with dots", "my attr/%"], [])
+    # the unmapped column attaches as "hasmy_attr"; its source token holds the dotted table name
+    t = Table("weird.table", ["col.with dots", "my_attr"], [])
     d = Dataset({t.name: t}, t.name)
     s = reshape(o, d, m, userinfo_main, include_unmapped=True)
-    assert ("hasmy attr/%", "WeldingOperation", ("weird.table", "my attr/%")) in s.data_attachments
+    assert ("hasmy_attr", "WeldingOperation", ("weird.table", "my_attr")) in s.data_attachments
     assert parse_schema(serialize_schema(s)) == s
+
+
+@pytest.mark.parametrize("column", ["my attr", "attr/%", "é", "x.y"])
+def test_include_unmapped_rejects_a_column_that_makes_no_identifier(userinfo_main, column):
+    o = parse_ontology("class WeldingOperation\n")
+    t = Table("t", [column], [])
+    with pytest.raises(SchemaError, match=re.escape(f"unmapped attribute t.{column} ")):
+        reshape(o, Dataset({"t": t}, "t"), MappingSet({}, {}), userinfo_main, include_unmapped=True)
 
 
 @settings(max_examples=500, deadline=None)
@@ -528,8 +537,9 @@ def test_schema_token_is_quote_with_dots_encoded(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tokens=st.lists(st.text(min_size=1), min_size=3, max_size=3))
+@given(tokens=st.lists(st.text(min_size=1), min_size=3, max_size=3, unique=True))
 def test_attach_key_and_table_tokens_round_trip(tokens):
+    # distinct tokens: M and K name the tables table and attr, and one table maps to one class
     prop, table, attr = tokens
     s = KGSchema(
         "M", {"M", "K"}, {("r", "M", "K")},
@@ -550,6 +560,13 @@ def test_parse_schema_rejects_duplicate_main():
 def test_parse_schema_rejects_duplicate_key_and_table_lines(first, second):
     with pytest.raises(ParseError, match=f"line 4: duplicate {first.split()[0]} line for A"):
         parse_schema(f"main A\nclass A\n{first}\n{second}\n")
+
+
+@pytest.mark.parametrize("second", ["table B t.u", "table B t%2Eu"])
+def test_parse_schema_rejects_a_table_named_by_two_classes(second):
+    # generate_kg would otherwise mint only one of the two classes from the table's rows
+    with pytest.raises(ParseError, match=r"line 5: table 't\.u' is already mapped to A"):
+        parse_schema(f"main A\nclass A\nclass B\ntable A t.u\n{second}\n")
 
 
 def test_parse_schema_requires_main():
