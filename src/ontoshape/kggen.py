@@ -37,8 +37,10 @@ reader rejects an escape that names one.
 Both directions can stream. The writer returns the document, or, given a
 text sink, writes the sorted lines to it a few thousand at a time and never
 builds the whole document. The reader takes the document or any iterable
-of lines, such as an open text file, which it splits a few hundred lines
-at a time, so it never holds the whole text.
+of lines, such as an open text file, and splits either one block at a
+time: about 64k characters of the document, cut after a newline, or a few
+hundred lines of the file. So it never holds the lines of the whole text,
+and an open file is never held whole.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import string
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Protocol
 from urllib.parse import quote
 
@@ -327,16 +329,29 @@ _TYPE_TERM = f"<{RDF_TYPE_IRI}>"
 # split no faster, and blocks of a few hundred kB left the process's peak
 # RSS about 1 MB higher after reading a 5.6 MB file
 _READ_LINES = 256
+# the least number of characters of a document split at once when reading
+_READ_CHARS = 1 << 16
 
 
-def _file_lines(source: Iterable[str]) -> Iterator[str]:
-    """The lines of the text ``source`` yields, split as ``str.splitlines``
-    splits that text. ``source`` must yield whole lines that keep their
-    line ends, as a text file does, so that no break is cut in two; each
-    block of ``_READ_LINES`` of them is joined and split at once."""
+def _text_blocks(text: str) -> Iterator[str]:
+    """``text`` cut after the first newline at least ``_READ_CHARS``
+    characters into each block; a text with no newline there is one block.
+    A cut after a newline is a line boundary for ``str.splitlines``, and
+    keeps a CRLF whole."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_CHARS - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _file_blocks(source: Iterable[str]) -> Iterator[str]:
+    """Blocks of ``_READ_LINES`` lines of ``source``, joined. ``source``
+    must yield whole lines that keep their line ends, as a text file does,
+    so that no break is cut in two."""
     source = iter(source)
     while block := "".join(islice(source, _READ_LINES)):
-        yield from block.splitlines()
+        yield block
 
 
 def load_ntriples(
@@ -345,10 +360,13 @@ def load_ntriples(
     """Read a graph back from N-Triples written by :func:`serialize_ntriples`.
 
     ``source`` is the document or an iterable of its lines that keep their
-    line ends, such as a text file open for reading; either way it is split
+    line ends, such as a text file open for reading. Either way it is split
     into lines as ``str.splitlines`` splits the document, so the graph and
-    the line numbers are the same, and an open file is read a block of
-    lines at a time.
+    the line numbers are the same, one block at a time: the document is cut
+    after the first newline at least ``_READ_CHARS`` characters into each
+    block, or read whole when it has no newline there, and a file is read
+    ``_READ_LINES`` lines at a time. No list of the document's lines is
+    built.
 
     Literal provenance is not stored in the triples. With a schema, each
     distinct (property, owner class) among the literals is credited to the
@@ -359,10 +377,8 @@ def load_ntriples(
     triple, on a blank node as a class, or on a literal with an escape
     N-Triples does not define or that names a surrogate.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = _file_lines(source)
+    blocks = _text_blocks(source) if isinstance(source, str) else _file_blocks(source)
+    lines = chain.from_iterable(map(str.splitlines, blocks))
 
     def local(iri: str) -> str:
         return iri[len(base_iri):] if iri.startswith(base_iri) else iri

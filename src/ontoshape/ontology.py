@@ -25,8 +25,9 @@ The schema builders read the ontology through three maps built once per
 ``Ontology``: ``_direct``, the smallest relation per (domain, range) pair,
 and the sorted successor (``_succ``) and neighbour (``_und``) tuples per
 class. One BFS (``_bfs``) runs over either, following edge direction for
-which classes a class reaches or ignoring it for distances, memoised per
-ontology and read-only. The BFS runs level by level, so every
+which classes a class reaches (``directed_reach``) or ignoring it for
+distances (``undirected_distances``), each memoised per ontology and
+read-only. The BFS runs level by level, so every
 class of a level gets the same hop count. Lexicographically smallest
 shortest walks over those distances stop at reached classes; each step
 takes the first neighbour, in sorted order, that is one hop closer.
@@ -80,6 +81,9 @@ class Ontology:
     _dist: dict[str, MappingProxyType] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _reach: dict[str, frozenset[str]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         self.classes = frozenset(self.classes)
@@ -106,8 +110,8 @@ class Ontology:
         self._succ = {name: tuple(sorted(succ.get(name, ()))) for name in self.classes}
         self._und = {name: tuple(sorted(set(und.get(name, ())))) for name in self.classes}
 
-    def __getstate__(self):  # a proxy cannot be pickled; a copy refills the memo on demand
-        return {**self.__dict__, "_dist": {}}
+    def __getstate__(self):  # a proxy cannot be pickled; a copy refills the memos on demand
+        return {**self.__dict__, "_dist": {}, "_reach": {}}
 
 
 def _check_ident(name: str, lineno: int) -> None:
@@ -210,6 +214,15 @@ def undirected_distances(o: Ontology, source: str) -> MappingProxyType:
         _require_declared(o, source)
         dist = o._dist[source] = MappingProxyType(_bfs(o._und, source))
     return dist
+
+
+def directed_reach(o: Ontology, source: str) -> frozenset[str]:
+    """Every class ``source`` reaches along edge direction, itself included.
+    The BFS runs once per ontology and source."""
+    if (reach := o._reach.get(source)) is None:
+        _require_declared(o, source)
+        reach = o._reach[source] = frozenset(_bfs(o._succ, source))
+    return reach
 
 
 def shortest_walks(o: Ontology, target: str, sources: list[str]) -> set[str]:

@@ -33,7 +33,9 @@ from urllib.parse import quote, unquote
 
 from .errors import ParseError, SchemaError
 from .mapping import MappingSet, UserInfo
-from .ontology import _IDENT, _NAME, Ontology, _bfs, shortest_walks, undirected_distances
+from .ontology import (
+    _IDENT, _NAME, Ontology, _bfs, _check_ident, directed_reach, shortest_walks, undirected_distances,
+)
 from .tabular import Dataset, list_attributes
 
 log = logging.getLogger(__name__)
@@ -157,7 +159,7 @@ def connect_classes(s: KGSchema, o: Ontology, u: UserInfo) -> set[tuple[str, str
     for ci in names:
         if ci not in o.classes:
             continue
-        for cj in sorted(_bfs(o._succ, ci).keys() & s.classes):
+        for cj in sorted(directed_reach(o, ci) & s.classes):
             if ci == cj or frozenset((ci, cj)) in linked:
                 continue
             rel = o._direct.get((ci, cj)) or rule_for.get((ci, cj))
@@ -415,7 +417,13 @@ def _split_source(token: str, lineno: int) -> tuple[str, str]:
 
 
 def parse_schema(text: str) -> KGSchema:
-    """Parse a schema document written by :func:`serialize_schema`."""
+    """Parse a schema document written by :func:`serialize_schema`.
+
+    Every name that goes into an IRI, that is each ``main``, ``class`` and
+    ``objprop`` name and each percent-decoded ``attach`` property, must be
+    an identifier (``[A-Za-z_][A-Za-z0-9_]*``); any other raises
+    :class:`ParseError` with its line. Table and attribute tokens may name
+    anything."""
     main_class = None
     classes: set[str] = set()
     edges: set[tuple[str, str, str]] = set()
@@ -434,14 +442,20 @@ def parse_schema(text: str) -> KGSchema:
         if parts[0] == "main" and len(parts) == 2:
             if main_class is not None:
                 raise ParseError("duplicate main declaration", lineno)
+            _check_ident(parts[1], lineno)
             main_class = parts[1]
         elif parts[0] == "class" and len(parts) == 2:
+            _check_ident(parts[1], lineno)
             classes.add(parts[1])
         elif parts[0] == "objprop" and len(parts) == 4:
+            for name in parts[1:]:
+                _check_ident(name, lineno)
             edges.add((parts[1], parts[2], parts[3]))
             used += [(parts[2], lineno), (parts[3], lineno)]
         elif parts[0] == "attach" and len(parts) == 4:
-            attachments.add((unquote(parts[1]), parts[2], _split_source(parts[3], lineno)))
+            prop = unquote(parts[1])
+            _check_ident(prop, lineno)
+            attachments.add((prop, parts[2], _split_source(parts[3], lineno)))
             used.append((parts[2], lineno))
         elif parts[0] == "key" and len(parts) == 3:
             if parts[1] in class_keys:

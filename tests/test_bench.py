@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from ontoshape import ontology as ontology_module
+from ontoshape import reshape as reshape_module
 from ontoshape.bench import (
     ExperimentConfig,
     RunResult,
@@ -113,15 +114,21 @@ def test_experiment_runs_at_most_one_bfs_per_class(monkeypatch):
     # fresh inputs: the module-scoped ones already hold distance maps
     inputs = generate_synthetic(SMALL)
     calls = []
+    held = []  # every adjacency counted stays alive, so no id is reused
     real = ontology_module._bfs
 
-    def counted(o, source):
-        calls.append(source)
-        return real(o, source)
+    def counted(adj, source):
+        held.append(adj)
+        calls.append((id(adj), source))
+        return real(adj, source)
 
+    # reshape imports _bfs by name, so both modules are patched
     monkeypatch.setattr(ontology_module, "_bfs", counted)
+    monkeypatch.setattr(reshape_module, "_bfs", counted)
     run_experiment(ExperimentConfig(attribute_counts=(2, 4), repetitions=2, seed=5), inputs)
-    assert calls
+    o = inputs[0]
+    assert {source for adj_id, source in calls if adj_id == id(o._succ)}
+    assert {source for adj_id, source in calls if adj_id == id(o._und)}
     assert max(Counter(calls).values()) == 1
 
 

@@ -547,6 +547,27 @@ def test_loader_reads_a_large_file_in_less_memory_than_the_file(tmp_path):
     assert back.literals == literals
 
 
+def test_loader_reads_a_large_text_in_less_memory_than_the_text():
+    # the text twin of the test above: the document is held by the caller,
+    # and the read must not add a list of all its lines beside it
+    entities = {f"A/{i:06d}": ("A", False) for i in range(6000)}
+    objects = {(f"A/{i:06d}", "next", f"A/{i + 1:06d}") for i in range(5999)}
+    literals = {(eid, prop, f"{prop} of {eid} ✓") for eid in entities for prop in ("p", "q")}
+    g = KnowledgeGraph(entities, objects, literals)
+    text = serialize_ntriples(g).replace("\n", "\r\n")
+    size = len(text.encode("utf-8"))
+    assert size >= 1_000_000
+    tracemalloc.start()
+    try:
+        back = load_ntriples(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < size
+    assert (back.entities, back.object_triples) == (entities, objects)
+    assert back.literals == literals
+
+
 @pytest.mark.parametrize("value", ["\ud800", "a\udfffb", "\n\ud800\\"])
 def test_writer_rejects_a_surrogate_before_writing_anything(value):
     entities = {f"A/{i}": ("A", False) for i in range(2 * _CHUNK_LINES)}
@@ -585,3 +606,36 @@ def test_loader_splits_file_lines_in_blocks_as_their_text(tmp_path_factory, g, s
         _same_read_from_file(path, schema=schema, newline=newline)
     finally:
         kggen._READ_LINES = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=_graphs(),
+    schema=st.sampled_from([None, _SCHEMA]),
+    data=st.data(),
+    per_block=st.sampled_from([1, 2, 3, kggen._READ_CHARS]),
+)
+def test_loader_splits_text_in_blocks_as_its_lines(g, schema, data, per_block):
+    # small blocks make every line longer than a block, and put cuts right
+    # after a CRLF, a lone CR or a break only str.splitlines knows
+    document = _document(g)
+    if document is None:
+        return
+    breaks = st.sampled_from(["\n", "\r\n", "\r", *_SPLITLINES_ONLY])
+    lines = document.splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        filler = st.sampled_from(["", " ", "\t", "not a triple"])
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(filler))
+    if lines and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        cut = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:cut] + data.draw(st.sampled_from(_SPLITLINES_ONLY)) + lines[i][cut:]
+    text = "".join(line + data.draw(breaks) for line in lines)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\n\r\v\x1c\x85\u2028")  # no final line break
+    saved = kggen._READ_CHARS
+    kggen._READ_CHARS = per_block
+    try:
+        _assert_same_read(text, DEFAULT_BASE_IRI, schema)
+    finally:
+        kggen._READ_CHARS = saved

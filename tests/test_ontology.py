@@ -20,6 +20,7 @@ from ontoshape import ontology as ontology_module
 from ontoshape.errors import ParseError
 from ontoshape.ontology import (
     Ontology,
+    directed_reach,
     parse_ontology,
     serialize_ontology,
     shortest_walks,
@@ -125,15 +126,10 @@ def test_direct_relation_parallel_edges_pick_smallest():
     assert o._direct[("A", "B")] == "aa"
 
 
-def _reach(o, src):
-    """Classes ``src`` reaches along edge direction, itself included."""
-    return set(ontology_module._bfs(o._succ, src))
-
-
 def test_directed_reach_follows_edge_direction(ontology_w):
-    assert "CurrentMeanValue" in _reach(ontology_w, "WeldingOperation")
-    assert _reach(ontology_w, "CurrentMeanValue") == {"CurrentMeanValue"}
-    assert _reach(ontology_w, "MeasurementModule") == {
+    assert "CurrentMeanValue" in directed_reach(ontology_w, "WeldingOperation")
+    assert directed_reach(ontology_w, "CurrentMeanValue") == {"CurrentMeanValue"}
+    assert directed_reach(ontology_w, "MeasurementModule") == {
         "MeasurementModule", "OperationCurveCurrent", "CurrentMeanValue", "CurrentArrayValue"
     }
 
@@ -143,8 +139,8 @@ def test_indirect_cycle_does_not_fake_a_path():
     o = parse_ontology(
         "class U\nclass V\nclass W\nobjprop a U W\nobjprop b W U\nobjprop c U V\nobjprop d V V\n"
     )
-    assert _reach(o, "U") == _reach(o, "W") == {"U", "V", "W"}
-    assert _reach(o, "V") == {"V"}
+    assert directed_reach(o, "U") == directed_reach(o, "W") == {"U", "V", "W"}
+    assert directed_reach(o, "V") == {"V"}
 
 
 def test_direct_and_indirect_are_independent():
@@ -152,7 +148,7 @@ def test_direct_and_indirect_are_independent():
     o = parse_ontology(text + "objprop d A B\n")
     assert o._direct[("A", "B")] == "d"
     # B stays reachable through C once the direct edge is gone
-    assert "B" in _reach(o, "A") and "B" in _reach(parse_ontology(text), "A")
+    assert "B" in directed_reach(o, "A") and "B" in directed_reach(parse_ontology(text), "A")
 
 
 def _shortest_path(o, src, dst):
@@ -229,7 +225,7 @@ def test_shortest_path_matches_exhaustive_enumeration(o):
 def test_indirect_relation_matches_simple_path_oracle(o):
     pool = sorted(o.classes)
     for src in pool:
-        reach = _reach(o, src)
+        reach = directed_reach(o, src)
         for dst in pool:
             paths = _enumerate_simple_paths(o, src, dst)
             assert (dst in reach) == bool(paths)
@@ -320,6 +316,9 @@ def test_distance_memo_matches_a_fresh_bfs_on_every_call(o):
             got = undirected_distances(o, c)
             assert dict(got) == ontology_module._bfs(o._und, c)
             assert got is undirected_distances(o, c)
+            reach = directed_reach(o, c)
+            assert reach == set(ontology_module._bfs(o._succ, c))
+            assert reach is directed_reach(o, c)
 
 
 def test_distance_map_is_read_only(ontology_w):
@@ -335,11 +334,14 @@ def test_equality_and_pickle_ignore_the_distance_memo():
     warm = parse_ontology(ONTOLOGY_W)
     for c in sorted(warm.classes):
         undirected_distances(warm, c)
+        directed_reach(warm, c)
     cold = parse_ontology(ONTOLOGY_W)
     assert warm == cold
     back = pickle.loads(pickle.dumps(warm))
     assert back == warm
     assert back._dist == {} and len(warm._dist) == len(warm.classes)
+    assert back._reach == {} and len(warm._reach) == len(warm.classes)
+    assert directed_reach(back, "WeldingOperation") == directed_reach(warm, "WeldingOperation")
     assert undirected_distances(back, "WeldingOperation") == undirected_distances(warm, "WeldingOperation")
 
 

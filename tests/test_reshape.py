@@ -6,7 +6,7 @@ import logging
 import re
 import types
 from collections import Counter
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 
 import pytest
 from hypothesis import given, settings
@@ -537,10 +537,15 @@ def test_schema_token_is_quote_with_dots_encoded(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tokens=st.lists(st.text(min_size=1), min_size=3, max_size=3, unique=True))
-def test_attach_key_and_table_tokens_round_trip(tokens):
-    # distinct tokens: M and K name the tables table and attr, and one table maps to one class
-    prop, table, attr = tokens
+@given(
+    prop=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+    tokens=st.lists(st.text(min_size=1), min_size=2, max_size=2, unique=True),
+)
+def test_attach_key_and_table_tokens_round_trip(prop, tokens):
+    # a property goes into an IRI, so it is an identifier; table and attribute
+    # tokens are any text. They are distinct: M and K name the tables table
+    # and attr, and one table maps to one class
+    table, attr = tokens
     s = KGSchema(
         "M", {"M", "K"}, {("r", "M", "K")},
         {(prop, "M", (table, attr)), ("p", "K", (attr, table))},
@@ -549,6 +554,17 @@ def test_attach_key_and_table_tokens_round_trip(tokens):
     text = serialize_schema(s)
     assert parse_schema(text) == s
     assert serialize_schema(parse_schema(text)) == text
+
+
+@pytest.mark.parametrize("name", ["has%20x", "a>b", "é"])
+@pytest.mark.parametrize(
+    "line", ["attach {} M t.a", "main {}", "class {}", "objprop {} M M", "objprop r {} M", "objprop r M {}"]
+)
+def test_parse_schema_rejects_a_name_that_is_no_identifier(line, name):
+    # the attach property is percent-decoded first: has%20x names "has x"
+    bad = unquote(name) if line.startswith("attach") else name
+    with pytest.raises(ParseError, match=f"line 2: invalid identifier {re.escape(repr(bad))}"):
+        parse_schema("class M\n" + line.format(name) + "\nmain M\n")
 
 
 def test_parse_schema_rejects_duplicate_main():
