@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--schema", required=True, help="schema file")
     _add_input_flags(p, ontology=False)
     p.add_argument("--base-iri", default=kggen.DEFAULT_BASE_IRI,
-                   help="IRI prefix, must end with '#' or '/'")
+                   help="IRI prefix, must end with '#' or '/' and be a valid N-Triples IRI")
     p.add_argument("--out", required=True, help="N-Triples output file")
     p.set_defaults(func=_cmd_generate)
 
@@ -152,8 +152,8 @@ def _cmd_generate(args) -> int:
 def _cmd_metrics(args) -> int:
     schema = parse_schema(_read_text(args.schema))
     mappings, dataset = _load_tables(args)
-    with open(args.kg, encoding="utf-8-sig") as lines:
-        graph = kggen.load_ntriples(lines, args.base_iri, schema)
+    with open(args.kg, encoding="utf-8-sig") as kg:
+        graph = kggen.load_ntriples(kg, args.base_iri, schema)
     size = Path(args.kg).stat().st_size  # the size on disk, line endings included
     report = metrics.build_report(graph, schema, dataset, mappings, schema.main_class, storage_bytes=size)
     rendered = metrics.report_text(report)

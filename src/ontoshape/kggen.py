@@ -36,11 +36,9 @@ reader rejects an escape that names one.
 
 Both directions can stream. The writer returns the document, or, given a
 text sink, writes the sorted lines to it a few thousand at a time and never
-builds the whole document. The reader takes the document or any iterable
-of lines, such as an open text file, and splits either one block at a
-time: about 64k characters of the document, cut after a newline, or a few
-hundred lines of the file. So it never holds the lines of the whole text,
-and an open file is never held whole.
+builds the whole document. The reader takes the document or an open text
+file 64k characters at a time, cut after their last newline, so it never
+holds the lines of the whole text, and never holds an open file whole.
 """
 
 from __future__ import annotations
@@ -49,23 +47,20 @@ import logging
 import re
 import string
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Protocol
-from urllib.parse import quote
+from functools import partial
+from typing import Protocol, TextIO
 
 from .errors import DatasetError, ParseError, SchemaError
 from .mapping import MappingSet
-from .reshape import KGSchema
+from .reshape import KGSchema, _percent_encode
 from .tabular import Dataset
 
 log = logging.getLogger(__name__)
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 DEFAULT_BASE_IRI = "http://example.org/kg#"
-
-_PLAIN_KEY = re.compile(r"[A-Za-z0-9_.\-~]+\Z")
 
 
 @dataclass
@@ -101,9 +96,7 @@ def mint_entity_id(class_name: str, key: str) -> str:
     minted by :func:`generate_kg` itself."""
     if not key:
         raise ValueError("entity key material must be nonempty")
-    if _PLAIN_KEY.match(key):
-        return f"{class_name}/{key}"
-    return f"{class_name}/{quote(key, safe='')}"
+    return f"{class_name}/{_percent_encode(key)}"
 
 
 def _check_schema_sources(s: KGSchema, d: Dataset) -> None:
@@ -230,6 +223,9 @@ _ESCAPES = str.maketrans({
 # surrogate, which the writer rejects
 _NEEDS_ESCAPE = re.compile(f"[{re.escape(''.join(map(chr, _ESCAPES)))}\ud800-\udfff]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# what N-Triples forbids in an IRI besides "<" and ">": controls, space, "{}|^`
+# and the backslash, which would start an escape the writer never writes
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20"{}|^`\\]')
 
 
 # N-Triples' ECHAR set; \u and \U are decoded separately
@@ -281,7 +277,8 @@ def serialize_ntriples(
     literal is one line, and each entity's term is formatted once. The
     output is byte stable for a given graph. A literal holding a surrogate
     code point, which UTF-8 cannot encode, raises ``ValueError`` naming its
-    subject and property before anything is returned or written.
+    subject and property before anything is returned or written, as does a
+    base IRI that N-Triples forbids or that ends in neither ``#`` nor ``/``.
 
     Without ``out`` the document is returned. With ``out``, the same text
     goes to ``out.write`` in chunks of up to ``_CHUNK_LINES`` whole lines,
@@ -290,6 +287,8 @@ def serialize_ntriples(
     """
     if not base_iri.endswith(("#", "/")):
         raise ValueError("base IRI must end with '#' or '/'")
+    if _IRI_FORBIDDEN.search(base_iri) or "<" in base_iri or ">" in base_iri:
+        raise ValueError(f"base IRI {base_iri!r} holds a character N-Triples forbids in an IRI")
 
     def term(local: str) -> str:
         if local.startswith("_:"):
@@ -325,48 +324,37 @@ _NT_LINE = re.compile(
     r'\s*(<[^>]*>|_:\S+)\s+(<[^>]*>)\s+(<[^>]*>|_:\S+|"[^"\\]*(?:\\.[^"\\]*)*")\s*\.\s*\Z'
 )
 _TYPE_TERM = f"<{RDF_TYPE_IRI}>"
-# file lines joined into one string per split when reading: a few thousand
-# split no faster, and blocks of a few hundred kB left the process's peak
-# RSS about 1 MB higher after reading a 5.6 MB file
-_READ_LINES = 256
-# the least number of characters of a document split at once when reading
+# the characters taken from a document, or read from a file, per piece when reading
 _READ_CHARS = 1 << 16
 
 
-def _text_blocks(text: str) -> Iterator[str]:
-    """``text`` cut after the first newline at least ``_READ_CHARS``
-    characters into each block; a text with no newline there is one block.
-    A cut after a newline is a line boundary for ``str.splitlines``, and
-    keeps a CRLF whole."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _READ_CHARS - 1) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def _file_blocks(source: Iterable[str]) -> Iterator[str]:
-    """Blocks of ``_READ_LINES`` lines of ``source``, joined. ``source``
-    must yield whole lines that keep their line ends, as a text file does,
-    so that no break is cut in two."""
-    source = iter(source)
-    while block := "".join(islice(source, _READ_LINES)):
-        yield block
+def _blocks(source: str | TextIO) -> Iterator[str]:
+    """``source`` in pieces of ``_READ_CHARS`` characters, each cut after
+    its last newline, the rest carried into the next block. A cut after a
+    newline is a ``str.splitlines`` boundary and keeps a CRLF whole. The
+    carried parts are joined once, so a source without newlines is copied
+    once, not once per piece."""
+    if isinstance(source, str):
+        pieces = (source[i:i + _READ_CHARS] for i in range(0, len(source), _READ_CHARS))
+    else:
+        pieces = iter(partial(source.read, _READ_CHARS), "")
+    carried: list[str] = []
+    for piece in pieces:
+        if cut := piece.rfind("\n") + 1:
+            yield "".join([*carried, piece[:cut]])
+            carried = []
+        carried.append(piece[cut:])
+    yield "".join(carried)
 
 
 def load_ntriples(
-    source: str | Iterable[str], base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None
+    source: str | TextIO, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None
 ) -> KnowledgeGraph:
     """Read a graph back from N-Triples written by :func:`serialize_ntriples`.
 
-    ``source`` is the document or an iterable of its lines that keep their
-    line ends, such as a text file open for reading. Either way it is split
-    into lines as ``str.splitlines`` splits the document, so the graph and
-    the line numbers are the same, one block at a time: the document is cut
-    after the first newline at least ``_READ_CHARS`` characters into each
-    block, or read whole when it has no newline there, and a file is read
-    ``_READ_LINES`` lines at a time. No list of the document's lines is
-    built.
+    ``source`` is the document or a text file open for reading, read in
+    ``_blocks`` and split into lines as ``str.splitlines`` splits the whole
+    document, whose list of lines is never built.
 
     Literal provenance is not stored in the triples. With a schema, each
     distinct (property, owner class) among the literals is credited to the
@@ -374,49 +362,63 @@ def load_ntriples(
     ``key_sources`` is taken from the schema's key declarations of the
     classes present. Without a schema both source sets stay empty. Raises
     :class:`ParseError` with the line number on a line that is not a
-    triple, on a blank node as a class, or on a literal with an escape
-    N-Triples does not define or that names a surrogate.
+    triple, on an IRI holding a character N-Triples forbids there (a
+    control, a space, a backquote, a backslash or one of ``<>"{}|^``), on a
+    blank node as a class, or on a literal with an escape N-Triples does
+    not define or that names a surrogate.
     """
-    blocks = _text_blocks(source) if isinstance(source, str) else _file_blocks(source)
-    lines = chain.from_iterable(map(str.splitlines, blocks))
-
-    def local(iri: str) -> str:
-        return iri[len(base_iri):] if iri.startswith(base_iri) else iri
-
     # one string per name, one tuple per class and per source, however many lines repeat it
     names: dict[str, str] = {}
+    # the IRI terms first named in this block
+    fresh: list[str] = []
 
     def name(term: str) -> str:
-        names[term] = got = term if term[0] == "_" else local(term[1:-1])
+        if term[0] == "<":
+            fresh.append(term)
+        names[term] = got = term if term[0] == "_" else term[1:-1].removeprefix(base_iri)
         return got
 
     kinds: dict[tuple[str, bool], tuple[str, bool]] = {}
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
     literals: set[tuple[str, str, str]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        match = _NT_LINE.match(raw)
-        if match is None:
-            line = raw.strip()
-            if not line:
-                continue
-            raise ParseError(f"not a recognized triple: {line!r}", lineno)
-        subj_t, pred_t, obj_t = match.groups()
-        subj = names.get(subj_t) or name(subj_t)
-        if obj_t[0] == '"':
-            value = obj_t[1:-1]
-            if "\\" in value:
-                value = _unescape_literal(value, lineno)
-            literals.add((subj, names.get(pred_t) or name(pred_t), value))
-        elif pred_t == _TYPE_TERM:
-            if obj_t[0] == "_":
-                raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
-            key = (obj_t, subj_t[0] == "_")
-            if key not in kinds:
-                kinds[key] = (names.get(obj_t) or name(obj_t), key[1])
-            entities[subj] = kinds[key]
-        else:
-            objects.add((subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)))
+    lineno = 0
+    for lines in map(str.splitlines, _blocks(source)):
+        start = lineno + 1
+        try:
+            for lineno, raw in enumerate(lines, start):
+                match = _NT_LINE.match(raw)
+                if match is None:
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    raise ParseError(f"not a recognized triple: {line!r}", lineno)
+                subj_t, pred_t, obj_t = match.groups()
+                subj = names.get(subj_t) or name(subj_t)
+                if obj_t[0] == '"':
+                    value = obj_t[1:-1]
+                    if "\\" in value:
+                        value = _unescape_literal(value, lineno)
+                    literals.add((subj, names.get(pred_t) or name(pred_t), value))
+                elif pred_t == _TYPE_TERM:
+                    if obj_t[0] == "_":
+                        raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
+                    key = (obj_t, subj_t[0] == "_")
+                    if key not in kinds:
+                        kinds[key] = (names.get(obj_t) or name(obj_t), key[1])
+                    entities[subj] = kinds[key]
+                else:
+                    objects.add((subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)))
+        finally:
+            # one search over the block's new IRIs, also before another error in it;
+            # no term holds ">", so a "<" past each term's first is a fault
+            if _IRI_FORBIDDEN.search(joined := "".join(fresh)) or joined.count("<") != len(fresh):
+                bad = next(term for term in fresh if _IRI_FORBIDDEN.search(term) or term.count("<") > 1)
+                # the first line holding it as a term named it: each line before named all its terms
+                matches = (_NT_LINE.match(raw) for raw in lines)
+                line = next(n for n, m in enumerate(matches, start) if m and bad in m.groups())
+                raise ParseError(f"IRI {bad!r} holds a character N-Triples forbids", line)
+            fresh.clear()
 
     if schema is None:
         return KnowledgeGraph(entities, objects, literals)

@@ -27,10 +27,12 @@ and the sorted successor (``_succ``) and neighbour (``_und``) tuples per
 class. One BFS (``_bfs``) runs over either, following edge direction for
 which classes a class reaches (``directed_reach``) or ignoring it for
 distances (``undirected_distances``), each memoised per ontology and
-read-only. The BFS runs level by level, so every
-class of a level gets the same hop count. Lexicographically smallest
-shortest walks over those distances stop at reached classes; each step
-takes the first neighbour, in sorted order, that is one hop closer.
+read-only. The BFS runs level by level from all its sources at once, so
+every class of a level gets the same hop count, from the nearest source;
+``reshape`` finds owners by one unmemoised BFS from all its schema
+classes. Lexicographically smallest shortest walks over the memoised
+distances stop at reached classes; each step takes the first neighbour,
+in sorted order, that is one hop closer.
 
 Ontology values are treated as immutable once constructed; all query
 functions are pure up to memoisation.
@@ -110,9 +112,6 @@ class Ontology:
         self._succ = {name: tuple(sorted(succ.get(name, ()))) for name in self.classes}
         self._und = {name: tuple(sorted(set(und.get(name, ())))) for name in self.classes}
 
-    def __getstate__(self):  # a proxy cannot be pickled; a copy refills the memos on demand
-        return {**self.__dict__, "_dist": {}, "_reach": {}}
-
 
 def _check_ident(name: str, lineno: int) -> None:
     if not _IDENT.match(name):
@@ -189,11 +188,12 @@ def _require_declared(o: Ontology, *names: str) -> None:
             raise ValueError(f"undeclared class {name}")
 
 
-def _bfs(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
-    """Hop count from ``source`` to every class reachable in ``adj``: pass
-    ``Ontology._succ`` to follow edge direction, ``Ontology._und`` to ignore it."""
-    dist = {source: 0}
-    level = [source]
+def _bfs(adj: Mapping[str, Iterable[str]], *sources: str) -> dict[str, int]:
+    """Hop count from the nearest of ``sources`` to every class reachable in
+    ``adj``, in the order the BFS reaches them: pass ``Ontology._succ`` to
+    follow edge direction, ``Ontology._und`` to ignore it."""
+    dist = dict.fromkeys(sources, 0)
+    level = list(dist)
     hops = 0
     while level:
         hops += 1

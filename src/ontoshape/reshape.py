@@ -211,15 +211,20 @@ def assign_data_properties(
     the others attach to their entity class. Every other attribute mapped
     to an ontology class attaches to the schema class nearest to it
     (undirected distance in ``o``; ties prefer the main class, then the
-    lexicographically smallest name). Attributes mapped to names the
-    ontology does not declare fall back to the main class with a warning.
+    lexicographically smallest name), found by one BFS from every schema
+    class. Attributes mapped to names the ontology does not declare, or
+    that no schema class reaches, fall back to the main class with a warning.
     """
     attachments = set()
     key_owner = {src: cls for cls, src in s.class_keys.items()}
     mc = s.main_class
-    # undirected distance is symmetric: one BFS per schema class answers
-    # every attribute
-    dist_from = {c: undirected_distances(o, c) for c in sorted(s.classes) if c in o.classes}
+    # each class the BFS reaches takes the least (c != mc, c) of its neighbours
+    # one hop closer: its nearest schema classes are the union of theirs
+    near = {c: (c != mc, c) for c in sorted(s.classes) if c in o.classes}
+    dist = _bfs(o._und, *near)
+    for c, k in dist.items():
+        if c not in near:
+            near[c] = min(near[n] for n in o._und[c] if dist[n] == k - 1)
 
     for table, attr in list_attributes(d):
         cp = m.attribute_map.get((table, attr))
@@ -230,20 +235,10 @@ def assign_data_properties(
             if keyed_class != mc:
                 attachments.add(("has" + cp, keyed_class, (table, attr)))
             continue
-        if cp in o.classes:
-            near = [(dist[cp], c != mc, c) for c, dist in dist_from.items() if cp in dist]
-            if not near:
-                log.warning(
-                    "attribute %s.%s maps to %s which no schema class can reach; attaching to %s",
-                    table, attr, cp, mc,
-                )
-            attachments.add(("has" + cp, min(near)[2] if near else mc, (table, attr)))
-        else:
-            log.warning(
-                "attribute %s.%s maps to %s which is not a declared class; attaching to %s",
-                table, attr, cp, mc,
-            )
-            attachments.add(("has" + cp, mc, (table, attr)))
+        if cp not in near:  # near holds declared classes only
+            why = "no schema class can reach" if cp in o.classes else "is not a declared class"
+            log.warning("attribute %s.%s maps to %s which %s; attaching to %s", table, attr, cp, why, mc)
+        attachments.add(("has" + cp, near.get(cp, (True, mc))[1], (table, attr)))
     return attachments
 
 
@@ -383,15 +378,17 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
 # ---------------------------------------------------------------------------
 # schema text format
 
-# the tokens quote(token, safe="_-") returns unchanged, less "."
-_PLAIN_TOKEN = re.compile(r"[A-Za-z0-9_\-~]*\Z")
+# the text quote(text, safe="") returns unchanged; _percent_encode is the
+# one encoding of entity keys and schema tokens
+_PLAIN = re.compile(r"[A-Za-z0-9_.\-~]*\Z")
+
+
+def _percent_encode(text: str) -> str:
+    return text if _PLAIN.match(text) else quote(text, safe="")
 
 
 def _enc(token: str) -> str:
-    if _PLAIN_TOKEN.match(token):
-        return token
-    # quote keeps ".", which separates table from attribute in source tokens
-    return quote(token, safe="_-").replace(".", "%2E")
+    return _percent_encode(token).replace(".", "%2E")  # "." ends a source token's table
 
 
 def serialize_schema(s: KGSchema) -> str:

@@ -113,23 +113,35 @@ def test_storage_bytes_are_the_utf8_size_of_the_document(small_inputs):
 def test_experiment_runs_at_most_one_bfs_per_class(monkeypatch):
     # fresh inputs: the module-scoped ones already hold distance maps
     inputs = generate_synthetic(SMALL)
-    calls = []
+    o = inputs[0]
+    calls = []  # every other BFS run, as (adjacency, sources)
+    owner_runs = []  # the seeds of each BFS reshape runs over the ontology's neighbours
     held = []  # every adjacency counted stays alive, so no id is reused
     real = ontology_module._bfs
 
-    def counted(adj, source):
+    def counted(adj, *sources):
         held.append(adj)
-        calls.append((id(adj), source))
-        return real(adj, source)
+        calls.append((id(adj), sources))
+        return real(adj, *sources)
+
+    def counted_in_reshape(adj, *sources):
+        if adj is o._und:
+            owner_runs.append(sources)
+            return real(adj, *sources)
+        return counted(adj, *sources)
 
     # reshape imports _bfs by name, so both modules are patched
     monkeypatch.setattr(ontology_module, "_bfs", counted)
-    monkeypatch.setattr(reshape_module, "_bfs", counted)
-    run_experiment(ExperimentConfig(attribute_counts=(2, 4), repetitions=2, seed=5), inputs)
-    o = inputs[0]
-    assert {source for adj_id, source in calls if adj_id == id(o._succ)}
-    assert {source for adj_id, source in calls if adj_id == id(o._und)}
+    monkeypatch.setattr(reshape_module, "_bfs", counted_in_reshape)
+    cfg = ExperimentConfig(attribute_counts=(2, 4), repetitions=2, seed=5)
+    run_experiment(cfg, inputs)
+    assert {sources for adj_id, sources in calls if adj_id == id(o._succ)}
+    assert {sources for adj_id, sources in calls if adj_id == id(o._und)}
+    assert all(len(sources) == 1 for _, sources in calls)
     assert max(Counter(calls).values()) == 1
+    # one owner BFS per reshape call, the main class among its seeds
+    assert len(owner_runs) == len(cfg.attribute_counts) * cfg.repetitions
+    assert all(inputs[3].main_class in sources for sources in owner_runs)
 
 
 def test_insufficient_attributes(small_inputs):

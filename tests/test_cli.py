@@ -103,6 +103,24 @@ def test_generate_and_metrics(workdir, capsys):
     assert "#entities" in report
 
 
+def test_generate_rejects_a_base_iri_n_triples_forbids(workdir, capsys):
+    schema_file = workdir / "schema.txt"
+    kg_file = workdir / "kg.nt"
+    assert main(_reshape_argv(workdir, schema_file)) == 0
+    capsys.readouterr()
+    assert main([
+        "generate",
+        "-s", str(schema_file),
+        "-d", str(workdir / "data"),
+        "-m", str(workdir / "mappings.csv"),
+        "--base-iri", "http://x y/",
+        "--out", str(kg_file),
+    ]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: base IRI 'http://x y/' holds a character N-Triples forbids in an IRI"]
+    assert not kg_file.exists()
+
+
 def test_reshape_include_unmapped_then_generate(workdir, capsys):
     csv_file = workdir / "data" / "welding_operation.csv"
     schema_file = workdir / "schema.txt"

@@ -128,9 +128,15 @@ _REF_NT_LINE = re.compile(
 )
 
 
+# what N-Triples' IRIREF forbids: #x00-#x20 and <>"{}|^`\ (no UCHAR is written)
+_REF_IRI_FORBIDDEN = {chr(c) for c in range(0x21)} | set('<>"{}|^`\\')
+
+
 def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None) -> KnowledgeGraph:
     def local(iri: str) -> str:
         name = iri[1:-1]
+        if _REF_IRI_FORBIDDEN.intersection(name):
+            raise ParseError(f"IRI {iri!r} holds a character N-Triples forbids", lineno)
         return name[len(base_iri):] if name.startswith(base_iri) else name
 
     entities: dict[str, tuple[str, bool]] = {}
@@ -146,16 +152,15 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchem
         subj_t, pred_iri, obj_t = match.groups()
         subj = subj_t if subj_t.startswith("_:") else local(subj_t)
         if obj_t.startswith('"'):
-            raw_literals.append((subj, local(f"<{pred_iri}>"), _reference_unescape(obj_t[1:-1], lineno)))
+            value = _reference_unescape(obj_t[1:-1], lineno)
+            raw_literals.append((subj, local(f"<{pred_iri}>"), value))
         elif pred_iri == RDF_TYPE_IRI:
             if obj_t.startswith("_:"):
                 raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
-            cls = obj_t[1:-1]
-            cls = cls[len(base_iri):] if cls.startswith(base_iri) else cls
-            entities[subj] = (cls, subj.startswith("_:"))
+            entities[subj] = (local(obj_t), subj.startswith("_:"))
         else:
-            obj = obj_t if obj_t.startswith("_:") else local(obj_t)
-            objects.add((subj, local(f"<{pred_iri}>"), obj))
+            pred = local(f"<{pred_iri}>")
+            objects.add((subj, pred, obj_t if obj_t.startswith("_:") else local(obj_t)))
 
     source_of: dict[tuple[str, str], tuple[str, str]] = {}
     if schema is not None:
@@ -340,6 +345,81 @@ def test_load_rejects_blank_class():
     with pytest.raises(ParseError, match="line 2: blank node _:abc cannot be a class"):
         load_ntriples(text)
     _assert_same_read(text, DEFAULT_BASE_IRI, None)
+
+
+# every character IRIREF forbids that can stand inside a term of one line:
+# line breaks would split it, and ">" would end it
+_FORBIDDEN_IN_A_TERM = [c for c in _REF_IRI_FORBIDDEN if c != ">" and len(f"a{c}b".splitlines()) == 1]
+_TYPE_LINE = "<http://example.org/kg#A/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#A> ."
+_IRI_LINES = [
+    "<http://example.org/kg#A/a{}b> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#A> .",
+    "<http://example.org/kg#A/y> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#A{}> .",
+    "<http://example.org/kg#A/x> <http://example.org/kg#re{}l> <http://example.org/kg#A/x> .",
+    "<http://example.org/kg#A/x> <http://example.org/kg#rel> <http://example.org/kg#A/{}x> .",
+    '<http://example.org/kg#A/x> <http://example.org/kg#p{}> "v" .',
+]
+
+
+@pytest.mark.parametrize("char", sorted(_FORBIDDEN_IN_A_TERM))
+@pytest.mark.parametrize("template", _IRI_LINES)
+def test_load_rejects_an_iri_holding_a_character_n_triples_forbids(template, char):
+    text = f"{_TYPE_LINE}\n{template.format(char)}\n{_TYPE_LINE}\n"
+    with pytest.raises(ParseError, match="^line 2: IRI .* holds a character N-Triples forbids$") as info:
+        load_ntriples(text)
+    assert info.value.line == 2
+    assert repr(char)[1:-1] in str(info.value)
+    _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
+
+
+_OTHER_ERRORS = [
+    "<http://example.org/kg#A/x> not a triple .",
+    "<http://example.org/kg#A/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> _:c .",
+    '<http://example.org/kg#A/x> <http://example.org/kg#p> "\\q" .',
+    # both faults on one line: the subject is named before the literal is
+    # decoded, the predicate after it
+    '<http://example.org/kg#A/a b> <http://example.org/kg#p> "\\q" .',
+    '<http://example.org/kg#A/x> <http://example.org/kg#p q> "\\q" .',
+]
+
+
+@pytest.mark.parametrize("per_block", [1, kggen._READ_CHARS])
+@pytest.mark.parametrize("other", _OTHER_ERRORS)
+def test_load_reports_the_first_of_an_iri_error_and_another_error(monkeypatch, other, per_block):
+    # IRIs are checked after each block, so a later error in the same block
+    # must not be reported in place of an earlier IRI error, nor after it
+    monkeypatch.setattr(kggen, "_READ_CHARS", per_block)
+    bad_iri = _IRI_LINES[0].format(" ")
+    for first, second in ((bad_iri, other), (other, bad_iri)):
+        text = f"{_TYPE_LINE}\n{first}\n{second}\n"
+        with pytest.raises(ParseError) as info:
+            load_ntriples(text)
+        assert info.value.line == 2
+        _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
+
+
+def test_load_names_the_line_of_a_forbidden_iri_not_a_literal_holding_its_text():
+    bad_iri = "<http://example.org/kg#A/a b>"
+    text = (
+        f"{_TYPE_LINE}\n"
+        f'<http://example.org/kg#A/x> <http://example.org/kg#p> "{bad_iri}" .\n'
+        f"{bad_iri} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#A> .\n"
+    )
+    with pytest.raises(ParseError, match="^line 3: IRI .* holds a character N-Triples forbids$"):
+        load_ntriples(text)
+    _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "base", ["http://x y/", "http://example.org/{kg}#", "http://example.org/kg\\#", "http://ex\tample/", "http://x/<kg>#"]
+)
+def test_writer_rejects_a_base_iri_n_triples_forbids(base):
+    g = KnowledgeGraph({"A/1": ("A", False)}, set(), set())
+    with pytest.raises(ValueError, match="holds a character N-Triples forbids in an IRI"):
+        serialize_ntriples(g, base)
+    chunks: list[str] = []
+    with pytest.raises(ValueError, match="holds a character N-Triples forbids in an IRI"):
+        serialize_ntriples(g, base, out=SimpleNamespace(write=chunks.append))
+    assert chunks == []
 
 
 def test_load_decodes_escapes_next_to_the_surrogate_range():
@@ -581,33 +661,6 @@ def test_writer_rejects_a_surrogate_before_writing_anything(value):
     assert chunks == []
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    g=_graphs(),
-    schema=st.sampled_from([None, _SCHEMA]),
-    data=st.data(),
-    per_block=st.sampled_from([1, 2, 3, kggen._READ_LINES]),
-    newline=st.sampled_from([None, ""]),
-)
-def test_loader_splits_file_lines_in_blocks_as_their_text(tmp_path_factory, g, schema, data, per_block, newline):
-    # newline="" keeps "\r\n" and a lone "\r" at the end of a file line
-    document = _document(g)
-    if document is None:
-        return
-    breaks = st.sampled_from(["\n", "\r\n", "\r", *_SPLITLINES_ONLY])
-    lines = document.splitlines()
-    for _ in range(data.draw(st.integers(0, 2))):
-        lines.insert(data.draw(st.integers(0, len(lines))), "not a triple")
-    path = tmp_path_factory.mktemp("blocks") / "kg.nt"
-    path.write_bytes("".join(line + data.draw(breaks) for line in lines).encode("utf-8"))
-    saved = kggen._READ_LINES
-    kggen._READ_LINES = per_block
-    try:
-        _same_read_from_file(path, schema=schema, newline=newline)
-    finally:
-        kggen._READ_LINES = saved
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     g=_graphs(),
@@ -615,9 +668,11 @@ def test_loader_splits_file_lines_in_blocks_as_their_text(tmp_path_factory, g, s
     data=st.data(),
     per_block=st.sampled_from([1, 2, 3, kggen._READ_CHARS]),
 )
-def test_loader_splits_text_in_blocks_as_its_lines(g, schema, data, per_block):
-    # small blocks make every line longer than a block, and put cuts right
-    # after a CRLF, a lone CR or a break only str.splitlines knows
+def test_loader_splits_text_in_blocks_as_its_lines(tmp_path_factory, g, schema, data, per_block):
+    # the text, and the file of its bytes read both ways: small blocks make
+    # every line longer than a block, and put cuts right after a CRLF, a
+    # lone CR or a break only str.splitlines knows; newline="" keeps "\r\n"
+    # and a lone "\r" as they are, newline=None turns both into "\n"
     document = _document(g)
     if document is None:
         return
@@ -633,9 +688,13 @@ def test_loader_splits_text_in_blocks_as_its_lines(g, schema, data, per_block):
     text = "".join(line + data.draw(breaks) for line in lines)
     if data.draw(st.booleans()):
         text = text.rstrip("\n\r\v\x1c\x85\u2028")  # no final line break
+    path = tmp_path_factory.mktemp("blocks") / "kg.nt"
+    path.write_bytes(text.encode("utf-8"))
     saved = kggen._READ_CHARS
     kggen._READ_CHARS = per_block
     try:
         _assert_same_read(text, DEFAULT_BASE_IRI, schema)
+        for newline in (None, ""):
+            _same_read_from_file(path, schema=schema, newline=newline)
     finally:
         kggen._READ_CHARS = saved

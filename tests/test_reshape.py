@@ -5,13 +5,13 @@ from __future__ import annotations
 import logging
 import re
 import types
-from collections import Counter
 from urllib.parse import quote, unquote
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontoshape.ontology as ontology_module
 import ontoshape.reshape as reshape_module
 from conftest import make_dataset2
 from ontoshape.errors import ParseError, SchemaError
@@ -376,22 +376,25 @@ def test_assign_owner_matches_all_pairs_oracle(case):
         assert owners[(table, attr)] == (min(near)[2] if near else mc)
 
 
-def test_reshape_runs_one_bfs_per_declared_schema_class(monkeypatch):
+def test_reshape_runs_one_bfs_seeded_with_the_declared_schema_classes(monkeypatch):
     o, d, m, u = generate_synthetic(SynthConfig(n_attributes=30, n_rows=2, chain_depth=3))
     # a user rule adds a class the ontology does not declare
     u = UserInfo(u.main_class, (EntityRule("Value000", "Ghost", "hasGhost"),))
     calls = []
 
-    def counted(onto, source):
-        calls.append(source)
-        return real(onto, source)
+    def counted(adj, *sources):
+        if adj is o._und:
+            calls.append(sources)
+        return real(adj, *sources)
 
-    real = reshape_module.undirected_distances
-    monkeypatch.setattr(reshape_module, "undirected_distances", counted)
+    real = ontology_module._bfs
+    # reshape imports _bfs by name, so both modules are patched
+    monkeypatch.setattr(ontology_module, "_bfs", counted)
+    monkeypatch.setattr(reshape_module, "_bfs", counted)
     s = reshape(o, d, m, u)
     assert "Ghost" in s.classes
-    assert Counter(calls) == Counter(c for c in s.classes if c in o.classes)
-    assert len(calls) == 3
+    assert calls == [tuple(sorted(c for c in s.classes if c in o.classes))]
+    assert len(calls[0]) == 3
 
 
 def test_schema_connectivity_invariant(ontology_wx, mappings_wx, dataset_2, userinfo_main):
