@@ -153,7 +153,7 @@ def _cmd_metrics(args) -> int:
     schema = parse_schema(_read_text(args.schema))
     mappings, dataset = _load_tables(args)
     with open(args.kg, encoding="utf-8-sig") as kg:
-        graph = kggen.load_ntriples(kg, args.base_iri, schema)
+        graph = kggen.load_ntriples(kg, args.base_iri)
     size = Path(args.kg).stat().st_size  # the size on disk, line endings included
     report = metrics.build_report(graph, schema, dataset, mappings, schema.main_class, storage_bytes=size)
     rendered = metrics.report_text(report)

@@ -1,7 +1,7 @@
 """Materialize entity graphs from tables under a schema; read and write N-Triples.
 
 Materialization runs the main table first, then, in name order, every
-other table a schema class is mapped to. A plan built once per table lists
+other table a schema class is mapped to. A plan, built once per table, lists
 what each row yields as (class, key column or none): the anchor, which is
 the main class on the main table and the table's class elsewhere; then the
 other classes keyed by a column of this table, in name order, the main
@@ -24,9 +24,11 @@ free-standing. Attribute values become literal triples on their owner's
 entity, and every schema edge whose two endpoint entities exist for the
 row becomes an object triple.
 
-A graph is a set of triples, as RDF defines it, so a literal that several
-rows give is stored once; beside the literals the graph keeps the
-(table, attribute) pairs that gave any, not which row gave which.
+``_plans`` is the one definition of the plans, the empty-key rule
+included; ``generate_kg`` materializes them and ``metrics.data_coverage``
+walks them over the same tables. A graph is a set of triples, as RDF
+defines it, so a literal that several rows give is stored once, and it
+keeps no record of which table or row gave what.
 
 In N-Triples, literals are escaped by one rule, the ``str.translate``
 table ``_ESCAPES``; a literal is translated only when it holds one of that
@@ -50,7 +52,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
-from typing import Protocol, TextIO
+from typing import NamedTuple, Protocol, TextIO
 
 from .errors import DatasetError, ParseError, SchemaError
 from .mapping import MappingSet
@@ -65,22 +67,18 @@ DEFAULT_BASE_IRI = "http://example.org/kg#"
 
 @dataclass
 class KnowledgeGraph:
-    """Entities plus object and literal triples.
+    """Entities plus object and literal triples, and nothing else: a
+    generated graph and its N-Triples read-back are equal.
 
     ``entities`` maps an entity id to its (class, dummy flag).
     ``literals`` holds each distinct (subject, property, value) once, one
-    per N-Triples literal line. ``literal_sources`` records the
-    (table, attribute) pairs that gave at least one literal, and
-    ``key_sources`` those whose values were consumed as entity keys, which
-    are represented in entity ids rather than literals. A graph read back
-    from a triples file without a schema has neither.
+    per N-Triples literal line. Which table or row gave what is not kept;
+    ``metrics.data_coverage`` derives it from the schema and the tables.
     """
 
     entities: dict[str, tuple[str, bool]]
     object_triples: set[tuple[str, str, str]]
     literals: set[tuple[str, str, str]]
-    key_sources: frozenset[tuple[str, str]] = frozenset()
-    literal_sources: frozenset[tuple[str, str]] = frozenset()
 
     @property
     def literal_triples(self) -> Iterator[tuple[str, str, str, None]]:
@@ -99,21 +97,74 @@ def mint_entity_id(class_name: str, key: str) -> str:
     return f"{class_name}/{_percent_encode(key)}"
 
 
-def _check_schema_sources(s: KGSchema, d: Dataset) -> None:
-    """Raise ``DatasetError`` for the first table, key or attachment of ``s``
-    missing from ``d``. Each source is looked up in its table's set of
-    column names, so the check is linear in the schema's sources."""
+class _Plan(NamedTuple):
+    """One table's plan: (class, key column or None) ``entries`` in plan order, the
+    classes ``present`` in its rows, and the (property, owner, column) ``attaches``."""
+
+    name: str
+    rows: list[dict[str, str]]
+    entries: list[tuple[str, str | None]]
+    dummies: list[str]
+    join: str | None
+    present: set[str]
+    attaches: list[tuple[str, str, str]]
+
+    def kept_rows(self, warn: bool = False) -> Iterator[tuple[int, dict[str, str]]]:
+        """(j, row) of every row whose plan keys are all nonempty; the first
+        empty key in plan order skips the row, with a warning if ``warn``."""
+        keyed = [(cls, attr) for cls, attr in self.entries if attr is not None]
+        attrs = [attr for _, attr in keyed]
+        for j, row in enumerate(self.rows):
+            if all(map(row.__getitem__, attrs)):
+                yield j, row
+            elif warn:
+                cls, attr = next((cls, attr) for cls, attr in keyed if not row[attr])
+                log.warning("%s row %d: empty key %s for %s; row skipped", self.name, j, attr, cls)
+
+
+def _plans(s: KGSchema, d: Dataset, mc: str) -> list[_Plan]:
+    """The plan of each table materialization reads, the main table's first,
+    with main class ``mc``; logs nothing. Raises ``SchemaError`` if ``mc`` is
+    no schema class, ``DatasetError`` for the first source missing from ``d``."""
+    if mc not in s.classes:
+        raise SchemaError(f"main class {mc!r} is not part of the schema")
     columns = {tname: set(t.attributes) for tname, t in d.tables.items()}
     for cls, tname in s.class_tables.items():
         if tname not in columns:
             raise DatasetError(f"schema maps {cls} to table {tname!r} missing from the dataset")
-    sources = [(f"key of {cls}", src) for cls, src in s.class_keys.items()]
-    sources += [(f"attachment {prop}", src) for prop, _, src in s.data_attachments]
-    for label, (tname, attr) in sources:
+    sources = [("key of", cls, src) for cls, src in s.class_keys.items()]
+    sources += [("attachment", prop, src) for prop, _, src in s.data_attachments]
+    for kind, name, (tname, attr) in sources:
         if tname not in columns:
-            raise DatasetError(f"{label} names table {tname!r} missing from the dataset")
+            raise DatasetError(f"{kind} {name} names table {tname!r} missing from the dataset")
         if attr not in columns[tname]:
-            raise DatasetError(f"{label} names attribute {tname}.{attr} missing from the dataset")
+            raise DatasetError(f"{kind} {name} names attribute {tname}.{attr} missing from the dataset")
+
+    main_name = d.main_table
+    # the main class's key column; a key on another table leaves it row-numbered
+    mc_table, mc_key = s.class_keys.get(mc, (main_name, None))
+    mc_key = mc_key if mc_table == main_name else None
+    unkeyed = s.classes - s.class_keys.keys() - {mc}
+    main_dummies = sorted(unkeyed - s.class_tables.keys())
+    secondary = {t: cls for cls, t in s.class_tables.items() if t != main_name}
+    plans = []
+    for tname, anchor in [(main_name, mc), *sorted(secondary.items())]:
+        table = d.tables[tname]
+        on_main = tname == main_name
+        keyed = {cls: attr for cls, (ktab, attr) in s.class_keys.items() if ktab == tname}
+        entries = [(anchor, keyed.get(anchor))]
+        entries += sorted((cls, attr) for cls, attr in keyed.items() if cls not in (anchor, mc))
+        if on_main:
+            entries += sorted((cls, None) for cls, t in s.class_tables.items()
+                              if t == tname and cls in unkeyed)
+        dummies = main_dummies if on_main else []
+        join = mc_key if mc_key and not on_main and mc_key in table.attributes else None
+        present = {cls for cls, _ in entries}.union(dummies, [mc] if join else [])
+        # literals are a set, so their order is free
+        attaches = [(prop, owner, src[1]) for prop, owner, src in s.data_attachments
+                    if src[0] == tname and owner in present]
+        plans.append(_Plan(tname, table.rows, entries, dummies, join, present, attaches))
+    return plans
 
 
 def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGraph:
@@ -121,93 +172,47 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
     table by table as the module docstring describes. Skipped rows and
     unmatched joins are logged as warnings.
     """
-    if mc not in s.classes:
-        raise SchemaError(f"main class {mc!r} is not part of the schema")
-    _check_schema_sources(s, d)
-    main_name = d.main_table
+    plans = _plans(s, d, mc)
+    main_key = plans[0].entries[0][1]  # None when rows number the main class
+    if mc in s.class_keys and main_key is None:
+        log.warning("key of %s comes from table %s, not the main table; using row numbers",
+                    mc, s.class_keys[mc][0])
 
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
     literals: set[tuple[str, str, str]] = set()
-    literal_sources: set[tuple[str, str]] = set()
-    key_sources: set[tuple[str, str]] = set()
     mc_id_by_key: dict[str, str] = {}
-
-    mc_key = s.class_keys.get(mc)
-    if mc_key is not None and mc_key[0] != main_name:
-        log.warning("key of %s comes from table %s, not the main table; using row numbers", mc, mc_key[0])
-        mc_key = None
-    unkeyed = sorted(c for c in s.classes if c != mc and c not in s.class_keys)
-    main_dummies = [c for c in unkeyed if c not in s.class_tables]
-    attach_list = sorted(s.data_attachments)
-    edge_list = sorted(s.edges)
     kinds = {cls: (cls, False) for cls in {*s.classes, *s.class_tables, *s.class_keys}}
-    kinds.update((cls, (cls, True)) for cls in main_dummies)
-    secondary = {t: cls for cls, t in s.class_tables.items() if t != main_name}
+    kinds.update((cls, (cls, True)) for cls in plans[0].dummies)
 
-    for tname, anchor in [(main_name, mc), *sorted(secondary.items())]:
-        table = d.tables[tname]
-        on_main = tname == main_name
-        # the plan: (class, key column of this table, or None for the row number)
-        keyed = {cls: attr for cls, (ktab, attr) in s.class_keys.items() if ktab == tname}
-        plan = [(anchor, keyed.get(anchor))]
-        plan += sorted((cls, attr) for cls, attr in keyed.items() if cls not in (anchor, mc))
-        if on_main:
-            plan += [(cls, None) for cls in unkeyed if s.class_tables.get(cls) == tname]
-        key_sources.update((tname, attr) for _, attr in plan if attr is not None)
-        dummies = main_dummies if on_main else []
-        join = mc_key[1] if mc_key and not on_main and mc_key[1] in table.attributes else None
-        present = {cls for cls, _ in plan}.union(dummies)
-        if join is not None:
-            present.add(mc)
-        attaches = [(prop, owner, src[1], src) for prop, owner, src in attach_list
-                    if src[0] == tname and owner in present]
-        edges = [e for e in edge_list if e[1] in present and e[2] in present]
-        prefix = "row" if on_main else f"{tname}_row"
-
-        for j, row in enumerate(table.rows):
+    for p in plans:
+        prefix = "row" if p is plans[0] else f"{p.name}_row"
+        edges = [e for e in s.edges if e[1] in p.present and e[2] in p.present]
+        for j, row in p.kept_rows(warn=True):
             number = f"{prefix}{j}"
-            ids = {}
-            for cls, attr in plan:
-                key = number if attr is None else row[attr]
-                if not key:
-                    log.warning("%s row %d: empty key %s for %s; row skipped", tname, j, attr, cls)
-                    break
-                ids[cls] = mint_entity_id(cls, key)
-            if len(ids) < len(plan):
-                continue
-            for cls in dummies:
+            ids = {cls: mint_entity_id(cls, number if attr is None else row[attr]) for cls, attr in p.entries}
+            for cls in p.dummies:
                 ids[cls] = f"_:dummy_{cls}_{number}"
-            if join is not None:
-                mcid = mc_id_by_key.get(row[join])
+            if p.join is not None:
+                mcid = mc_id_by_key.get(row[p.join])
                 if mcid is None:
-                    log.warning(
-                        "%s row %d: no main entity matches %s=%r; free-standing entity",
-                        tname, j, join, row[join],
-                    )
+                    log.warning("%s row %d: no main entity matches %s=%r; free-standing entity",
+                                p.name, j, p.join, row[p.join])
                 else:
                     ids[mc] = mcid
-                    key_sources.add((tname, join))
-            elif on_main and mc_key is not None:
-                mc_id_by_key[row[mc_key[1]]] = ids[mc]
+            elif main_key is not None and p is plans[0]:
+                mc_id_by_key[row[main_key]] = ids[mc]
             for cls, eid in ids.items():
                 if eid not in entities:
                     entities[eid] = kinds[cls]
-            for prop, owner, attr, src in attaches:
-                sid = ids.get(owner)
-                if sid is None:
-                    continue
-                value = row[attr]
-                if value:
+            for prop, owner, attr in p.attaches:
+                if (sid := ids.get(owner)) is not None and (value := row[attr]):
                     literals.add((sid, prop, value))
-                    literal_sources.add(src)
             for rel, f, t in edges:
-                sf = ids.get(f)
-                st = ids.get(t)
-                if sf is not None and st is not None:
+                if (sf := ids.get(f)) is not None and (st := ids.get(t)) is not None:
                     objects.add((sf, rel, st))
 
-    return KnowledgeGraph(entities, objects, literals, frozenset(key_sources), frozenset(literal_sources))
+    return KnowledgeGraph(entities, objects, literals)
 
 
 # the one escaping rule for literals: N-Triples' short escapes for
@@ -291,9 +296,7 @@ def serialize_ntriples(
         raise ValueError(f"base IRI {base_iri!r} holds a character N-Triples forbids in an IRI")
 
     def term(local: str) -> str:
-        if local.startswith("_:"):
-            return local
-        return f"<{base_iri}{local}>"
+        return local if local.startswith("_:") else f"<{base_iri}{local}>"
 
     terms = {eid: term(eid) for eid in g.entities}
     type_pred = f"<{RDF_TYPE_IRI}>"
@@ -320,8 +323,15 @@ def serialize_ntriples(
     return None
 
 
+# BLANK_NODE_LABEL; the lookbehind gives back a last dot without retrying every length
+_PN_CHARS_U = (
+    "A-Za-z_:\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d\u037f-\u1fff\u200c\u200d"
+    "\u2070-\u218f\u2c00-\u2fef\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd\U00010000-\U000effff"
+)
+_PN_CHARS = _PN_CHARS_U + "0-9\\-\u00b7\u0300-\u036f\u203f\u2040"
+_BLANK = f"_:[{_PN_CHARS_U}0-9][{_PN_CHARS}.]*(?<!\\.)"
 _NT_LINE = re.compile(
-    r'\s*(<[^>]*>|_:\S+)\s+(<[^>]*>)\s+(<[^>]*>|_:\S+|"[^"\\]*(?:\\.[^"\\]*)*")\s*\.\s*\Z'
+    rf'\s*(<[^>]*>|{_BLANK})\s+(<[^>]*>)\s+(<[^>]*>|{_BLANK}|"[^"\\]*(?:\\.[^"\\]*)*")\s*\.\s*\Z'
 )
 _TYPE_TERM = f"<{RDF_TYPE_IRI}>"
 # the characters taken from a document, or read from a file, per piece when reading
@@ -356,18 +366,16 @@ def load_ntriples(
     ``_blocks`` and split into lines as ``str.splitlines`` splits the whole
     document, whose list of lines is never built.
 
-    Literal provenance is not stored in the triples. With a schema, each
-    distinct (property, owner class) among the literals is credited to the
-    first of the schema's attachments for it, in sorted order, and
-    ``key_sources`` is taken from the schema's key declarations of the
-    classes present. Without a schema both source sets stay empty. Raises
+    The graph read back equals the one written; ``schema`` is ignored, and
+    kept for ``perfbench/pipeline.py``, which passes it. Raises
     :class:`ParseError` with the line number on a line that is not a
-    triple, on an IRI holding a character N-Triples forbids there (a
-    control, a space, a backquote, a backslash or one of ``<>"{}|^``), on a
-    blank node as a class, or on a literal with an escape N-Triples does
-    not define or that names a surrogate.
+    triple (a blank-node label N-Triples' ``BLANK_NODE_LABEL`` does not
+    match makes none), on an IRI holding a character N-Triples forbids
+    there (a control, a space, a backquote, a backslash or one of
+    ``<>"{}|^``), on a blank node as a class, or on a literal with an
+    escape N-Triples does not define or that names a surrogate.
     """
-    # one string per name, one tuple per class and per source, however many lines repeat it
+    # one string per name and one tuple per class, however many lines repeat it
     names: dict[str, str] = {}
     # the IRI terms first named in this block
     fresh: list[str] = []
@@ -420,14 +428,4 @@ def load_ntriples(
                 raise ParseError(f"IRI {bad!r} holds a character N-Triples forbids", line)
             fresh.clear()
 
-    if schema is None:
-        return KnowledgeGraph(entities, objects, literals)
-    sources: dict[tuple[str, str], tuple[str, str]] = {}
-    for prop, owner, src in sorted(schema.data_attachments):
-        sources.setdefault((prop, owner), src)
-    no_kind = ("", False)
-    owned = {(prop, entities.get(subj, no_kind)[0]) for subj, prop, _ in literals}
-    literal_sources = frozenset(sources[key] for key in owned & sources.keys())
-    present = {cls for cls, _ in entities.values()}
-    key_sources = frozenset(src for cls, src in schema.class_keys.items() if cls in present)
-    return KnowledgeGraph(entities, objects, literals, key_sources, literal_sources)
+    return KnowledgeGraph(entities, objects, literals)

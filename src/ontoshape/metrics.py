@@ -1,5 +1,8 @@
 """Measurements over generated graphs: coverage, size, counts, and depth.
 
+Coverage alone reads no graph: it walks ``generate_kg``'s plans over the
+schema and the tables, so a graph and its read-back report the same.
+
 Entity and dummy counts are disjoint: ``entity_count`` covers only entities
 that correspond to raw data, ``dummy_count`` only the placeholders minted
 because the schema demanded a class the data never fills. Depths are
@@ -37,7 +40,7 @@ from itertools import chain, compress
 from operator import itemgetter
 from statistics import mean
 
-from .kggen import KnowledgeGraph
+from .kggen import KnowledgeGraph, _plans
 from .mapping import MappingSet
 from .reshape import KGSchema
 from .tabular import Dataset, list_attributes
@@ -77,19 +80,45 @@ class MetricsReport:
     global_depth: int
 
 
-def data_coverage(g: KnowledgeGraph, d: Dataset) -> float:
-    """Fraction of the dataset's attributes represented in the graph.
+def _covered(s: KGSchema, d: Dataset) -> set[tuple[str, str]]:
+    """The (table, attribute) pairs of ``d`` that ``generate_kg`` with the
+    schema's main class represents, by a walk of its plans over the tables:
+    each key column a plan reads, and each attachment or join column whose
+    cell is nonempty in a kept row that yields its owner. The joined main
+    entity is yielded, and the join column covered, only where the join
+    value keys a kept main-table row. A table's walk stops once its sources
+    are found, the whole walk once every attribute is; it logs nothing and
+    raises as ``generate_kg`` does."""
+    plans, total = _plans(s, d, s.main_class), sum(len(t.attributes) for t in d.tables.values())
+    covered: set[tuple[str, str]] = set()
+    main_keys: set[str] | None = None
+    for p in plans:
+        if len(covered) == total:
+            break
+        covered.update((p.name, attr) for _, attr in p.entries if attr is not None)
+        always = {cls for cls, _ in p.entries}.union(p.dummies)
+        todo = [(owner, attr) for _, owner, attr in p.attaches]
+        if p.join is not None:
+            todo.append((None, p.join))  # no row yields owner None: only a joined row covers it
+            if main_keys is None:  # a join implies a keyed main class
+                main_keys = {row[plans[0].entries[0][1]] for _, row in plans[0].kept_rows()}
+        todo = [(owner, attr) for owner, attr in todo if (p.name, attr) not in covered]
+        for _, row in p.kept_rows() if todo else ():
+            joined = p.join is not None and row[p.join] in main_keys
+            found = {attr for owner, attr in todo if row[attr] and (joined or owner in always)}
+            if found:
+                covered.update((p.name, attr) for attr in found)
+                if not (todo := [(owner, attr) for owner, attr in todo if attr not in found]):
+                    break
+    return covered
 
-    An attribute counts as covered when it is one of the graph's
-    ``literal_sources``, which gave at least one literal triple, or one of
-    its ``key_sources``, whose values were consumed as entity keys. A
-    dataset without attributes is fully covered by definition.
-    """
+
+def data_coverage(s: KGSchema, d: Dataset) -> float:
+    """Fraction of the dataset's attributes that ``generate_kg`` represents
+    (see ``_covered``): the schema and the tables decide it, however the
+    graph was built or read. A dataset without attributes is fully covered."""
     attrs = list_attributes(d)
-    if not attrs:
-        return 1.0
-    covered = g.literal_sources | g.key_sources
-    return sum(1 for ta in attrs if ta in covered) / len(attrs)
+    return len(_covered(s, d)) / len(attrs) if attrs else 1.0
 
 
 def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
@@ -247,8 +276,10 @@ def build_report(
     time_cost_ms: float = 0.0,
     storage_bytes: int = 0,
 ) -> MetricsReport:
-    """Assemble a full report for one generated graph."""
-    coverage = data_coverage(g, d)
+    """Assemble a full report for graph ``g``, generated from ``s`` and
+    ``d`` with main class ``mc``, the schema's. Its coverage comes from
+    ``s`` and ``d`` alone; every other field from ``g``."""
+    coverage = data_coverage(s, d)
     class_count, object_props, data_props, entity_count = kg_counts(g, s)
     root_depth, global_depth = depth_metrics(g, mc)
     return MetricsReport(

@@ -83,19 +83,27 @@ def test_table_has_one_line_per_workload_and_metric():
 
 
 def _checkouts(tmp_path):
-    """A parent and a change directory; the change declares workload "w"."""
-    for side in ("parent", "change"):
-        (tmp_path / side).mkdir()
+    """A parent and a change checkout, each declaring workload "w" and
+    naming its side in ``src/side``."""
     bench = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+        (tmp_path / side / "src" / "side").write_text(side)
+        (tmp_path / side / "perfbench").mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
     return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seconds", "1"]
+
+
+def _side(checkout):
+    """The side whose files a run directory holds."""
+    return (checkout / "src" / "side").read_text()
 
 
 def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
     speed = {"parent": 2.0, "change": 1.0}
     monkeypatch.setattr(
         bench_pairs, "_run",
-        lambda checkout, workload, seed, seconds: _run(seed, checkout.name, speed[checkout.name], 5.0)["result"],
+        lambda checkout, workload, seed, seconds: _run(seed, _side(checkout), speed[_side(checkout)], 5.0)["result"],
     )
     out = tmp_path / "pairs.json"
     argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "--out", str(out)]
@@ -126,7 +134,7 @@ def test_each_pipeline_line_ends_with_its_verdict(verdict, tmp_path, monkeypatch
     monkeypatch.setattr(
         bench_pairs, "_run",
         lambda checkout, workload, seed, seconds: _run(
-            seed, checkout.name, values[seed][checkout.name == "change"], 5.0)["result"],
+            seed, _side(checkout), values[seed][_side(checkout) == "change"], 5.0)["result"],
     )
     argv = _checkouts(tmp_path) + ["--runs", "w=1-10", "--out", str(tmp_path / "pairs.json")]
     assert bench_pairs.main(argv) == 0
@@ -209,7 +217,7 @@ def test_pairs_done_before_a_failing_run_are_written(tmp_path, monkeypatch):
     def run(checkout, workload, seed, seconds):
         if seed == 3:
             raise subprocess.CalledProcessError(1, "perfbench/run.py")
-        return _run(seed, checkout.name, 1.0, 5.0)["result"]
+        return _run(seed, _side(checkout), 1.0, 5.0)["result"]
 
     monkeypatch.setattr(bench_pairs, "_run", run)
     out = tmp_path / "pairs.json"
@@ -220,3 +228,32 @@ def test_pairs_done_before_a_failing_run_are_written(tmp_path, monkeypatch):
     assert [(r["seed"], r["side"]) for r in doc["runs"]] == [
         (1, "parent"), (1, "change"), (2, "change"), (2, "parent")]
     assert doc["summary"]["w"]["pipeline_s"]["tied"] == 2
+
+
+def test_each_side_runs_from_fresh_copies_in_both_directories(tmp_path, monkeypatch):
+    ran = []
+
+    def run(checkout, workload, seed, seconds):
+        side = _side(checkout)
+        # a copy made for this run: nothing a run leaves behind is seen by the next
+        assert not (checkout / "perfbench" / "left_behind").exists()
+        (checkout / "perfbench" / "left_behind").write_text(side)
+        assert json.loads((checkout / "BENCHMARK.json").read_text())["workloads"] == [{"name": "w"}]
+        ran.append((side, checkout))
+        return _run(seed, side, 1.0, 5.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "pairs.json"
+    argv = _checkouts(tmp_path) + ["--runs", "w=1-4", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    given = {tmp_path / "parent", tmp_path / "change"}
+    assert not given & {checkout for _, checkout in ran}
+    places = {checkout for _, checkout in ran}
+    assert len(places) == 2
+    for side in ("parent", "change"):
+        assert {checkout for s, checkout in ran if s == side} == places
+    # the directories alternate pair by pair, and the record names them
+    doc = json.loads(out.read_text())
+    parent_dirs = [r["dir"] for r in doc["runs"] if r["side"] == "parent"]
+    assert parent_dirs == ["a", "b", "a", "b"]
+    assert not any((place / "perfbench").exists() for place in places)  # removed at the end

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import re
 import shlex
@@ -11,11 +12,13 @@ from pathlib import Path
 
 import pytest
 from conftest import DATA_2, MAPPINGS_WX, ONTOLOGY_WX
+from test_golden import CASES
 
 import ontoshape
 from ontoshape.cli import main
 from ontoshape.kggen import generate_kg, serialize_ntriples
 from ontoshape.mapping import UserInfo, parse_mappings
+from ontoshape.metrics import build_report, report_text
 from ontoshape.ontology import parse_ontology
 from ontoshape.reshape import parse_schema, reshape, serialize_schema
 from ontoshape.tabular import load_dataset
@@ -182,6 +185,63 @@ def test_metrics_counts_the_bytes_of_a_crlf_file(workdir, capsys):
     assert lf_row.endswith(f"  {len(lf) / 1e6:.4f}")
     assert crlf_row.endswith(f"  {len(crlf) / 1e6:.4f}")
     assert crlf_row != lf_row
+
+
+def _write_case(case, out: Path) -> list[str]:
+    """A golden case's schema, tables and mappings as files under ``out``;
+    returns the ``-s``/``-d``/``-m``/``--main-table`` arguments."""
+    s, d, m, _ = case
+    (out / "data").mkdir()
+    for table in d.tables.values():
+        with open(out / "data" / f"{table.name}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(table.attributes)
+            writer.writerows([row[a] for a in table.attributes] for row in table.rows)
+    with open(out / "mappings.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "table", "attribute", "class"])
+        writer.writerows(["table", tname, "", cls] for tname, cls in m.table_map.items())
+        writer.writerows(["attribute", tname, attr, cls] for (tname, attr), cls in m.attribute_map.items())
+    (out / "schema.txt").write_text(serialize_schema(s), encoding="utf-8")
+    return ["-s", str(out / "schema.txt"), "-d", str(out / "data"), "-m", str(out / "mappings.csv"),
+            "--main-table", d.main_table]
+
+
+@pytest.mark.parametrize("name", ["odd_characters_baseline", "odd_characters_reshape",
+                                  "welding_tables_baseline", "welding_tables_reshape"])
+def test_metrics_on_the_generated_file_reports_what_the_generated_graph_does(name, tmp_path):
+    case = CASES[name]()
+    inputs = _write_case(case, tmp_path)
+    kg_file, report_file = tmp_path / "kg.nt", tmp_path / "report.txt"
+    assert main(["generate", *inputs, "--out", str(kg_file)]) == 0
+    assert main(["metrics", "-k", str(kg_file), *inputs, "--out", str(report_file)]) == 0
+    s, d, m, mc = case
+    g = generate_kg(s, d, m, mc)
+    expected = build_report(g, s, d, m, mc, storage_bytes=kg_file.stat().st_size)
+    assert report_file.read_text(encoding="utf-8") == report_text(expected)
+
+
+def test_metrics_rejects_tables_that_lack_a_schema_source_as_generate_does(workdir, capsys):
+    schema_file = workdir / "schema.txt"
+    kg_file = workdir / "kg.nt"
+    inputs = ["-s", str(schema_file), "-d", str(workdir / "data"), "-m", str(workdir / "mappings.csv")]
+    assert main(_reshape_argv(workdir, schema_file)) == 0
+    assert main(["generate", *inputs, "--out", str(kg_file)]) == 0
+    (workdir / "data" / "welding_operation.csv").write_text(
+        "operation_id,program_id,current_mean\nop1,pg1,10.5\n", encoding="utf-8"
+    )
+    capsys.readouterr()
+    errors = {}
+    for command in ("generate", "metrics"):
+        out = ["--out", str(workdir / f"{command}.out")]
+        args = [command, *inputs, *out] if command == "generate" else [command, "-k", str(kg_file), *inputs, *out]
+        assert main(args) == 1
+        errors[command] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert not (workdir / f"{command}.out").exists()
+    assert errors["metrics"] == errors["generate"] == [
+        "error: attachment hasCurrentArrayValue names attribute welding_operation.current_array "
+        "missing from the dataset"
+    ]
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

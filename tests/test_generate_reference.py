@@ -12,8 +12,12 @@ several classes mapped to one table, keys on tables no class maps to and
 sources missing from the dataset, both must build the same graph, in the
 same entity order, or raise the same error, and must skip or leave
 free-standing the same rows. The reference keeps one literal per source
-row; its distinct triples and (table, attribute) sources are compared
-with the package's.
+row, with its (table, attribute, row), and the key columns it consumed;
+its distinct triples are compared with the package's graph, and its key
+and literal sources with the (table, attribute) pairs that the metrics'
+plan walk covers, which must log nothing. On the same inputs, the report
+on a generated graph and on its N-Triples read-back must agree in every
+field.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ import logging
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_ntriples import _kept
-
 from ontoshape.errors import DatasetError, SchemaError
-from ontoshape.kggen import KnowledgeGraph, generate_kg, mint_entity_id, serialize_ntriples
+from ontoshape.kggen import KnowledgeGraph, generate_kg, load_ntriples, mint_entity_id, serialize_ntriples
 from ontoshape.mapping import MappingSet
+from ontoshape.metrics import _covered, build_report
 from ontoshape.reshape import KGSchema
 from ontoshape.tabular import Dataset, Table
 
@@ -51,7 +54,11 @@ def _reference_check_schema_sources(s: KGSchema, d: Dataset) -> None:
             raise DatasetError(f"attachment {prop} names attribute {tname}.{attr} missing from the dataset")
 
 
-def _reference_generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGraph:
+def _reference_generate_kg(
+    s: KGSchema, d: Dataset, m: MappingSet, mc: str
+) -> tuple[KnowledgeGraph, frozenset[tuple[str, str]]]:
+    """The graph, whose literals are (subject, property, value, (table,
+    attribute, row)), and the (table, attribute) key columns consumed."""
     if mc not in s.classes:
         raise SchemaError(f"main class {mc!r} is not part of the schema")
     _reference_check_schema_sources(s, d)
@@ -149,7 +156,7 @@ def _reference_generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> K
                 if sf is not None and st is not None:
                     objects.add((sf, rel, st))
 
-    return KnowledgeGraph(entities, objects, set(literals), frozenset(key_sources))
+    return KnowledgeGraph(entities, objects, set(literals)), frozenset(key_sources)
 
 
 _TABLES = ["t0", "t1", "t2"]
@@ -206,25 +213,41 @@ class _Records(logging.Handler):
 
 
 def _projected_reference(s, d, m, mc) -> KnowledgeGraph:
-    """The reference's graph, whose literals carry their (table, attribute,
-    row), as the package keeps one."""
-    return _kept(_reference_generate_kg(s, d, m, mc))
+    """The reference's graph as the package keeps one: its literals'
+    distinct triples."""
+    g, _ = _reference_generate_kg(s, d, m, mc)
+    return KnowledgeGraph(g.entities, g.object_triples, {t[:3] for t in g.literals})
 
 
-def _run(generate, s, d, mc):
+def _reference_covered(s, d, mc) -> frozenset[tuple[str, str]]:
+    """The reference's key sources plus the sources of its literals."""
+    g, key_sources = _reference_generate_kg(s, d, MappingSet({}, {}), mc)
+    return key_sources | {src[:2] for *_, src in g.literals}
+
+
+def _walk_covered(s, d, mc) -> frozenset[tuple[str, str]]:
+    """The pairs the plan walk covers; the family's schemas name ``mc`` as
+    their main class, which the walk reads."""
+    return frozenset(_covered(s, d))
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns or raises, and the warnings it logs."""
     handler = _Records()
     log.addHandler(handler)
     try:
-        g = generate(s, d, MappingSet({}, {}), mc)
+        return call(*args), handler.events
     except (DatasetError, SchemaError) as exc:
         return (type(exc), str(exc)), handler.events
     finally:
         log.removeHandler(handler)
-    graph = (
-        list(g.entities.items()), g.object_triples, g.literals, g.key_sources, g.literal_sources,
-        serialize_ntriples(g),
-    )
-    return graph, handler.events
+
+
+def _run(generate, s, d, mc):
+    g, events = _outcome(generate, s, d, MappingSet({}, {}), mc)
+    if isinstance(g, tuple):  # the error
+        return g, events
+    return (list(g.entities.items()), g.object_triples, g.literals, serialize_ntriples(g)), events
 
 
 @settings(max_examples=800, deadline=None)
@@ -235,3 +258,19 @@ def test_generate_matches_three_branch_reference(inputs):
     got, events = _run(generate_kg, s, d, mc)
     assert got == expected
     assert events == expected_events
+    covered, walk_events = _outcome(_walk_covered, s, d, mc)
+    assert covered == _outcome(_reference_covered, s, d, mc)[0]
+    assert walk_events == []
+
+
+@settings(max_examples=800, deadline=None)
+@given(inputs=_inputs())
+def test_report_on_the_read_back_equals_the_report_on_the_generated_graph(inputs):
+    s, d, mc = inputs
+    m = MappingSet({}, {})
+    try:
+        g = generate_kg(s, d, m, mc)
+    except (DatasetError, SchemaError):
+        return
+    back = load_ntriples(serialize_ntriples(g))
+    assert build_report(back, s, d, m, mc) == build_report(g, s, d, m, mc)

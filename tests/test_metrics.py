@@ -7,7 +7,6 @@ points at a real defect rather than shared assumptions.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from unittest import mock
 
@@ -47,22 +46,24 @@ def _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main):
 
 
 def test_coverage_full(ontology_wx, mappings_wx, dataset_2, userinfo_main):
-    for _, g in _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main):
-        assert data_coverage(g, dataset_2) == 1.0
+    for s, _ in _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main):
+        assert data_coverage(s, dataset_2) == 1.0
 
 
 def test_coverage_counts_missing_attribute(ontology_wx, mappings_wx, dataset_2, userinfo_main):
-    (_, g), _ = _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main)
-    kept = {t for t in g.literals if t[1] != "hasCurrentArrayValue"}
-    sources = g.literal_sources - {("welding_operation", "current_array")}
-    gutted = KnowledgeGraph(g.entities, g.object_triples, kept, g.key_sources, sources)
-    assert data_coverage(gutted, dataset_2) == 0.75
+    (s, _), _ = _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main)
+    table = dataset_2.tables["welding_operation"]
+    for row in table.rows:
+        row["current_array"] = ""
+    g = generate_kg(s, dataset_2, mappings_wx, MC)
+    assert not any(prop == "hasCurrentArrayValue" for _, prop, _ in g.literals)
+    assert data_coverage(s, dataset_2) == 0.75
 
 
 def test_coverage_vacuous():
-    g = KnowledgeGraph({}, set(), set())
+    s = KGSchema("M", {"M"}, set())
     d = Dataset({"m": Table("m", [], [])}, "m")
-    assert data_coverage(g, d) == 1.0
+    assert data_coverage(s, d) == 1.0
 
 
 def test_dummy_counts(ontology_wx, mappings_wx, dataset_2, userinfo_main):
@@ -95,17 +96,17 @@ def test_report_counts_match_read_back_when_rows_share_keys():
             for graph in (g, load_ntriples(text, schema=s))
         ]
         assert reports[0].data_prop_count == literal_lines
-        # read-back coverage differs for its own reasons; every count agrees
-        same = [dataclasses.replace(r, data_coverage=0.0) for r in reports]
-        assert same[0] == same[1]
+        assert reports[0] == reports[1]  # every field, coverage included
 
 
-def _per_row_report(g: KnowledgeGraph, s: KGSchema, d: Dataset, mc: str) -> MetricsReport:
-    """``build_report``'s rules for a graph whose literals are (subject,
-    property, value, (table, attribute, row) or None), one per source row,
-    as graphs kept them before they kept a set of distinct triples."""
+def _per_row_report(
+    g: KnowledgeGraph, covered: frozenset[tuple[str, str]], s: KGSchema, d: Dataset, mc: str
+) -> MetricsReport:
+    """``build_report``'s rules for a graph whose literals may repeat as
+    (subject, property, value, (table, attribute, row)), one per source
+    row, as graphs kept them before they kept a set of distinct triples,
+    with ``covered`` the (table, attribute) pairs the graph represents."""
     attrs = list_attributes(d)
-    covered = {src[:2] for *_, src in g.literals if src is not None} | g.key_sources
     dummies = sum(1 for _, dummy in g.entities.values() if dummy)
     root_depth, global_depth = depth_metrics(g, mc)
     return MetricsReport(
@@ -128,14 +129,15 @@ def test_report_matches_the_per_row_literal_rules(inputs):
     s, d, mc = inputs
     m = MappingSet({}, {})
     try:
-        per_row = _reference_generate_kg(s, d, m, mc)
+        per_row, key_sources = _reference_generate_kg(s, d, m, mc)
     except (DatasetError, SchemaError):
         assume(False)
+    covered = key_sources | {src[:2] for *_, src in per_row.literals}
     g = generate_kg(s, d, m, mc)
-    assert build_report(g, s, d, m, mc) == _per_row_report(per_row, s, d, mc)
+    assert build_report(g, s, d, m, mc) == _per_row_report(per_row, covered, s, d, mc)
     text = serialize_ntriples(g)
     back = load_ntriples(text, schema=s)
-    assert build_report(back, s, d, m, mc) == _per_row_report(_reference_load(text, schema=s), s, d, mc)
+    assert build_report(back, s, d, m, mc) == _per_row_report(_reference_load(text), covered, s, d, mc)
 
 
 def test_kg_counts_empty():

@@ -9,9 +9,8 @@ keep one string per local name; on every graph here they must write the
 same bytes and read back an equal graph, with the same entity order and
 the same ``ParseError`` line.
 
-The references keep each literal as (subject, property, value, source),
-as graphs did before they kept literals as a set; a test compares their
-distinct triples and (table, attribute) sources with the package's.
+The reader is given a schema in some tests and none in others: it reads
+the same graph either way, the reference's.
 
 The streaming forms are checked against the plain ones: what the writer
 sends to a sink joins to the returned document, and the reader gives the
@@ -127,12 +126,40 @@ _REF_NT_LINE = re.compile(
     r"(<[^>]*>|_:\S+)\s+<([^>]*)>\s+(<[^>]*>|_:\S+|\"(?:[^\"\\]|\\.)*\")\s*\.\s*\Z"
 )
 
+# N-Triples' PN_CHARS_BASE as code point ranges, and what PN_CHARS adds to
+# PN_CHARS_BASE besides "_" and ":"
+_REF_PN_BASE = [(0x41, 0x5A), (0x61, 0x7A), (0xC0, 0xD6), (0xD8, 0xF6), (0xF8, 0x2FF), (0x370, 0x37D),
+                (0x37F, 0x1FFF), (0x200C, 0x200D), (0x2070, 0x218F), (0x2C00, 0x2FEF), (0x3001, 0xD7FF),
+                (0xF900, 0xFDCF), (0xFDF0, 0xFFFD), (0x10000, 0xEFFFF)]
+_REF_PN_MORE = [(0x2D, 0x2D), (0x30, 0x39), (0xB7, 0xB7), (0x300, 0x36F), (0x203F, 0x2040)]
+
+
+def _ref_in(ranges, ch: str) -> bool:
+    return any(lo <= ord(ch) <= hi for lo, hi in ranges)
+
+
+def _ref_blank_label_ok(term: str) -> bool:
+    """Whether ``term`` is ``_:`` and a BLANK_NODE_LABEL: a PN_CHARS_U
+    (PN_CHARS_BASE, "_" or ":") or digit first, PN_CHARS or "." after it,
+    and no "." last."""
+    label = term[2:]
+    if not label or label[-1] == ".":
+        return False
+
+    def pn_chars_u(ch: str) -> bool:
+        return ch in "_:" or _ref_in(_REF_PN_BASE, ch)
+
+    first, rest = label[0], label[1:]
+    return (pn_chars_u(first) or first.isascii() and first.isdigit()) and all(
+        ch == "." or pn_chars_u(ch) or _ref_in(_REF_PN_MORE, ch) for ch in rest
+    )
+
 
 # what N-Triples' IRIREF forbids: #x00-#x20 and <>"{}|^`\ (no UCHAR is written)
 _REF_IRI_FORBIDDEN = {chr(c) for c in range(0x21)} | set('<>"{}|^`\\')
 
 
-def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchema | None = None) -> KnowledgeGraph:
+def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI) -> KnowledgeGraph:
     def local(iri: str) -> str:
         name = iri[1:-1]
         if _REF_IRI_FORBIDDEN.intersection(name):
@@ -141,19 +168,20 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchem
 
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
-    raw_literals: list[tuple[str, str, str]] = []
+    literals: set[tuple[str, str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         match = _REF_NT_LINE.match(line)
-        if match is None:
+        blanks = [term for term in match.groups() if term.startswith("_:")] if match else []
+        if match is None or not all(map(_ref_blank_label_ok, blanks)):
             raise ParseError(f"not a recognized triple: {line!r}", lineno)
         subj_t, pred_iri, obj_t = match.groups()
         subj = subj_t if subj_t.startswith("_:") else local(subj_t)
         if obj_t.startswith('"'):
             value = _reference_unescape(obj_t[1:-1], lineno)
-            raw_literals.append((subj, local(f"<{pred_iri}>"), value))
+            literals.add((subj, local(f"<{pred_iri}>"), value))
         elif pred_iri == RDF_TYPE_IRI:
             if obj_t.startswith("_:"):
                 raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
@@ -161,21 +189,7 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI, schema: KGSchem
         else:
             pred = local(f"<{pred_iri}>")
             objects.add((subj, pred, obj_t if obj_t.startswith("_:") else local(obj_t)))
-
-    source_of: dict[tuple[str, str], tuple[str, str]] = {}
-    if schema is not None:
-        for prop, owner, (tname, attr) in sorted(schema.data_attachments):
-            source_of.setdefault((prop, owner), (tname, attr))
-    literals: set[tuple[str, str, str, tuple[str, str, int] | None]] = set()
-    for subj, prop, value in raw_literals:
-        owner_class = entities.get(subj, ("", False))[0]
-        src = source_of.get((prop, owner_class))
-        literals.add((subj, prop, value, (src[0], src[1], -1) if src else None))
-    key_sources: frozenset[tuple[str, str]] = frozenset()
-    if schema is not None:
-        present = {cls for cls, _ in entities.values()}
-        key_sources = frozenset(src for cls, src in schema.class_keys.items() if cls in present)
-    return KnowledgeGraph(entities, objects, literals, key_sources)
+    return KnowledgeGraph(entities, objects, literals)
 
 
 _CLASSES = st.sampled_from(["A", "B", "Main"])
@@ -210,9 +224,7 @@ def _graphs(draw) -> KnowledgeGraph:
     end = st.sampled_from(ends)
     objects = draw(st.sets(st.tuples(end, _NAMES, end), max_size=12))
     literals = draw(st.sets(st.tuples(end, _NAMES, _VALUES), max_size=10))
-    # the writer ignores sources, so drawn ones must leave the document as it is
-    sources = draw(st.frozensets(st.tuples(st.just("t"), st.sampled_from(["a", "b"]))))
-    return KnowledgeGraph(entities, objects, literals, literal_sources=sources)
+    return KnowledgeGraph(entities, objects, literals)
 
 
 def _holds_surrogate(value: str) -> bool:
@@ -230,15 +242,6 @@ def _document(g: KnowledgeGraph, base: str = DEFAULT_BASE_IRI) -> str | None:
         serialize_ntriples(g, base)
     assert any(f"literal of {subj!r} {prop!r} " in str(info.value) for subj, prop in bad)
     return None
-
-
-def _kept(g: KnowledgeGraph) -> KnowledgeGraph:
-    """A reference graph, whose literals are (subject, property, value,
-    source or None), as the package keeps it: its distinct triples, and the
-    (table, attribute) of every literal's source."""
-    literals = {t[:3] for t in g.literals}
-    sources = frozenset(t[3][:2] for t in g.literals if t[3] is not None)
-    return KnowledgeGraph(g.entities, g.object_triples, literals, g.key_sources, sources)
 
 
 @settings(max_examples=300, deadline=None)
@@ -268,14 +271,14 @@ def test_escape_class_matches_the_translate_table():
 
 def _assert_same_read(text: str, base: str, schema: KGSchema | None) -> None:
     try:
-        want = _reference_load(text, base, schema)
+        want = _reference_load(text, base)
     except ParseError as err:
         with pytest.raises(ParseError) as info:
             load_ntriples(text, base, schema)
         assert (info.value.line, str(info.value)) == (err.line, str(err))
         return
     got = load_ntriples(text, base, schema)
-    assert got == _kept(want)
+    assert got == want
     assert list(got.entities) == list(want.entities)
 
 
@@ -369,6 +372,37 @@ def test_load_rejects_an_iri_holding_a_character_n_triples_forbids(template, cha
     assert info.value.line == 2
     assert repr(char)[1:-1] in str(info.value)
     _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
+
+
+_BLANK_LINES = [
+    "{} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#A> .",
+    "<http://example.org/kg#A/x> <http://example.org/kg#rel> {} .",
+    '{} <http://example.org/kg#p> "v" .',
+    "{} <http://example.org/kg#rel> {} .",
+]
+
+
+@pytest.mark.parametrize(
+    "label", ['_:a{b"c', "_:a.", "_:.a", "_:-a", "_:", "_:a×b", "_:a~", "_:a/b", "_:a%20", "_:a\\u0041"]
+)
+@pytest.mark.parametrize("template", _BLANK_LINES)
+def test_load_rejects_a_blank_node_label_n_triples_forbids(template, label):
+    text = f"{_TYPE_LINE}\n{template.format(label, label)}\n{_TYPE_LINE}\n"
+    with pytest.raises(ParseError, match="^line 2: not a recognized triple") as info:
+        load_ntriples(text)
+    assert info.value.line == 2
+    _assert_same_read(text, DEFAULT_BASE_IRI, None)
+
+
+@pytest.mark.parametrize(
+    "label", ["_:dummy_WeldingProgram_row12", "_:a.b", "_:é", "_:0", "_:a:b", "_:_x-y", "_:a·́", "_:\U00010000"]
+)
+@pytest.mark.parametrize("template", _BLANK_LINES)
+def test_load_keeps_a_blank_node_label_n_triples_allows(template, label):
+    text = f"{_TYPE_LINE}\n{template.format(label, label)}\n"
+    back = load_ntriples(text)
+    assert label in {*back.entities, *(s for s, _, _ in back.literals), *(o for *_, o in back.object_triples)}
+    _assert_same_read(text, DEFAULT_BASE_IRI, None)
 
 
 _OTHER_ERRORS = [
@@ -465,14 +499,12 @@ def test_loader_matches_reference_on_lines_padded_with_unicode_spaces(g, schema,
     _assert_same_read("\n".join(lines) + "\n", DEFAULT_BASE_IRI, schema)
 
 
-def test_loader_keeps_one_object_per_predicate_class_and_source():
+def test_loader_keeps_one_object_per_name_and_class():
     entities = {"A/1": ("A", False), "A/2": ("A", False), "B/1": ("B", False), "_:dummy_A_row1": ("A", True)}
     objects = {("A/1", "rel", "B/1"), ("A/2", "rel", "B/1"), ("_:dummy_A_row1", "rel", "A/1")}
     literals = {(subj, prop, f"{subj} {prop}") for subj in entities for prop in ("p", "q")}
     back = load_ntriples(serialize_ntriples(KnowledgeGraph(entities, objects, literals)), DEFAULT_BASE_IRI, _SCHEMA)
     assert back.literals == literals
-    # p on the A entities and on B/1; no Main entity holds q
-    assert back.literal_sources == {("t", "a"), ("t", "b")}
     groups = {
         "predicates": [p for _, p, _ in back.literals] + [r for _, r, _ in back.object_triples],
         "classes": [cls for cls, _ in back.entities.values()],

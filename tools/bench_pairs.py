@@ -6,9 +6,14 @@ in another directory:
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --runs baseline_chain=201-212 reshape_wide=301-303 --out BENCH_x.json
 
-For each workload and each seed of its range, both checkouts run
-``perfbench/run.py --trace 0`` once, each in a fresh process; which side
-runs first alternates from one pair to the next. The output file holds the
+For each workload and each seed of its range, both sides run
+``perfbench/run.py --trace 0`` once, each in a fresh process. No run starts
+from the checkout it was given: before each run, the side's ``src/``,
+``perfbench/`` and ``BENCHMARK.json`` are copied afresh into one of two
+directories made for this comparison, and the run starts there. From one
+pair to the next, which side runs first alternates, and so does which of
+the two directories holds which side, so neither side keeps the older or
+the better-placed files. The output file holds the
 last JSON line of every run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles, how many pairs the
 change won, lost and tied, whether every change run beat every parent run,
@@ -35,10 +40,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# what a run needs of a checkout, copied afresh for each run
+_COPIED = ("src", "perfbench", "BENCHMARK.json")
 
 
 def _run_spec(spec: str) -> tuple[str, list[int]]:
@@ -59,6 +69,19 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def _fresh_copy(checkout: Path, place: Path) -> Path:
+    """``place`` emptied, then holding a new copy of ``_COPIED`` from ``checkout``."""
+    shutil.rmtree(place, ignore_errors=True)
+    place.mkdir()
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_work")
+    for name in _COPIED:
+        if (checkout / name).is_dir():
+            shutil.copytree(checkout / name, place / name, ignore=skip)
+        else:
+            shutil.copy2(checkout / name, place / name)
+    return place
 
 
 def _spread(values: list[float]) -> dict:
@@ -146,17 +169,22 @@ def main(argv: list[str] | None = None) -> int:
             given.add((workload, seed))
     doc = {"seconds": args.seconds, "runs": [], "summary": {}}
     pair = 0
-    for workload, seeds in args.runs:
-        for seed in seeds:
-            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-            for side in order:
-                result = _run(sides[side], workload, seed, args.seconds)
-                doc["runs"].append({"workload": workload, "seed": seed, "side": side,
-                                    "first": side == order[0], "result": result})
-                print(workload, seed, side, json.dumps(result["metrics"]), flush=True)
-            pair += 1
-            doc["summary"] = _summary(doc["runs"], bench["end_to_end"])
-            args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        places = [Path(tmp) / "a", Path(tmp) / "b"]
+        for workload, seeds in args.runs:
+            for seed in seeds:
+                order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+                # the parent runs from a on even pairs, from b on odd ones
+                place = dict(zip(["parent", "change"], places if pair % 2 == 0 else places[::-1]))
+                for side in order:
+                    result = _run(_fresh_copy(sides[side], place[side]), workload, seed, args.seconds)
+                    doc["runs"].append({"workload": workload, "seed": seed, "side": side,
+                                        "first": side == order[0], "dir": place[side].name,
+                                        "result": result})
+                    print(workload, seed, side, json.dumps(result["metrics"]), flush=True)
+                pair += 1
+                doc["summary"] = _summary(doc["runs"], bench["end_to_end"])
+                args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print("\n".join(_table(doc["summary"])))
     return 0
 
