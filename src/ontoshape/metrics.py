@@ -12,21 +12,53 @@ main-class entities, the global depth is the largest shortest-path distance
 found in any connected component.
 
 Both depths are exact. Each component's first BFS starts at its first
-main entity, if it has one, and also finds the component's nodes. On a
-tree component a double sweep (that BFS, then one from the farthest node
-it reached) gives the diameter. On any other component the double sweep
-and a BFS from the middle of its path (iFUB's 4-sweep, Crescenzi et al.,
-TCS 2013) seed per-node eccentricity bounds (Takes & Kosters, CIKM 2011);
-more BFS run only while some node's upper bound exceeds the largest
-eccentricity found. The root-to-leaf depth comes from the same bounds,
-restricted to main-class nodes.
+main entity, if it has one, finds the component's nodes and records each
+node's parent; it bounds nothing. On a tree component (as many distinct
+edges as nodes, less one) that BFS is all it takes. Heights folded in
+reverse BFS order give the diameter where a node's two tallest branches
+meet, and the start's eccentricity is its height. With several main
+entities, rerooting gives each one's eccentricity: the larger of its
+height and the longest path that leaves it through its parent.
 
-This costs a few BFS per component on trees, such as graphs whose rows
-share no entity, but not in general. When rows share entities, nearly every
-node's eccentricity equals the diameter, so a BFS from ``u`` bounds another
-node ``v`` only by ``ecc(u) + d(u, v)``, which lies above the diameter, and
-the loop can sweep from almost every node: O(V·E). One 1,000-row baseline
-graph with shared program and machine keys took 226 s (ROADMAP item 1).
+Any other component is reduced first, in linear time, to a core:
+
+- the pendant trees are peeled, leaves first, into the height ``h(a)`` of
+  what hangs from each core node ``a`` and the depth ``m(a)`` of the
+  deepest main entity in it (0 for a main core node, none without one);
+  the same heights give the longest path inside a hanging tree, and
+  rerooting gives each main entity's eccentricity within its tree;
+- of false twins (core nodes with one neighbour set) of equal height, two
+  are kept: each other node is as far from all of them as from one, and a
+  twin is as far from the kept pair as from its own twins;
+- of parallel chains (paths of degree-2 nodes) with the same ends and the
+  same heights along them, two are kept, for the same reason.
+
+A node kept for others takes the deepest main entity among them. In the
+core, the farthest entity from anywhere is a tip of a hanging tree, so each
+core node ``v`` has a reach ``r(v) = max(d(v, b) + h(b) for core b != v)``.
+The diameter is the larger of the longest path inside a hanging tree and
+``max(h(v) + r(v))``; a main entity at depth ``m(v)`` below ``v`` has
+eccentricity ``m(v) + r(v)``, or its eccentricity within its tree if that is
+larger. Takes & Kosters' eccentricity bounds (CIKM 2011) carry over to
+reaches: after a BFS over the core from ``s``, let ``R(v)`` be the largest
+``d(s, b) + h(b)`` over core nodes ``b != v``; then a core node ``v`` at
+distance ``d`` from ``s`` has ``max(d + h(s), R(v) - d) <= r(v) <= d + R(v)``,
+and ``r(s) = R(s)``. The first BFS seeds these bounds; a BFS from the node
+farthest by ``d + h`` and one from near the middle of that path follow
+(iFUB's 4-sweep, Crescenzi et al., TCS 2013). More BFS run while some
+node's ``h(v)`` plus upper bound exceeds the largest ``h(v)`` plus lower
+bound, then while some main-holding node's ``m(v)`` plus upper bound
+exceeds the root-to-leaf depth found.
+
+A tree component costs one BFS, O(V + E). Any other component costs that
+BFS and the reductions, O(V + E), plus one BFS over the reduced core per
+bounded sweep. When rows share entities, the core holds the shared
+entities and two rows at most for each combination of them, so it, and the
+count of BFS, stop growing with the rows. On ``SynthConfig(10, rows)``
+with program and machine keys drawn from 10 values each, 1,000 to 4,000
+rows take 25 BFS on baseline graphs and 220 on reshaped ones, where every
+core node's eccentricity equals the diameter, so no bound prunes and each
+core node takes its own BFS.
 
 ``ROWS`` is the one definition of the report rows, in report order: (label,
 report field, divisor into the shown unit, how repeated runs combine).
@@ -36,7 +68,7 @@ report field, divisor into the shown unit, how repeated runs combine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from statistics import mean
 
@@ -131,29 +163,50 @@ def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
 
 
 class _Eccentricities:
-    """Lower and upper eccentricity bounds for every node of a graph.
+    """BFS over one graph, each counted in ``sweeps``, and bounds on the
+    reach of every node of a reduced core.
 
-    Each BFS tightens them (Takes & Kosters, CIKM 2011): after a BFS from a
-    node with eccentricity ``e``, a node at distance ``d`` from it has
-    eccentricity at least ``max(d, e - d)`` and at most ``e + d``. A node a
-    BFS started from has both bounds equal to its eccentricity.
+    A bare BFS (``bfs``) orders a component and records parents; it bounds
+    nothing. A bounded BFS (``sweep``) runs over a reduced core, whose nodes
+    carry the height of the trees peeled off them, and tightens every core
+    node's bounds ``lo`` and ``hi`` on its reach (see the module docstring).
+    On a tree, ``lo`` and ``hi`` hold heights and ``dist`` parents instead.
     """
 
     def __init__(self, adj: list[list[int]]):
         n = len(adj)
         self.adj = adj
         self.lo = [0] * n
-        self.hi = [n] * n
-        # distance from the source of the latest BFS in the node's component
+        self.hi = [0] * n
+        # parent in the latest bare BFS, else distance from the latest source
         self.dist = [0] * n
         # number of the latest BFS that reached the node; 0 until one does
         self.seen = [0] * n
         self.sweeps = 0
+        # height, second, link, deg and main_depth, one entry per node:
+        # allocated by the first component that is not a tree
+        self.core_arrays: tuple[list[int], ...] | None = None
 
-    def sweep(self, start: int) -> list[list[int]]:
-        """BFS from ``start`` over its component; tightens the bounds of
-        every node reached and returns the levels: the nodes at distance 0,
-        1, ... from ``start``, the farthest last."""
+    def bfs(self, start: int) -> list[int]:
+        """Bare BFS from ``start``: its component in BFS order, with each
+        node's parent left in ``dist`` (``start``'s is itself)."""
+        self.sweeps += 1
+        tag = self.sweeps
+        adj, seen, parent = self.adj, self.seen, self.dist
+        seen[start] = tag
+        parent[start] = start
+        order = [start]
+        for node in order:
+            for other in adj[node]:
+                if seen[other] != tag:
+                    seen[other] = tag
+                    parent[other] = node
+                    order.append(other)
+        return order
+
+    def sweep(self, start: int) -> int:
+        """Bounded BFS from ``start`` over its reduced core; returns what
+        ``bound`` returns."""
         self.sweeps += 1
         tag = self.sweeps
         adj, seen = self.adj, self.seen
@@ -171,57 +224,257 @@ class _Eccentricities:
                 break
             levels.append(nxt)
             frontier = nxt
-        ecc = len(levels) - 1
-        lo, hi, dist = self.lo, self.hi, self.dist
+        return self.bound(levels)
+
+    def bound(self, levels: list[list[int]]) -> int:
+        """Tightens the reach bounds of the core nodes in ``levels``, those
+        at distance 0, 1, ... from the source ``levels[0][0]``, and leaves
+        each one's distance in ``dist``. Returns the farthest node by
+        distance plus height."""
+        height, lo, hi, dist = self.core_arrays[0], self.lo, self.hi, self.dist
+        # the largest and second-largest distance plus height, and where
+        # the largest is: a node's reach from the source excludes itself
+        best = second = -1
+        far = start = levels[0][0]
         for d, level in enumerate(levels):
-            low, high = max(d, ecc - d), ecc + d
+            for node in level:
+                x = d + height[node]
+                if x > second:
+                    if x > best:
+                        second, best, far = best, x, node
+                    else:
+                        second = x
+        base = height[start]
+        for d, level in enumerate(levels):
             for node in level:
                 dist[node] = d
+                reach = second if node == far else best
+                low, high = max(d + base, reach - d), d + reach
                 if lo[node] < low:
                     lo[node] = low
                 if hi[node] > high:
                     hi[node] = high
-        return levels
+        lo[start] = hi[start] = second if start == far else best
+        return far
 
 
-def _component_depths(
-    ecc: _Eccentricities, far: int, comp: list[int], mains: list[int], tree: bool
-) -> tuple[int, int]:
-    """(largest eccentricity of a node in ``mains``, diameter) of one
-    connected component with at least two nodes, once its first sweep has
-    run and found ``far`` farthest."""
-    lo, hi = ecc.lo, ecc.hi
-    levels = ecc.sweep(far)
-    end, diameter = levels[-1][0], len(levels) - 1
-    # on a tree the double sweep is exact; elsewhere it is a lower bound
-    if not tree:
-        # iFUB's 4-sweep: the middle of the double-sweep path lies near a
-        # centre, whose BFS caps every upper bound at twice its eccentricity
-        adj, dist = ecc.adj, ecc.dist
-        centre = end
-        for _ in range(diameter // 2):
-            centre = next(v for v in adj[centre] if dist[v] == dist[centre] - 1)
-        ecc.sweep(centre)
-        widest = True
-        while True:
-            open_nodes = [v for v in comp if hi[v] > diameter]
-            if not open_nodes:
-                break
-            if widest:
-                pick = max(open_nodes, key=hi.__getitem__)
+def _hang(nodes, parent: list[int], height: list[int], second: list[int]) -> int:
+    """Hangs each of ``nodes`` from its parent, every child before its
+    parent: ``height[p]`` and ``second[p]`` become the tallest and the
+    second-tallest branch below ``p`` (both start at 0). Returns the longest
+    path found, where the two tallest branches of a node meet."""
+    longest = 0
+    for node in nodes:
+        p = parent[node]
+        h = height[node] + 1
+        if h > second[p]:
+            if h > height[p]:
+                second[p] = height[p]
+                height[p] = h
             else:
-                pick = min(open_nodes, key=lo.__getitem__)
-            widest = not widest
-            diameter = max(diameter, len(ecc.sweep(pick)) - 1)
-    if not mains:
-        return 0, diameter
+                second[p] = h
+            if height[p] + second[p] > longest:
+                longest = height[p] + second[p]
+    return longest
+
+
+def _reroot(nodes, link: list[int], height: list[int], second: list[int]) -> None:
+    """Replaces ``link[v]``, the parent of each of ``nodes`` (every parent
+    before its children), with the longest path that leaves ``v`` through
+    its parent: one edge, then the parent's own such path, or its tallest
+    branch other than ``v``'s. A root's ``link`` must be 0. A node's
+    eccentricity in the tree is then ``max(height[v], link[v])``."""
+    for node in nodes:
+        p = link[node]
+        other = second[p] if height[node] + 1 == height[p] else height[p]
+        link[node] = 1 + (link[p] if link[p] > other else other)
+
+
+def _tree_depths(ecc: _Eccentricities, order: list[int], mains: list[int]) -> tuple[int, int]:
+    """(largest eccentricity of a node in ``mains``, diameter) of a tree
+    component, from its bare BFS: ``order`` from its first main, if it has
+    one, with the parents in ``ecc.dist``."""
+    parent, height, second = ecc.dist, ecc.lo, ecc.hi
+    start = order[0]
+    diameter = _hang(islice(reversed(order), len(order) - 1), parent, height, second)
+    if len(mains) < 2:
+        return (height[start] if mains else 0), diameter
+    parent[start] = 0
+    _reroot(islice(order, 1, None), parent, height, second)
+    return max(max(height[v], parent[v]) for v in mains), diameter
+
+
+def _drop(node: int, keep: int, adj: list[list[int]], deg: list[int], main_depth: list[int]) -> None:
+    """Removes ``node`` from the core in favour of ``keep``, which stands
+    for it: same reach, so ``keep`` takes its deepest main."""
+    deg[node] = 0
+    for other in adj[node]:
+        if deg[other]:
+            deg[other] -= 1
+    if main_depth[node] > main_depth[keep]:
+        main_depth[keep] = main_depth[node]
+
+
+def _reduce(core: list[int], adj: list[list[int]], deg: list[int], height: list[int], main_depth: list[int]) -> list[int]:
+    """Of the ``core`` (BFS order, every node's ``deg`` > 0), keeps two of
+    each set of false twins with one height, and two of each set of equal
+    parallel chains; returns the nodes kept, in order, with their adjacency
+    lists cut to them. The first node is always kept."""
+    for v in core:
+        adj[v] = [u for u in adj[v] if deg[u]]
+    twins: dict[tuple[int, ...], list[int]] = {}
+    for v in core:
+        kept = twins.setdefault((height[v], *sorted(adj[v])), [])
+        if len(kept) < 2:
+            kept.append(v)
+        else:
+            _drop(v, kept[0], adj, deg, main_depth)
+    chains: dict[tuple, list[list[int]]] = {}
+    walked = set()
+    for v in core:
+        if deg[v] != 2 or v in walked:
+            continue
+        sides, ends = [], []
+        for first in [u for u in adj[v] if deg[u]]:
+            prev, cur, side = v, first, []
+            while deg[cur] == 2 and cur != v:
+                side.append(cur)
+                for u in adj[cur]:
+                    if deg[u] and u != prev:
+                        prev, cur = cur, u
+                        break
+            sides.append(side)
+            ends.append(cur)
+        path = sides[0][::-1] + [v] + sides[1]
+        walked.update(path)
+        if ends[0] == v:  # a cycle of degree-2 nodes: no ends to share
+            continue
+        key = (ends[0], ends[1], tuple(height[u] for u in path))
+        turned = (ends[1], ends[0], key[2][::-1])
+        if turned < key:
+            key, path = turned, path[::-1]
+        kept = chains.setdefault(key, [])
+        if len(kept) < 2:
+            kept.append(path)
+        else:
+            for u, keep in zip(path, kept[0]):
+                _drop(u, keep, adj, deg, main_depth)
+    core = [v for v in core if deg[v]]
+    for v in core:
+        adj[v] = [u for u in adj[v] if deg[u]]
+    return core
+
+
+def _core_depths(ecc: _Eccentricities, order: list[int], mains: list[int]) -> tuple[int, int]:
+    """(largest eccentricity of a node in ``mains``, diameter) of a
+    component whose adjacency lists hold more entries than a tree's, from
+    its bare BFS: ``order`` from its first main, if it has one, with the
+    parents in ``ecc.dist``. A tree whose lists repeat a pair goes on to
+    ``_tree_depths`` once the repeats are gone."""
+    adj, dist = ecc.adj, ecc.dist
+    if ecc.core_arrays is None:
+        # each node is set up once: no two components share one
+        n = len(adj)
+        ecc.core_arrays = ([0] * n, [0] * n, [0] * n, [0] * n, [-1] * n)
+    height, _, _, deg, main_depth = ecc.core_arrays
+    edges, leaves = 0, []
+    for v in order:
+        nbrs = adj[v]
+        k = len(nbrs)
+        if k == 2 and nbrs[0] == nbrs[1] or k > 2 and len(set(nbrs)) < k:
+            nbrs = adj[v] = list(dict.fromkeys(nbrs))  # several triples join one pair
+            k = len(nbrs)
+        if k == 1:
+            leaves.append(v)
+        deg[v] = k
+        edges += k
+    if edges == 2 * len(order) - 2:
+        return _tree_depths(ecc, order, mains)
+    inner, root = _peel(ecc, leaves, mains)
+    core = [v for v in order if deg[v]]
+    # the bare BFS reached every core node through the first one, and each
+    # other core node through a core node: their distances from the first
+    dist[core[0]] = 0
+    for v in islice(core, 1, None):
+        dist[v] = dist[dist[v]] + 1
+    return _settle(ecc, _reduce(core, adj, deg, height, main_depth), inner, root)
+
+
+def _peel(ecc: _Eccentricities, peeled: list[int], mains: list[int]) -> tuple[int, int]:
+    """Peels the pendant trees off a component from its ``peeled`` leaves,
+    to which it adds each node it peels, every one hanging from ``link[v]``:
+    every node left keeps ``deg`` > 0, its height and its deepest main.
+    Returns the longest path inside a hanging tree and the largest
+    eccentricity of a main node within its tree."""
+    adj = ecc.adj
+    height, second, link, deg, main_depth = ecc.core_arrays
+    for v in mains:
+        main_depth[v] = 0
+    for v in peeled:
+        deg[v] = 0
+        for p in adj[v]:
+            if deg[p]:
+                break
+        link[v] = p
+        if main_depth[v] >= 0 and main_depth[v] >= main_depth[p]:
+            main_depth[p] = main_depth[v] + 1
+        deg[p] -= 1
+        if deg[p] == 1:
+            peeled.append(p)
+    inner = _hang(peeled, link, height, second)
+    if any(not deg[v] for v in mains):
+        _reroot(reversed(peeled), link, height, second)
+    return inner, max((max(height[v], link[v]) for v in mains), default=0)
+
+
+def _settle(ecc: _Eccentricities, core: list[int], inner: int, root: int) -> tuple[int, int]:
+    """(root-to-leaf depth, diameter) of a component from its reduced
+    ``core``, in BFS order with the distances from its first node in
+    ``ecc.dist``, given the longest path ``inner`` inside a hanging tree and
+    the largest eccentricity ``root`` of a main node within its tree: bounded
+    BFS over the core until the reach bounds settle both."""
+    adj, dist, lo, hi = ecc.adj, ecc.dist, ecc.lo, ecc.hi
+    height, _, _, _, main_depth = ecc.core_arrays
+    for v in core:
+        lo[v], hi[v] = 0, len(adj)
+    # the bare BFS, seen from the first core node, is the first sweep
+    levels: list[list[int]] = []
+    for v in core:
+        d = dist[v]
+        if d == len(levels):
+            levels.append([])
+        levels[d].append(v)
+    far = ecc.bound(levels)
+    end = ecc.sweep(far)
+    # iFUB's 4-sweep: a BFS from near the middle of the longest path found
+    # caps every upper bound at about twice its reach
+    centre, span = end, dist[end]
+    for _ in range(min(span, max(0, (span + height[far] - height[end]) // 2))):
+        centre = next(u for u in adj[centre] if dist[u] == dist[centre] - 1)
+    ecc.sweep(centre)
+    widest = True
+    swept = {core[0], far, centre}
     while True:
-        root = max(lo[v] for v in mains)
-        # no eccentricity exceeds the diameter; a tree's bounds need not know it
-        open_mains = [v for v in mains if min(hi[v], diameter) > root]
+        diameter = max(inner, max(height[v] + lo[v] for v in core))
+        open_nodes = [v for v in core if height[v] + hi[v] > diameter]
+        if not open_nodes:
+            break
+        if widest:
+            pick = max(open_nodes, key=lambda v: height[v] + hi[v])
+        else:
+            # a hub bounds the most nodes at the least distance
+            pick = min((v for v in core if v not in swept), key=lambda v: (-len(adj[v]), lo[v]))
+        widest = not widest
+        swept.add(pick)
+        ecc.sweep(pick)
+    holders = [v for v in core if main_depth[v] >= 0]
+    while holders:
+        root = max(root, max(main_depth[v] + lo[v] for v in holders))
+        open_mains = [v for v in holders if min(main_depth[v] + hi[v], diameter) > root]
         if not open_mains:
-            return root, diameter
-        ecc.sweep(max(open_mains, key=hi.__getitem__))
+            break
+        ecc.sweep(max(open_mains, key=lambda v: main_depth[v] + hi[v]))
+    return root, diameter
 
 
 def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
@@ -230,9 +483,11 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     Root-to-leaf is the largest distance from any main-class entity to an
     entity reachable from it; global is the largest distance between any
     two entities in the same component. An empty graph yields (0, 0).
-    Both are exact. A tree component costs a few BFS; when rows share
-    entities, a component can cost one BFS per node, O(V·E) (see the
-    module docstring).
+    Both are exact. A tree component costs one BFS, O(V + E). Any other
+    component costs that BFS and linear reductions, O(V + E), plus one BFS
+    over its reduced core per bounded sweep; when rows share entities, the
+    core and the count of BFS stop growing with the rows (see the module
+    docstring).
     """
     index = {eid: i for i, eid in enumerate(g.entities)}
     n = len(index)
@@ -252,16 +507,16 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     seen = ecc.seen
     root_depth = global_depth = 0
     # main entities first, so that a component holding one starts there;
-    # each component's first sweep also finds its nodes
+    # each component's first BFS also finds its nodes
     for start in chain(compress(range(n), is_main), range(n)):
         if seen[start] or not adj[start]:
             continue
-        levels = ecc.sweep(start)
-        comp = [node for level in levels for node in level]
-        edges = sum(len(adj[node]) for node in comp) // 2
-        tree = edges == len(comp) - 1 or sum(len(set(adj[node])) for node in comp) // 2 == len(comp) - 1
-        mains = [node for node in comp if is_main[node]]
-        root, diameter = _component_depths(ecc, levels[-1][0], comp, mains, tree)
+        order = ecc.bfs(start)
+        mains = [v for v in order if is_main[v]]
+        # a tree's lists hold one entry per edge end, unless a pair repeats
+        tree = sum(map(len, map(adj.__getitem__, order))) == 2 * len(order) - 2
+        depths = _tree_depths if tree else _core_depths
+        root, diameter = depths(ecc, order, mains)
         root_depth = max(root_depth, root)
         global_depth = max(global_depth, diameter)
     return (root_depth, global_depth)

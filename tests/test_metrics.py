@@ -1,8 +1,10 @@
 """Coverage, counts, and depth measurements.
 
 depth_metrics gets cross-checked against a Floyd-Warshall oracle on random
-graphs; the implementation under test uses BFS sweeps, so any disagreement
-points at a real defect rather than shared assumptions.
+graphs, and against it and a BFS from every entity on graph families built
+for each of its reductions (pendant trees, false twins, parallel chains);
+the implementation under test peels, reduces and bounds, so any
+disagreement points at a real defect rather than shared assumptions.
 """
 
 from __future__ import annotations
@@ -298,46 +300,228 @@ def test_depths_match_oracle_on_sparse_graphs(g):
 
 
 @st.composite
-def _trees_with_redundant_triples(draw):
-    """A random forest whose edges also appear reversed, under a second
-    relation, or both, plus 0-3 self-loops and 0-4 main entities."""
-    n = draw(st.integers(2, 30))
+def _with_redundant_triples(draw, family):
+    """A graph of ``family``, given as (node count, node pairs, main nodes),
+    each pair also reversed, under a second relation, or both, plus 0-3
+    self-loops."""
+    n, pairs, mains = draw(family)
     triples = set()
-    for i in range(1, n):
-        parent = draw(st.integers(-1, i - 1))  # -1 starts a new tree
-        if parent < 0:
-            continue
-        triples.add((f"e{i}", "r", f"e{parent}"))
+    for a, b in pairs:
+        triples.add((f"e{a}", "r", f"e{b}"))
         if draw(st.booleans()):
-            triples.add((f"e{parent}", "r", f"e{i}"))
+            triples.add((f"e{b}", "r", f"e{a}"))
         if draw(st.booleans()):
-            triples.add((f"e{i}", "s", f"e{parent}"))
+            triples.add((f"e{a}", "s", f"e{b}"))
     for v in draw(st.sets(st.integers(0, n - 1), max_size=3)):
         triples.add((f"e{v}", "r", f"e{v}"))
-    mains = draw(st.sets(st.integers(0, n - 1), max_size=4))
     entities = {f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}
     return KnowledgeGraph(entities, triples, set())
 
 
+@st.composite
+def _forests(draw):
+    """A random forest of 2-30 nodes, as (node count, node pairs, main
+    nodes), with 0-4 main nodes."""
+    n = draw(st.integers(2, 30))
+    pairs = set()
+    for i in range(1, n):
+        parent = draw(st.integers(-1, i - 1))  # -1 starts a new tree
+        if parent >= 0:
+            pairs.add((i, parent))
+    return n, pairs, draw(st.sets(st.integers(0, n - 1), max_size=4))
+
+
 @settings(max_examples=300, deadline=None)
-@given(g=_trees_with_redundant_triples())
+@given(g=_with_redundant_triples(_forests()))
 def test_redundant_triples_keep_a_tree_on_the_tree_path(g):
-    tree_flags = []
-    real = metrics_module._component_depths
+    trees = []
+    real = metrics_module._tree_depths
 
-    def spy(ecc, far, comp, mains, tree):
-        tree_flags.append(tree)
-        return real(ecc, far, comp, mains, tree)
+    def spy(ecc, order, mains):
+        trees.append(order[0])
+        return real(ecc, order, mains)
 
-    with mock.patch.object(metrics_module, "_component_depths", spy):
+    with mock.patch.object(metrics_module, "_tree_depths", spy), mock.patch.object(
+        metrics_module, "_reduce", side_effect=AssertionError("a tree has no core")
+    ):
         got = depth_metrics(g, "M")
     # one call per component with an edge, each on the tree path
-    assert tree_flags == [True] * len(_components_with_edges(g))
+    assert len(trees) == len(_components_with_edges(g))
     assert got == _oracle_depths(g.entities, g.object_triples, "M")
 
 
+def _brute_force_depths(g, mc):
+    """One BFS from every entity over the undirected graph: the other slow
+    reference, independent of Floyd-Warshall's matrix."""
+    adj = {e: set() for e in g.entities}
+    for a, _, b in g.object_triples:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    root = widest = 0
+    for source in g.entities:
+        dist = {source: 0}
+        queue = [source]
+        for a in queue:
+            for b in adj[a]:
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    queue.append(b)
+        ecc = max(dist.values())
+        widest = max(widest, ecc)
+        if g.entities[source][0] == mc:
+            root = max(root, ecc)
+    return root, widest
+
+
+def _hang_path(pairs, at, length, n):
+    """Adds a path of ``length`` new nodes, numbered from ``n``, hanging
+    from node ``at``; returns the next free number."""
+    for _ in range(length):
+        pairs.add((at, n))
+        at, n = n, n + 1
+    return n
+
+
+@st.composite
+def _hub_graphs(draw):
+    """Bipartite hubs: 2-4 hubs, and 2-14 nodes each joined to one of 1-3
+    hub sets, so that neighbour sets repeat, each with a pendant path of 0-2
+    edges; 0-4 main nodes anywhere."""
+    hubs = draw(st.integers(2, 4))
+    hub_sets = draw(st.lists(st.sets(st.integers(0, hubs - 1), min_size=1), min_size=1, max_size=3))
+    pairs, n = set(), hubs
+    for _ in range(draw(st.integers(2, 14))):
+        v, n = n, n + 1
+        pairs.update((v, h) for h in draw(st.sampled_from(hub_sets)))
+        n = _hang_path(pairs, v, draw(st.integers(0, 2)), n)
+    return n, pairs, draw(st.sets(st.integers(0, n - 1), max_size=4))
+
+
+@st.composite
+def _pendant_graphs(draw):
+    """A cycle of 3-8 nodes with 0-2 chords, and 0-20 more nodes, each
+    hanging from the node before it or from any earlier one: pendant trees
+    of mixed heights. 1-4 main nodes, drawn from the tree nodes when there
+    are any, and at most one on the cycle."""
+    c = draw(st.integers(3, 8))
+    pairs = {(i, (i + 1) % c) for i in range(c)}
+    for _ in range(draw(st.integers(0, 2))):
+        pairs.add((draw(st.integers(0, c - 1)), draw(st.integers(0, c - 1))))
+    n = c + draw(st.integers(0, 20))
+    pairs.update((i, i - 1 if draw(st.booleans()) else draw(st.integers(0, i - 1))) for i in range(c, n))
+    mains = draw(st.sets(st.integers(c if n > c else 0, n - 1), min_size=1, max_size=4))
+    return n, pairs, mains | draw(st.sets(st.integers(0, c - 1), max_size=1))
+
+
+@st.composite
+def _chain_graphs(draw):
+    """2-3 hubs joined by 3-10 parallel chains of 2-4 edges, each drawn from
+    1-3 profiles (ends, length, pendant path height at each inner node), so
+    that equal chains repeat beside unequal ones; 0-3 main nodes on the
+    chains' inner nodes, and at most one anywhere."""
+    hubs = draw(st.integers(2, 3))
+    profiles = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(2, 4))
+        ends = (draw(st.integers(0, hubs - 1)), draw(st.integers(0, hubs - 1)))
+        profiles.append((ends, [draw(st.integers(0, 2)) for _ in range(length - 1)]))
+    pairs, n, inner = set(), hubs, []
+    for _ in range(draw(st.integers(3, 10))):
+        (a, b), heights = draw(st.sampled_from(profiles))
+        prev = a
+        for h in heights:
+            v, n = n, n + 1
+            inner.append(v)
+            pairs.add((prev, v))
+            n = _hang_path(pairs, v, h, n)
+            prev = v
+        pairs.add((prev, b))
+    mains = draw(st.sets(st.sampled_from(inner), max_size=3))
+    return n, pairs, mains | draw(st.sets(st.integers(0, n - 1), max_size=1))
+
+
+def _check_both_oracles(g):
+    want = _oracle_depths(g.entities, g.object_triples, "M")
+    assert _brute_force_depths(g, "M") == want
+    assert depth_metrics(g, "M") == want
+
+
 @settings(max_examples=200, deadline=None)
-@given(g=st.one_of(_sparse_graphs(), _trees_with_redundant_triples()), rnd=st.randoms())
+@given(g=_with_redundant_triples(_hub_graphs()))
+def test_depths_match_oracles_on_hubs_with_repeated_neighbour_sets(g):
+    _check_both_oracles(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_with_redundant_triples(_pendant_graphs()))
+def test_depths_match_oracles_with_mains_inside_pendant_trees(g):
+    _check_both_oracles(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_with_redundant_triples(_chain_graphs()))
+def test_depths_match_oracles_on_parallel_chains(g):
+    _check_both_oracles(g)
+
+
+def _bfs_count(g, mc):
+    """(depths, BFS runs) of one ``depth_metrics`` call."""
+    made = []
+    real = metrics_module._Eccentricities
+
+    def make(adj):
+        made.append(real(adj))
+        return made[-1]
+
+    with mock.patch.object(metrics_module, "_Eccentricities", make):
+        depths = depth_metrics(g, mc)
+    return depths, made[0].sweeps if made else 0
+
+
+def test_a_tree_component_takes_one_bfs():
+    o, d, m, _ = generate_synthetic(SynthConfig(60, 30))
+    g = generate_kg(baseline_schema(o, d, m, MAIN_CLASS), d, m, MAIN_CLASS)
+    # every row is its own tree
+    assert _bfs_count(g, MAIN_CLASS) == ((4, 8), 30)
+
+
+def _shared_key_graph(approach, rows):
+    """``SynthConfig(10, rows)`` with program and machine keys redrawn from
+    10 values each: rows share entities, and one component holds them."""
+    o, d, m, u = generate_synthetic(SynthConfig(10, rows))
+    rng = random.Random(1)
+    for row in d.tables[MAIN_TABLE].rows:
+        row["program_id"] = f"p{rng.randrange(10)}"
+        row["machine_id"] = f"m{rng.randrange(10)}"
+    s = reshape(o, d, m, u) if approach == "reshape" else baseline_schema(o, d, m, MAIN_CLASS)
+    return generate_kg(s, d, m, MAIN_CLASS)
+
+
+def test_bfs_count_does_not_grow_with_rows_that_share_entities():
+    # from about 1,000 rows on, each of the 100 (program, machine) pairs is
+    # drawn at least twice, so the reduced core stops growing; below that it
+    # grows with the pairs drawn, and the count with it
+    real = metrics_module._reduce
+    for approach, depths in (("reshape", (4, 4)), ("baseline", (12, 16))):
+        counts, cores = [], []
+
+        def spy(*args):
+            kept = real(*args)
+            cores.append(len(kept))
+            return kept
+
+        for rows in (1000, 2000, 4000):
+            with mock.patch.object(metrics_module, "_reduce", spy):
+                got, count = _bfs_count(_shared_key_graph(approach, rows), MAIN_CLASS)
+            assert got == depths
+            counts.append(count)
+        assert counts[0] >= counts[1] >= counts[2], (approach, counts)
+        assert len(cores) == 3 and cores[0] >= cores[1] >= cores[2], (approach, cores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.one_of(_sparse_graphs(), _with_redundant_triples(_forests())), rnd=st.randoms())
 def test_depths_do_not_depend_on_entity_order(g, rnd):
     # the entities dict's order picks where each component's first sweep starts
     items = list(g.entities.items())
