@@ -11,22 +11,27 @@ literal triples never contribute. The root-to-leaf depth looks out from the
 main-class entities, the global depth is the largest shortest-path distance
 found in any connected component.
 
-Both depths are exact. Each component's first BFS starts at its first
-main entity, if it has one, finds the component's nodes and records each
-node's parent; it bounds nothing. On a tree component (as many distinct
-edges as nodes, less one) that BFS is all it takes. Heights folded in
-reverse BFS order give the diameter where a node's two tallest branches
-meet, and the start's eccentricity is its height. With several main
-entities, rerooting gives each one's eccentricity: the larger of its
-height and the longest path that leaves it through its parent.
+Both depths are exact, and no tree needs an adjacency list. One pass over
+the object triples gives each entity its degree (its count of triples)
+and the XOR of its neighbours' indices. Leaves are peeled, in index order
+and then as they appear; a leaf's one neighbour, its parent, is its XOR,
+and once it is peeled the XOR still names it. A node left with no
+neighbour is the root of a tree component. Heights folded in peel order,
+children first, give the height ``h(a)`` of what hangs from each node and
+the longest path inside a tree, where a node's two tallest branches meet.
+Each main entity in a tree walks up to its top, the root or the core node
+its tree hangs from, for the longest path that leaves each node on the way
+through its parent; no node is walked twice. Its eccentricity within its
+tree is the larger of that and its height, and ``m(a)`` is the depth of the
+deepest main entity below a core node ``a`` (0 for a main core node, none
+without one).
 
-Any other component is reduced first, in linear time, to a core:
+Only the nodes left, the core, get adjacency lists, deduplicated and in
+index order. A pair that several triples join counts twice in the degree
+and cancels in the XOR, so it is left at first; with its lists it is peeled
+like any leaf, and a tree never reaches the reductions. The core is then
+reduced in linear time:
 
-- the pendant trees are peeled, leaves first, into the height ``h(a)`` of
-  what hangs from each core node ``a`` and the depth ``m(a)`` of the
-  deepest main entity in it (0 for a main core node, none without one);
-  the same heights give the longest path inside a hanging tree, and
-  rerooting gives each main entity's eccentricity within its tree;
 - of false twins (core nodes with one neighbour set) of equal height, two
   are kept: each other node is as far from all of them as from one, and a
   twin is as far from the kept pair as from its own twins;
@@ -43,22 +48,26 @@ larger. Takes & Kosters' eccentricity bounds (CIKM 2011) carry over to
 reaches: after a BFS over the core from ``s``, let ``R(v)`` be the largest
 ``d(s, b) + h(b)`` over core nodes ``b != v``; then a core node ``v`` at
 distance ``d`` from ``s`` has ``max(d + h(s), R(v) - d) <= r(v) <= d + R(v)``,
-and ``r(s) = R(s)``. The first BFS seeds these bounds; a BFS from the node
+and ``r(s) = R(s)``. Each core component's first BFS, from its first
+main-holding node if it has one, seeds these bounds; a BFS from the node
 farthest by ``d + h`` and one from near the middle of that path follow
 (iFUB's 4-sweep, Crescenzi et al., TCS 2013). More BFS run while some
-node's ``h(v)`` plus upper bound exceeds the largest ``h(v)`` plus lower
-bound, then while some main-holding node's ``m(v)`` plus upper bound
-exceeds the root-to-leaf depth found.
+node's ``h(v)`` plus upper bound exceeds the diameter found, then while
+some main-holding node's ``m(v)`` plus upper bound exceeds the
+root-to-leaf depth found. Both are maxima over the whole graph, so the
+longest path in a tree and what earlier components found count as found.
 
-A tree component costs one BFS, O(V + E). Any other component costs that
-BFS and the reductions, O(V + E), plus one BFS over the reduced core per
-bounded sweep. When rows share entities, the core holds the shared
-entities and two rows at most for each combination of them, so it, and the
-count of BFS, stop growing with the rows. On ``SynthConfig(10, rows)``
-with program and machine keys drawn from 10 values each, 1,000 to 4,000
-rows take 25 BFS on baseline graphs and 220 on reshaped ones, where every
-core node's eccentricity equals the diameter, so no bound prunes and each
-core node takes its own BFS.
+A forest costs the pass and the peel, O(V + E), and no BFS. Any other
+graph also costs a second pass for the core's lists and the reductions,
+O(V + E), plus one BFS over the reduced core per bounded sweep. When rows
+share entities, the core holds the shared entities and two rows at most
+for each combination of them, so it, and the count of BFS, stop growing
+with the rows. On ``SynthConfig(10, rows)`` with program and machine keys
+drawn from 10 values each, 1,000 to 4,000 rows take 25 BFS on baseline
+graphs and 220 on reshaped ones, where every core node's eccentricity
+equals the diameter, so no bound prunes and each core node takes its own
+BFS. The core's lists are in entity order, so the count does not depend on
+the order in which a process hashes the triples.
 
 ``ROWS`` is the one definition of the report rows, in report order: (label,
 report field, divisor into the shown unit, how repeated runs combine).
@@ -68,8 +77,9 @@ report field, divisor into the shown unit, how repeated runs combine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from operator import itemgetter
+from functools import reduce
+from itertools import chain
+from operator import itemgetter, xor
 from statistics import mean
 
 from .kggen import KnowledgeGraph, _plans
@@ -163,50 +173,26 @@ def kg_counts(g: KnowledgeGraph, s: KGSchema) -> tuple[int, int, int, int]:
 
 
 class _Eccentricities:
-    """BFS over one graph, each counted in ``sweeps``, and bounds on the
-    reach of every node of a reduced core.
+    """Bounded BFS over a reduced core, each counted in ``sweeps``, and
+    bounds ``lo`` and ``hi`` on the reach of every core node, whose
+    ``height`` is that of the trees peeled off it (see the module
+    docstring)."""
 
-    A bare BFS (``bfs``) orders a component and records parents; it bounds
-    nothing. A bounded BFS (``sweep``) runs over a reduced core, whose nodes
-    carry the height of the trees peeled off them, and tightens every core
-    node's bounds ``lo`` and ``hi`` on its reach (see the module docstring).
-    On a tree, ``lo`` and ``hi`` hold heights and ``dist`` parents instead.
-    """
-
-    def __init__(self, adj: list[list[int]]):
+    def __init__(self, adj: list, height: list[int]):
         n = len(adj)
         self.adj = adj
+        self.height = height
         self.lo = [0] * n
-        self.hi = [0] * n
-        # parent in the latest bare BFS, else distance from the latest source
+        self.hi = [n] * n
+        # distance from the latest source
         self.dist = [0] * n
         # number of the latest BFS that reached the node; 0 until one does
         self.seen = [0] * n
         self.sweeps = 0
-        # height, second, link, deg and main_depth, one entry per node:
-        # allocated by the first component that is not a tree
-        self.core_arrays: tuple[list[int], ...] | None = None
 
-    def bfs(self, start: int) -> list[int]:
-        """Bare BFS from ``start``: its component in BFS order, with each
-        node's parent left in ``dist`` (``start``'s is itself)."""
-        self.sweeps += 1
-        tag = self.sweeps
-        adj, seen, parent = self.adj, self.seen, self.dist
-        seen[start] = tag
-        parent[start] = start
-        order = [start]
-        for node in order:
-            for other in adj[node]:
-                if seen[other] != tag:
-                    seen[other] = tag
-                    parent[other] = node
-                    order.append(other)
-        return order
-
-    def sweep(self, start: int) -> int:
-        """Bounded BFS from ``start`` over its reduced core; returns what
-        ``bound`` returns."""
+    def levels(self, start: int) -> list[list[int]]:
+        """BFS from ``start`` over its component of the core: the nodes at
+        distance 0, 1, ... from it."""
         self.sweeps += 1
         tag = self.sweeps
         adj, seen = self.adj, self.seen
@@ -221,17 +207,20 @@ class _Eccentricities:
                         seen[other] = tag
                         nxt.append(other)
             if not nxt:
-                break
+                return levels
             levels.append(nxt)
             frontier = nxt
-        return self.bound(levels)
+
+    def sweep(self, start: int) -> int:
+        """Bounded BFS from ``start``; returns what ``bound`` returns."""
+        return self.bound(self.levels(start))
 
     def bound(self, levels: list[list[int]]) -> int:
         """Tightens the reach bounds of the core nodes in ``levels``, those
         at distance 0, 1, ... from the source ``levels[0][0]``, and leaves
         each one's distance in ``dist``. Returns the farthest node by
         distance plus height."""
-        height, lo, hi, dist = self.core_arrays[0], self.lo, self.hi, self.dist
+        height, lo, hi, dist = self.height, self.lo, self.hi, self.dist
         # the largest and second-largest distance plus height, and where
         # the largest is: a node's reach from the source excludes itself
         best = second = -1
@@ -258,6 +247,28 @@ class _Eccentricities:
         return far
 
 
+def _peel(queue: list[int], deg: list[int], link: list[int]) -> list[int]:
+    """Peels leaves from ``queue`` on, appending each node whose ``deg``
+    falls to 1. A leaf's one neighbour, its parent, is ``link[v]``, the XOR
+    of the neighbours it has left, so no list is read. A peeled node's
+    ``deg`` becomes 0 and its ``link`` stays its parent; a node left with no
+    neighbour is the root of a tree, and its ``deg`` becomes -1. Returns the
+    peeled nodes, every child before its parent."""
+    order = []
+    for v in queue:
+        if deg[v] == 0:
+            deg[v] = -1
+            continue
+        p = link[v]
+        deg[v] = 0
+        order.append(v)
+        link[p] ^= v
+        deg[p] -= 1
+        if deg[p] == 1:
+            queue.append(p)
+    return order
+
+
 def _hang(nodes, parent: list[int], height: list[int], second: list[int]) -> int:
     """Hangs each of ``nodes`` from its parent, every child before its
     parent: ``height[p]`` and ``second[p]`` become the tallest and the
@@ -278,30 +289,31 @@ def _hang(nodes, parent: list[int], height: list[int], second: list[int]) -> int
     return longest
 
 
-def _reroot(nodes, link: list[int], height: list[int], second: list[int]) -> None:
-    """Replaces ``link[v]``, the parent of each of ``nodes`` (every parent
-    before its children), with the longest path that leaves ``v`` through
-    its parent: one edge, then the parent's own such path, or its tallest
-    branch other than ``v``'s. A root's ``link`` must be 0. A node's
-    eccentricity in the tree is then ``max(height[v], link[v])``."""
-    for node in nodes:
-        p = link[node]
-        other = second[p] if height[node] + 1 == height[p] else height[p]
-        link[node] = 1 + (link[p] if link[p] > other else other)
-
-
-def _tree_depths(ecc: _Eccentricities, order: list[int], mains: list[int]) -> tuple[int, int]:
-    """(largest eccentricity of a node in ``mains``, diameter) of a tree
-    component, from its bare BFS: ``order`` from its first main, if it has
-    one, with the parents in ``ecc.dist``."""
-    parent, height, second = ecc.dist, ecc.lo, ecc.hi
-    start = order[0]
-    diameter = _hang(islice(reversed(order), len(order) - 1), parent, height, second)
-    if len(mains) < 2:
-        return (height[start] if mains else 0), diameter
-    parent[start] = 0
-    _reroot(islice(order, 1, None), parent, height, second)
-    return max(max(height[v], parent[v]) for v in mains), diameter
+def _walk_up(mains: list[int], deg: list[int], link: list[int], height: list[int], second: list[int], main_depth: list[int]) -> int:
+    """The largest eccentricity of a node in ``mains`` within its tree, once
+    every tree is peeled and hung. Each main walks up to its top, a root or
+    a core node, and back down, taking at each step the longest path that
+    leaves a node through its parent: one edge, then the parent's own such
+    path or its tallest branch other than the node's. A node walked once is
+    not walked again. ``main_depth`` gets, for each core node, the depth of
+    the deepest main below it (0 for a main core node)."""
+    walked: dict[int, tuple[int, int, int]] = {}  # node: (path up, depth, top)
+    root = 0
+    for m in mains:
+        path, v = [], m
+        while deg[v] == 0 and v not in walked:
+            path.append(v)
+            v = link[v]
+        up, depth, top = walked.get(v, (0, 0, v))
+        for c in reversed(path):
+            p = link[c]
+            other = second[p] if height[c] + 1 == height[p] else height[p]
+            up, depth = 1 + (up if up > other else other), depth + 1
+            walked[c] = (up, depth, top)
+        root = max(root, height[m], up)
+        if deg[top] > 0 and depth > main_depth[top]:
+            main_depth[top] = depth
+    return root
 
 
 def _drop(node: int, keep: int, adj: list[list[int]], deg: list[int], main_depth: list[int]) -> None:
@@ -316,15 +328,15 @@ def _drop(node: int, keep: int, adj: list[list[int]], deg: list[int], main_depth
 
 
 def _reduce(core: list[int], adj: list[list[int]], deg: list[int], height: list[int], main_depth: list[int]) -> list[int]:
-    """Of the ``core`` (BFS order, every node's ``deg`` > 0), keeps two of
-    each set of false twins with one height, and two of each set of equal
-    parallel chains; returns the nodes kept, in order, with their adjacency
-    lists cut to them. The first node is always kept."""
+    """Of the ``core`` (every node's ``deg`` > 0, its list in index order),
+    keeps two of each set of false twins with one height, and two of each
+    set of equal parallel chains; returns the nodes kept, in order, with
+    their adjacency lists cut to them."""
     for v in core:
-        adj[v] = [u for u in adj[v] if deg[u]]
+        adj[v] = [u for u in adj[v] if deg[u] > 0]
     twins: dict[tuple[int, ...], list[int]] = {}
     for v in core:
-        kept = twins.setdefault((height[v], *sorted(adj[v])), [])
+        kept = twins.setdefault((height[v], *adj[v]), [])
         if len(kept) < 2:
             kept.append(v)
         else:
@@ -365,85 +377,15 @@ def _reduce(core: list[int], adj: list[list[int]], deg: list[int], height: list[
     return core
 
 
-def _core_depths(ecc: _Eccentricities, order: list[int], mains: list[int]) -> tuple[int, int]:
-    """(largest eccentricity of a node in ``mains``, diameter) of a
-    component whose adjacency lists hold more entries than a tree's, from
-    its bare BFS: ``order`` from its first main, if it has one, with the
-    parents in ``ecc.dist``. A tree whose lists repeat a pair goes on to
-    ``_tree_depths`` once the repeats are gone."""
-    adj, dist = ecc.adj, ecc.dist
-    if ecc.core_arrays is None:
-        # each node is set up once: no two components share one
-        n = len(adj)
-        ecc.core_arrays = ([0] * n, [0] * n, [0] * n, [0] * n, [-1] * n)
-    height, _, _, deg, main_depth = ecc.core_arrays
-    edges, leaves = 0, []
-    for v in order:
-        nbrs = adj[v]
-        k = len(nbrs)
-        if k == 2 and nbrs[0] == nbrs[1] or k > 2 and len(set(nbrs)) < k:
-            nbrs = adj[v] = list(dict.fromkeys(nbrs))  # several triples join one pair
-            k = len(nbrs)
-        if k == 1:
-            leaves.append(v)
-        deg[v] = k
-        edges += k
-    if edges == 2 * len(order) - 2:
-        return _tree_depths(ecc, order, mains)
-    inner, root = _peel(ecc, leaves, mains)
-    core = [v for v in order if deg[v]]
-    # the bare BFS reached every core node through the first one, and each
-    # other core node through a core node: their distances from the first
-    dist[core[0]] = 0
-    for v in islice(core, 1, None):
-        dist[v] = dist[dist[v]] + 1
-    return _settle(ecc, _reduce(core, adj, deg, height, main_depth), inner, root)
-
-
-def _peel(ecc: _Eccentricities, peeled: list[int], mains: list[int]) -> tuple[int, int]:
-    """Peels the pendant trees off a component from its ``peeled`` leaves,
-    to which it adds each node it peels, every one hanging from ``link[v]``:
-    every node left keeps ``deg`` > 0, its height and its deepest main.
-    Returns the longest path inside a hanging tree and the largest
-    eccentricity of a main node within its tree."""
-    adj = ecc.adj
-    height, second, link, deg, main_depth = ecc.core_arrays
-    for v in mains:
-        main_depth[v] = 0
-    for v in peeled:
-        deg[v] = 0
-        for p in adj[v]:
-            if deg[p]:
-                break
-        link[v] = p
-        if main_depth[v] >= 0 and main_depth[v] >= main_depth[p]:
-            main_depth[p] = main_depth[v] + 1
-        deg[p] -= 1
-        if deg[p] == 1:
-            peeled.append(p)
-    inner = _hang(peeled, link, height, second)
-    if any(not deg[v] for v in mains):
-        _reroot(reversed(peeled), link, height, second)
-    return inner, max((max(height[v], link[v]) for v in mains), default=0)
-
-
-def _settle(ecc: _Eccentricities, core: list[int], inner: int, root: int) -> tuple[int, int]:
-    """(root-to-leaf depth, diameter) of a component from its reduced
-    ``core``, in BFS order with the distances from its first node in
-    ``ecc.dist``, given the longest path ``inner`` inside a hanging tree and
-    the largest eccentricity ``root`` of a main node within its tree: bounded
-    BFS over the core until the reach bounds settle both."""
-    adj, dist, lo, hi = ecc.adj, ecc.dist, ecc.lo, ecc.hi
-    height, _, _, _, main_depth = ecc.core_arrays
-    for v in core:
-        lo[v], hi[v] = 0, len(adj)
-    # the bare BFS, seen from the first core node, is the first sweep
-    levels: list[list[int]] = []
-    for v in core:
-        d = dist[v]
-        if d == len(levels):
-            levels.append([])
-        levels[d].append(v)
+def _settle(ecc: _Eccentricities, start: int, main_depth: list[int], root: int, longest: int) -> tuple[int, int]:
+    """The root-to-leaf depth and the diameter, once the component of
+    ``start`` in the reduced core is settled, given the largest main
+    eccentricity ``root`` and the longest path ``longest`` found so far:
+    bounded BFS over the component until the reach bounds settle both. What
+    is found so far is a floor, so a node that cannot beat it needs no BFS."""
+    adj, dist, lo, hi, height = ecc.adj, ecc.dist, ecc.lo, ecc.hi, ecc.height
+    levels = ecc.levels(start)
+    core = list(chain.from_iterable(levels))
     far = ecc.bound(levels)
     end = ecc.sweep(far)
     # iFUB's 4-sweep: a BFS from near the middle of the longest path found
@@ -453,9 +395,9 @@ def _settle(ecc: _Eccentricities, core: list[int], inner: int, root: int) -> tup
         centre = next(u for u in adj[centre] if dist[u] == dist[centre] - 1)
     ecc.sweep(centre)
     widest = True
-    swept = {core[0], far, centre}
+    swept = {start, far, centre}
     while True:
-        diameter = max(inner, max(height[v] + lo[v] for v in core))
+        diameter = max(longest, max(height[v] + lo[v] for v in core))
         open_nodes = [v for v in core if height[v] + hi[v] > diameter]
         if not open_nodes:
             break
@@ -483,43 +425,62 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
     Root-to-leaf is the largest distance from any main-class entity to an
     entity reachable from it; global is the largest distance between any
     two entities in the same component. An empty graph yields (0, 0).
-    Both are exact. A tree component costs one BFS, O(V + E). Any other
-    component costs that BFS and linear reductions, O(V + E), plus one BFS
-    over its reduced core per bounded sweep; when rows share entities, the
-    core and the count of BFS stop growing with the rows (see the module
-    docstring).
+    Both are exact. A forest costs one pass over the triples and a peel of
+    its leaves, O(V + E), no adjacency list and no BFS. Any other graph
+    also builds lists for its core alone and reduces it, O(V + E), then
+    runs one BFS over the reduced core per bounded sweep; when rows share
+    entities, the core and the count of BFS stop growing with the rows
+    (see the module docstring).
     """
     index = {eid: i for i, eid in enumerate(g.entities)}
     n = len(index)
-    if n == 0:
-        return (0, 0)
-    # a node pair joined by several triples repeats in the lists
-    adj: list[list[int]] = [[] for _ in range(n)]
+    # each node's count of triples and the XOR of their other ends: a
+    # leaf's one neighbour, read without a list
+    deg, link = [0] * n, [0] * n
     for subj, _, obj in g.object_triples:
         a, b = index.get(subj), index.get(obj)
         if a is None or b is None or a == b:
             continue
-        adj[a].append(b)
-        adj[b].append(a)
-    is_main = [cls == mc for cls, _ in g.entities.values()]
-
-    ecc = _Eccentricities(adj)
-    seen = ecc.seen
-    root_depth = global_depth = 0
-    # main entities first, so that a component holding one starts there;
-    # each component's first BFS also finds its nodes
-    for start in chain(compress(range(n), is_main), range(n)):
-        if seen[start] or not adj[start]:
-            continue
-        order = ecc.bfs(start)
-        mains = [v for v in order if is_main[v]]
-        # a tree's lists hold one entry per edge end, unless a pair repeats
-        tree = sum(map(len, map(adj.__getitem__, order))) == 2 * len(order) - 2
-        depths = _tree_depths if tree else _core_depths
-        root, diameter = depths(ecc, order, mains)
-        root_depth = max(root_depth, root)
-        global_depth = max(global_depth, diameter)
-    return (root_depth, global_depth)
+        deg[a] += 1
+        deg[b] += 1
+        link[a] ^= b
+        link[b] ^= a
+    mains = [v for v, (cls, _) in enumerate(g.entities.values()) if cls == mc and deg[v]]
+    order = _peel([v for v in range(n) if deg[v] == 1], deg, link)
+    core: list[int] = []
+    if max(deg, default=0) > 0:  # some triples are left: lists for their ends
+        core = [v for v in range(n) if deg[v] > 0]
+        adj: list = [None] * n
+        for v in core:
+            adj[v] = []
+        for subj, _, obj in g.object_triples:
+            a, b = index.get(subj), index.get(obj)
+            if a is not None and b is not None and a != b and deg[a] > 0 and deg[b] > 0:
+                adj[a].append(b)
+                adj[b].append(a)
+        # a pair that several triples join counts twice in ``deg`` and
+        # cancels in ``link``: once its lists hold it once, it peels
+        leaves = []
+        for v in core:
+            nbrs = adj[v] = sorted(set(adj[v]))
+            if len(nbrs) < deg[v]:
+                deg[v], link[v] = len(nbrs), reduce(xor, nbrs)
+                if deg[v] == 1:
+                    leaves.append(v)
+        order += _peel(leaves, deg, link)
+        core = [v for v in core if deg[v] > 0]
+    height, second = [0] * n, [0] * n
+    diameter = _hang(order, link, height, second)
+    main_depth = [-1] * n
+    root = _walk_up(mains, deg, link, height, second, main_depth)
+    if core:
+        ecc = _Eccentricities(adj, height)
+        core = _reduce(core, adj, deg, height, main_depth)
+        # a component holding a main entity starts at the first one
+        for start in chain([v for v in core if main_depth[v] >= 0], core):
+            if not ecc.seen[start]:
+                root, diameter = _settle(ecc, start, main_depth, root, diameter)
+    return (root, diameter)
 
 
 def build_report(

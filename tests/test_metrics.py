@@ -9,7 +9,12 @@ disagreement points at a real defect rather than shared assumptions.
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -334,19 +339,11 @@ def _forests(draw):
 @settings(max_examples=300, deadline=None)
 @given(g=_with_redundant_triples(_forests()))
 def test_redundant_triples_keep_a_tree_on_the_tree_path(g):
-    trees = []
-    real = metrics_module._tree_depths
-
-    def spy(ecc, order, mains):
-        trees.append(order[0])
-        return real(ecc, order, mains)
-
-    with mock.patch.object(metrics_module, "_tree_depths", spy), mock.patch.object(
-        metrics_module, "_reduce", side_effect=AssertionError("a tree has no core")
-    ):
-        got = depth_metrics(g, "M")
-    # one call per component with an edge, each on the tree path
-    assert len(trees) == len(_components_with_edges(g))
+    # a pair that several triples join is left unpeeled at first; once the
+    # lists hold it once, the tree peels, and no core is reduced or swept
+    with mock.patch.object(metrics_module, "_reduce", side_effect=AssertionError("a tree has no core")):
+        got, count = _bfs_count(g, "M")
+    assert count == 0
     assert got == _oracle_depths(g.entities, g.object_triples, "M")
 
 
@@ -465,13 +462,128 @@ def test_depths_match_oracles_on_parallel_chains(g):
     _check_both_oracles(g)
 
 
+def _peel_roots(n, pairs):
+    """Where a peel of the forest ``pairs`` over nodes ``0..n-1`` ends, one
+    node per tree with an edge: leaves peeled in index order, then as they
+    appear, each tree's last node left is its root."""
+    nbrs = [set() for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    queue = [v for v in range(n) if len(nbrs[v]) == 1]
+    roots = set()
+    for v in queue:
+        if not nbrs[v]:
+            roots.add(v)
+            continue
+        p = nbrs[v].pop()
+        nbrs[p].discard(v)
+        if len(nbrs[p]) == 1:
+            queue.append(p)
+    return roots
+
+
+def _renumber(draw, n, pairs, groups):
+    """``pairs`` and ``groups`` (lists of nodes) under a drawn order of
+    ``0..n-1``, so that the peel starts anywhere."""
+    order = draw(st.permutations(range(n)))
+    return {(order[a], order[b]) for a, b in pairs}, [[order[v] for v in group] for group in groups]
+
+
+@st.composite
+def _trees_with_mains_off_root(draw):
+    """1-3 trees of 2-12 nodes, numbered in a drawn order, each with 1-4
+    main nodes, none where the peel ends: several mains walk up one tree."""
+    pairs, trees, n = set(), [], 0
+    for size in draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)):
+        for i in range(n + 1, n + size):
+            pairs.add((i, i - 1 if draw(st.booleans()) else draw(st.integers(n, i - 1))))
+        trees.append(range(n, n + size))
+        n += size
+    pairs, trees = _renumber(draw, n, pairs, trees)
+    roots, mains = _peel_roots(n, pairs), set()
+    for tree in trees:
+        mains |= draw(st.sets(st.sampled_from([v for v in tree if v not in roots]), min_size=1, max_size=4))
+    return n, pairs, mains
+
+
+@st.composite
+def _stars_with_mains_off_root(draw):
+    """A star of 2-8 legs of 1-3 edges, numbered in a drawn order, with 1-4
+    main nodes, none where the peel ends."""
+    pairs, n = set(), 1
+    for length in draw(st.lists(st.integers(1, 3), min_size=2, max_size=8)):
+        n = _hang_path(pairs, 0, length, n)
+    pairs, _ = _renumber(draw, n, pairs, [])
+    (root,) = _peel_roots(n, pairs)
+    return n, pairs, draw(st.sets(st.sampled_from([v for v in range(n) if v != root]), min_size=1, max_size=4))
+
+
+@st.composite
+def _plain(draw, family):
+    """A graph of ``family``, one triple per pair."""
+    n, pairs, mains = draw(family)
+    entities = {f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}
+    return KnowledgeGraph(entities, {(f"e{a}", "r", f"e{b}") for a, b in pairs}, set())
+
+
+@st.composite
+def _trees_with_pairs_both_ways(draw):
+    """A tree of 2-20 nodes, numbered in a drawn order, of which 1-3 pairs
+    are also given reversed; 0-4 main nodes anywhere."""
+    n = draw(st.integers(2, 20))
+    pairs = {(i, i - 1 if draw(st.booleans()) else draw(st.integers(0, i - 1))) for i in range(1, n)}
+    pairs, _ = _renumber(draw, n, pairs, [])
+    both = draw(st.sets(st.sampled_from(sorted(pairs)), min_size=1, max_size=3))
+    triples = {(f"e{a}", "r", f"e{b}") for a, b in pairs} | {(f"e{b}", "r", f"e{a}") for a, b in both}
+    mains = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    return KnowledgeGraph({f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}, triples, set())
+
+
+@st.composite
+def _isolated_mains_and_self_loops(draw):
+    """A graph of ``_sparse_graphs`` plus 1-4 isolated nodes, 1-4 of them
+    main, and self-loops on 1-3 nodes, isolated ones among them."""
+    g = draw(_sparse_graphs())
+    n, extra = len(g.entities), draw(st.integers(1, 4))
+    entities = dict(g.entities)
+    for i in range(n, n + extra):
+        entities[f"e{i}"] = ("M" if i == n or draw(st.booleans()) else "C", False)
+    loops = draw(st.sets(st.integers(0, n + extra - 1), min_size=1, max_size=3)) | {n + extra - 1}
+    return KnowledgeGraph(entities, g.object_triples | {(f"e{v}", "r", f"e{v}") for v in loops}, set())
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_plain(_trees_with_mains_off_root()))
+def test_depths_match_oracles_with_mains_off_the_peel_root(g):
+    _check_both_oracles(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_plain(_stars_with_mains_off_root()))
+def test_depths_match_oracles_on_stars_rooted_off_the_mains(g):
+    _check_both_oracles(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_trees_with_pairs_both_ways())
+def test_depths_match_oracles_on_trees_with_pairs_both_ways(g):
+    _check_both_oracles(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_isolated_mains_and_self_loops())
+def test_depths_match_oracles_with_isolated_mains_and_self_loops(g):
+    _check_both_oracles(g)
+
+
 def _bfs_count(g, mc):
     """(depths, BFS runs) of one ``depth_metrics`` call."""
     made = []
     real = metrics_module._Eccentricities
 
-    def make(adj):
-        made.append(real(adj))
+    def make(*args):
+        made.append(real(*args))
         return made[-1]
 
     with mock.patch.object(metrics_module, "_Eccentricities", make):
@@ -479,11 +591,32 @@ def _bfs_count(g, mc):
     return depths, made[0].sweeps if made else 0
 
 
-def test_a_tree_component_takes_one_bfs():
+def test_a_forest_takes_no_bfs():
     o, d, m, _ = generate_synthetic(SynthConfig(60, 30))
     g = generate_kg(baseline_schema(o, d, m, MAIN_CLASS), d, m, MAIN_CLASS)
     # every row is its own tree
-    assert _bfs_count(g, MAIN_CLASS) == ((4, 8), 30)
+    assert _bfs_count(g, MAIN_CLASS) == ((4, 8), 0)
+
+
+def test_a_forest_holds_no_list_per_entity():
+    o, d, m, _ = generate_synthetic(SynthConfig(60, 100, chain_depth=4))
+    g = generate_kg(baseline_schema(o, d, m, MAIN_CLASS), d, m, MAIN_CLASS)
+    assert len(g.entities) == 24_500
+
+    def lists():
+        return sum(type(x) is list for x in gc.get_objects())
+
+    grown, real = [], metrics_module._hang
+
+    def spy(*args):
+        grown.append(lists() - before)
+        return real(*args)
+
+    before = lists()
+    with mock.patch.object(metrics_module, "_hang", spy):
+        depth_metrics(g, MAIN_CLASS)
+    # flat lists over the entities, none per entity
+    assert grown and max(grown) < 100, grown
 
 
 def _shared_key_graph(approach, rows):
@@ -520,6 +653,21 @@ def test_bfs_count_does_not_grow_with_rows_that_share_entities():
         assert len(cores) == 3 and cores[0] >= cores[1] >= cores[2], (approach, cores)
 
 
+def test_bfs_count_does_not_depend_on_the_hash_seed():
+    # the triples are a set, iterated in string-hash order; the core's
+    # lists are kept in entity order, so its BFS are the same in any process
+    src = str(Path(metrics_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    code = "from test_metrics import _bfs_count, _shared_key_graph; print(_bfs_count(_shared_key_graph('baseline', 400), 'WeldingOperation'))"
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=st.one_of(_sparse_graphs(), _with_redundant_triples(_forests())), rnd=st.randoms())
 def test_depths_do_not_depend_on_entity_order(g, rnd):
@@ -531,20 +679,6 @@ def test_depths_do_not_depend_on_entity_order(g, rnd):
     for order in (items[::-1], shuffled):
         reordered = KnowledgeGraph(dict(order), g.object_triples, g.literals)
         assert depth_metrics(reordered, "M") == want
-
-
-def _components_with_edges(g):
-    """Connected components with at least one edge, by union-find."""
-    parent = {e: e for e in g.entities}
-
-    def find(e):
-        while parent[e] != e:
-            e = parent[e]
-        return e
-
-    for a, _, b in g.object_triples:
-        parent[find(a)] = find(b)
-    return {find(a) for a, _, b in g.object_triples if a != b}
 
 
 def test_root_never_exceeds_global():
