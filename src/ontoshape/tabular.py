@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import csv
+import random
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import _philox
 from .errors import DatasetError
 
 
@@ -114,8 +114,9 @@ def subsample_attributes(d: Dataset, k: int, retained: set[str], seed: int) -> D
     """Return a dataset whose main table keeps the ``retained`` attributes
     plus ``k`` others sampled uniformly without replacement.
 
-    Sampling draws from the counter-based Philox generator seeded with
-    ``seed`` (see ``_philox``), so equal inputs give byte-equal results.
+    ``random.Random(seed)`` gives each candidate, in attribute order, one
+    ``random()`` draw as its key, and the ``k`` candidates with the
+    smallest keys are kept, so equal inputs give byte-equal results.
     Attribute order and the other tables are left untouched. A negative
     ``k`` or ``seed`` raises ``ValueError``.
     """
@@ -124,7 +125,15 @@ def subsample_attributes(d: Dataset, k: int, retained: set[str], seed: int) -> D
     candidates = [a for a in main.attributes if a not in kept_keys]
     if k > len(candidates):
         raise ValueError(f"k too large: {k} > {len(candidates)} non-key attributes")
-    picked = {candidates[i] for i in _philox.sample(seed, len(candidates), k)}
+    if k < 0:
+        raise ValueError(f"cannot take {k} of {len(candidates)} without replacement")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    # Only random() is drawn: Python keeps its sequence for an int seed
+    # stable across releases, and promises that for neither sample() nor
+    # randrange().
+    rng = random.Random(seed)
+    picked = {a for _, a in sorted((rng.random(), a) for a in candidates)[:k]}
     keep = [a for a in main.attributes if a in kept_keys or a in picked]
     rows = [{a: row[a] for a in keep} for row in main.rows]
     tables = dict(d.tables)

@@ -1,13 +1,21 @@
-"""CSV loading and seeded attribute sub-sampling."""
+"""CSV loading, seeded attribute sub-sampling, and the standard-library-only
+runtime."""
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import ontoshape
 from conftest import DATA_2, make_dataset2
+from ontoshape.bench import key_attributes
 from ontoshape.errors import DatasetError
+from ontoshape.syndata import SynthConfig, generate_synthetic
 from ontoshape.tabular import (
     Dataset,
     Table,
@@ -16,7 +24,6 @@ from ontoshape.tabular import (
     load_table,
     subsample_attributes,
 )
-
 
 def _write_data2(tmp_path):
     (tmp_path / "welding_operation.csv").write_text(DATA_2, encoding="utf-8")
@@ -203,3 +210,69 @@ def test_subsample_seeds_differ():
         for s in range(8)
     }
     assert len(picks) > 1
+
+
+def test_subsample_negative_k_raises():
+    with pytest.raises(ValueError, match=r"^cannot take -1 of 3 without replacement$"):
+        subsample_attributes(make_dataset2(), -1, {"operation_id"}, seed=1)
+
+
+def test_subsample_negative_seed_raises():
+    with pytest.raises(ValueError, match=r"^seed must be non-negative$"):
+        subsample_attributes(make_dataset2(), 1, {"operation_id"}, seed=-1)
+
+
+_SYNTHETIC_60 = generate_synthetic(SynthConfig(60, 1))
+
+
+def _synthetic_sample(k: int, seed: int) -> list[int]:
+    """The numbers of the ``attrNNN`` columns that ``bench`` samples from
+    ``SynthConfig(60, 1)``'s main table."""
+    _, d, m, _ = _SYNTHETIC_60
+    retained = key_attributes(m, d)
+    return [int(a[4:]) for a in subsample_attributes(d, k, retained, seed).main.attributes
+            if a not in retained]
+
+
+# (seed, k) -> the attrNNN columns kept, in attribute order. The stream is
+# Python's documented random() sequence for an int seed, so these hold on
+# every release.
+PINNED = [
+    ((1, 10), [0, 8, 9, 13, 19, 20, 26, 35, 42, 56]),
+    ((2, 10), [2, 3, 11, 20, 21, 28, 29, 31, 35, 45]),
+    ((3, 10), [5, 6, 9, 15, 21, 25, 37, 38, 39, 55]),
+    ((1, 30), [0, 3, 5, 8, 9, 11, 13, 14, 16, 19, 20, 23, 24, 25, 26, 27, 28, 30, 31, 32,
+               34, 35, 39, 42, 43, 47, 50, 56, 57, 59]),
+    ((2, 30), [2, 3, 7, 11, 12, 13, 17, 18, 19, 20, 21, 22, 23, 24, 26, 27, 28, 29, 30, 31,
+               32, 35, 42, 45, 48, 49, 50, 52, 54, 57]),
+    ((3, 30), [0, 1, 2, 5, 6, 8, 9, 11, 13, 15, 18, 21, 23, 24, 25, 27, 32, 34, 37, 38,
+               39, 41, 43, 44, 45, 46, 47, 48, 55, 59]),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED)
+def test_subsample_pinned_samples(case, expected):
+    seed, k = case
+    assert _synthetic_sample(k, seed) == expected
+
+
+def test_subsample_is_uniform():
+    # 6,000 draws of 10 of 60: each attribute is picked 1,000 times on
+    # average with a standard deviation of about 30, so 150 is 5 sigma
+    counts = Counter(a for seed in range(6000) for a in _synthetic_sample(10, seed))
+    assert set(counts) == set(range(60))
+    assert all(850 <= n <= 1150 for n in counts.values()), sorted(counts.values())
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted(Path(ontoshape.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "ontoshape", (path.name, name)
