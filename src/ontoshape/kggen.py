@@ -372,8 +372,10 @@ def load_ntriples(
     triple (a blank-node label N-Triples' ``BLANK_NODE_LABEL`` does not
     match makes none), on an IRI holding a character N-Triples forbids
     there (a control, a space, a backquote, a backslash or one of
-    ``<>"{}|^``), on a blank node as a class, or on a literal with an
-    escape N-Triples does not define or that names a surrogate.
+    ``<>"{}|^``), on an IRI that does not start with ``base_iri`` (the
+    ``rdf:type`` predicate of a class line is not a name, so it is exempt),
+    on a blank node as a class, or on a literal with an escape N-Triples
+    does not define or that names a surrogate.
     """
     # one string per name and one tuple per class, however many lines repeat it
     names: dict[str, str] = {}
@@ -419,13 +421,21 @@ def load_ntriples(
                     objects.add((subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)))
         finally:
             # one search over the block's new IRIs, also before another error in it;
-            # no term holds ">", so a "<" past each term's first is a fault
-            if _IRI_FORBIDDEN.search(joined := "".join(fresh)) or joined.count("<") != len(fresh):
-                bad = next(term for term in fresh if _IRI_FORBIDDEN.search(term) or term.count("<") > 1)
+            # no term holds ">", so a "<" past each term's first is a fault, and
+            # with one "<" per term, each term that starts with the base counts once
+            joined, head = "".join(fresh), "<" + base_iri
+            if _IRI_FORBIDDEN.search(joined) or joined.count("<") != len(fresh) or joined.count(head) != len(fresh):
+                for bad in fresh:
+                    if _IRI_FORBIDDEN.search(bad) or bad.count("<") > 1:
+                        why = "holds a character N-Triples forbids"
+                        break
+                    if not bad.startswith(head):
+                        why = f"does not start with the base IRI {base_iri!r}"
+                        break
                 # the first line holding it as a term named it: each line before named all its terms
                 matches = (_NT_LINE.match(raw) for raw in lines)
                 line = next(n for n, m in enumerate(matches, start) if m and bad in m.groups())
-                raise ParseError(f"IRI {bad!r} holds a character N-Triples forbids", line)
+                raise ParseError(f"IRI {bad!r} {why}", line)
             fresh.clear()
 
     return KnowledgeGraph(entities, objects, literals)

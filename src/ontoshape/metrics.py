@@ -16,9 +16,10 @@ the object triples gives each entity its degree (its count of triples)
 and the XOR of its neighbours' indices. Leaves are peeled, in index order
 and then as they appear; a leaf's one neighbour, its parent, is its XOR,
 and once it is peeled the XOR still names it. A node left with no
-neighbour is the root of a tree component. Heights folded in peel order,
-children first, give the height ``h(a)`` of what hangs from each node and
-the longest path inside a tree, where a node's two tallest branches meet.
+neighbour is the root of a tree component. A node is peeled after all its
+children, so the same pass hangs it from its parent: it gives the height
+``h(a)`` of what hangs from each node and the longest path inside a tree,
+where a node's two tallest branches meet.
 Each main entity in a tree walks up to its top, the root or the core node
 its tree hangs from, for the longest path that leaves each node on the way
 through its parent; no node is walked twice. Its eccentricity within its
@@ -59,15 +60,16 @@ longest path in a tree and what earlier components found count as found.
 
 A forest costs the pass and the peel, O(V + E), and no BFS. Any other
 graph also costs a second pass for the core's lists and the reductions,
-O(V + E), plus one BFS over the reduced core per bounded sweep. When rows
-share entities, the core holds the shared entities and two rows at most
-for each combination of them, so it, and the count of BFS, stop growing
-with the rows. On ``SynthConfig(10, rows)`` with program and machine keys
-drawn from 10 values each, 1,000 to 4,000 rows take 25 BFS on baseline
-graphs and 220 on reshaped ones, where every core node's eccentricity
-equals the diameter, so no bound prunes and each core node takes its own
-BFS. The core's lists are in entity order, so the count does not depend on
-the order in which a process hashes the triples.
+O(V + E), plus one BFS over the reduced core per bounded sweep: one queue,
+whose order the bounds then read. When rows share entities, the core holds
+the shared entities and two rows at most for each combination of them, so
+it, and the count of BFS, stop growing with the rows. On
+``SynthConfig(10, rows)`` with program and machine keys drawn from 10
+values each, 1,000 to 4,000 rows take 25 BFS on baseline graphs and 220 on
+reshaped ones, where every core node's eccentricity equals the diameter,
+so no bound prunes and each core node takes its own BFS. The core's lists
+are in entity order, so the count does not depend on the order in which a
+process hashes the triples.
 
 ``ROWS`` is the one definition of the report rows, in report order: (label,
 report field, divisor into the shown unit, how repeated runs combine).
@@ -129,22 +131,19 @@ def _covered(s: KGSchema, d: Dataset) -> set[tuple[str, str]]:
     cell is nonempty in a kept row that yields its owner. The joined main
     entity is yielded, and the join column covered, only where the join
     value keys a kept main-table row. A table's walk stops once its sources
-    are found, the whole walk once every attribute is; it logs nothing and
-    raises as ``generate_kg`` does."""
-    plans, total = _plans(s, d, s.main_class), sum(len(t.attributes) for t in d.tables.values())
+    are found; it logs nothing and raises as ``generate_kg`` does."""
+    plans = _plans(s, d, s.main_class)
     covered: set[tuple[str, str]] = set()
     main_keys: set[str] | None = None
     for p in plans:
-        if len(covered) == total:
-            break
         covered.update((p.name, attr) for _, attr in p.entries if attr is not None)
         always = {cls for cls, _ in p.entries}.union(p.dummies)
         todo = [(owner, attr) for _, owner, attr in p.attaches]
         if p.join is not None:
             todo.append((None, p.join))  # no row yields owner None: only a joined row covers it
-            if main_keys is None:  # a join implies a keyed main class
-                main_keys = {row[plans[0].entries[0][1]] for _, row in plans[0].kept_rows()}
         todo = [(owner, attr) for owner, attr in todo if (p.name, attr) not in covered]
+        if todo and p.join is not None and main_keys is None:  # a join implies a keyed main class
+            main_keys = {row[plans[0].entries[0][1]] for _, row in plans[0].kept_rows()}
         for _, row in p.kept_rows() if todo else ():
             joined = p.join is not None and row[p.join] in main_keys
             found = {attr for owner, attr in todo if row[attr] and (joined or owner in always)}
@@ -190,94 +189,68 @@ class _Eccentricities:
         self.seen = [0] * n
         self.sweeps = 0
 
-    def levels(self, start: int) -> list[list[int]]:
-        """BFS from ``start`` over its component of the core: the nodes at
-        distance 0, 1, ... from it."""
+    def sweep(self, start: int) -> tuple[int, list[int]]:
+        """BFS from ``start`` over its component of the core, leaving each
+        node's distance in ``dist``, then tightens the reach bounds of the
+        nodes it reached. Returns the farthest node by distance plus height
+        and the nodes reached, in BFS order."""
         self.sweeps += 1
         tag = self.sweeps
-        adj, seen = self.adj, self.seen
+        adj, seen, dist, height, lo, hi = self.adj, self.seen, self.dist, self.height, self.lo, self.hi
         seen[start] = tag
-        frontier = [start]
-        levels = [frontier]
-        while True:
-            nxt = []
-            for node in frontier:
-                for other in adj[node]:
-                    if seen[other] != tag:
-                        seen[other] = tag
-                        nxt.append(other)
-            if not nxt:
-                return levels
-            levels.append(nxt)
-            frontier = nxt
-
-    def sweep(self, start: int) -> int:
-        """Bounded BFS from ``start``; returns what ``bound`` returns."""
-        return self.bound(self.levels(start))
-
-    def bound(self, levels: list[list[int]]) -> int:
-        """Tightens the reach bounds of the core nodes in ``levels``, those
-        at distance 0, 1, ... from the source ``levels[0][0]``, and leaves
-        each one's distance in ``dist``. Returns the farthest node by
-        distance plus height."""
-        height, lo, hi, dist = self.height, self.lo, self.hi, self.dist
+        dist[start] = 0
+        order = [start]
         # the largest and second-largest distance plus height, and where
         # the largest is: a node's reach from the source excludes itself
-        best = second = -1
-        far = start = levels[0][0]
-        for d, level in enumerate(levels):
-            for node in level:
-                x = d + height[node]
-                if x > second:
-                    if x > best:
-                        second, best, far = best, x, node
-                    else:
-                        second = x
-        base = height[start]
-        for d, level in enumerate(levels):
-            for node in level:
-                dist[node] = d
-                reach = second if node == far else best
-                low, high = max(d + base, reach - d), d + reach
-                if lo[node] < low:
-                    lo[node] = low
-                if hi[node] > high:
-                    hi[node] = high
+        best = base = height[start]
+        second, far = -1, start
+        for node in order:
+            d = dist[node] + 1
+            for other in adj[node]:
+                if seen[other] != tag:
+                    seen[other] = tag
+                    dist[other] = d
+                    order.append(other)
+                    x = d + height[other]
+                    if x > second:
+                        if x > best:
+                            second, best, far = best, x, other
+                        else:
+                            second = x
+        for node in order:
+            d = dist[node]
+            reach = second if node == far else best
+            low, high = max(d + base, reach - d), d + reach
+            if lo[node] < low:
+                lo[node] = low
+            if hi[node] > high:
+                hi[node] = high
         lo[start] = hi[start] = second if start == far else best
-        return far
+        return far, order
 
 
-def _peel(queue: list[int], deg: list[int], link: list[int]) -> list[int]:
+def _peel(queue: list[int], deg: list[int], link: list[int], height: list[int], second: list[int]) -> int:
     """Peels leaves from ``queue`` on, appending each node whose ``deg``
     falls to 1. A leaf's one neighbour, its parent, is ``link[v]``, the XOR
     of the neighbours it has left, so no list is read. A peeled node's
     ``deg`` becomes 0 and its ``link`` stays its parent; a node left with no
-    neighbour is the root of a tree, and its ``deg`` becomes -1. Returns the
-    peeled nodes, every child before its parent."""
-    order = []
+    neighbour is the root of a tree, and its ``deg`` becomes -1. A node is
+    peeled after all its children, and hangs from its parent as it goes:
+    ``height[p]`` and ``second[p]`` become the tallest and the
+    second-tallest branch below ``p`` (both start at 0). Returns the longest
+    path found, where the two tallest branches of a node meet."""
+    longest = 0
     for v in queue:
         if deg[v] == 0:
             deg[v] = -1
             continue
         p = link[v]
         deg[v] = 0
-        order.append(v)
         link[p] ^= v
         deg[p] -= 1
         if deg[p] == 1:
             queue.append(p)
-    return order
-
-
-def _hang(nodes, parent: list[int], height: list[int], second: list[int]) -> int:
-    """Hangs each of ``nodes`` from its parent, every child before its
-    parent: ``height[p]`` and ``second[p]`` become the tallest and the
-    second-tallest branch below ``p`` (both start at 0). Returns the longest
-    path found, where the two tallest branches of a node meet."""
-    longest = 0
-    for node in nodes:
-        p = parent[node]
-        h = height[node] + 1
+        h = height[v] + 1
         if h > second[p]:
             if h > height[p]:
                 second[p] = height[p]
@@ -384,10 +357,8 @@ def _settle(ecc: _Eccentricities, start: int, main_depth: list[int], root: int, 
     bounded BFS over the component until the reach bounds settle both. What
     is found so far is a floor, so a node that cannot beat it needs no BFS."""
     adj, dist, lo, hi, height = ecc.adj, ecc.dist, ecc.lo, ecc.hi, ecc.height
-    levels = ecc.levels(start)
-    core = list(chain.from_iterable(levels))
-    far = ecc.bound(levels)
-    end = ecc.sweep(far)
+    far, core = ecc.sweep(start)
+    end, _ = ecc.sweep(far)
     # iFUB's 4-sweep: a BFS from near the middle of the longest path found
     # caps every upper bound at about twice its reach
     centre, span = end, dist[end]
@@ -446,7 +417,8 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
         link[a] ^= b
         link[b] ^= a
     mains = [v for v, (cls, _) in enumerate(g.entities.values()) if cls == mc and deg[v]]
-    order = _peel([v for v in range(n) if deg[v] == 1], deg, link)
+    height, second = [0] * n, [0] * n
+    diameter = _peel([v for v in range(n) if deg[v] == 1], deg, link, height, second)
     core: list[int] = []
     if max(deg, default=0) > 0:  # some triples are left: lists for their ends
         core = [v for v in range(n) if deg[v] > 0]
@@ -467,10 +439,8 @@ def depth_metrics(g: KnowledgeGraph, mc: str) -> tuple[int, int]:
                 deg[v], link[v] = len(nbrs), reduce(xor, nbrs)
                 if deg[v] == 1:
                     leaves.append(v)
-        order += _peel(leaves, deg, link)
+        diameter = max(diameter, _peel(leaves, deg, link, height, second))
         core = [v for v in core if deg[v] > 0]
-    height, second = [0] * n, [0] * n
-    diameter = _hang(order, link, height, second)
     main_depth = [-1] * n
     root = _walk_up(mains, deg, link, height, second, main_depth)
     if core:

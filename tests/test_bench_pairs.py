@@ -78,7 +78,7 @@ def test_table_has_one_line_per_workload_and_metric():
         "a pipeline_s: parent 0.0885 change 0.0876 won 1 lost 1 failed 0/0 held",
         "a triples_per_s: parent 80 change 80 won 1 lost 1 failed 0/0 held",
         "b pipeline_s: parent 1.5 change 1.5 won 0 lost 0 failed 0/0 held",
-        "b triples_per_s: parent 10 change 12.5 won 1 lost 0 failed 0/0 gain",
+        "b triples_per_s: parent 10 change 12.5 won 1 lost 0 failed 0/0 held",
     ]
 
 
@@ -109,7 +109,7 @@ def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
     argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0 failed 0/0 gain",
+    assert lines[-2:] == ["w pipeline_s: parent 2 change 1 won 2 lost 0 failed 0/0 held",
                           "w triples_per_s: parent 5 change 5 won 0 lost 0 failed 0/0 held"]
     assert json.loads(out.read_text())["summary"]["w"]["pipeline_s"]["change_won"] == 2
 
@@ -151,6 +151,15 @@ def test_nine_wins_in_ten_pairs_is_the_least_gain():
 
     assert bench_pairs._verdict(row(9, 1), -1, 0.2) == "gain"
     assert bench_pairs._verdict(row(8, 0), -1, 0.2) == "held"  # two ties count for neither side
+
+
+def test_three_wins_in_three_pairs_are_too_few_for_a_gain():
+    runs = []
+    for seed in range(1, 4):
+        runs += [_run(seed, "parent", 1.0, 5.0), _run(seed, "change", 0.5, 5.0)]
+    row = bench_pairs._summary(runs, METRICS)["w"]["pipeline_s"]
+    assert (row["change_won"], row["change_beat_every_parent_run"]) == (3, True)
+    assert row["verdict"] == "held"
 
 
 def test_a_change_that_failed_more_ops_gets_no_gain():

@@ -124,6 +124,24 @@ def test_generate_rejects_a_base_iri_n_triples_forbids(workdir, capsys):
     assert not kg_file.exists()
 
 
+def test_metrics_rejects_a_graph_written_with_another_base_iri(workdir, capsys):
+    schema_file = workdir / "schema.txt"
+    kg_file = workdir / "kg.nt"
+    tables = ["-s", str(schema_file), "-d", str(workdir / "data"), "-m", str(workdir / "mappings.csv")]
+    assert main(_reshape_argv(workdir, schema_file)) == 0
+    assert main(["generate", *tables, "--base-iri", "http://a.org/x#", "--out", str(kg_file)]) == 0
+    capsys.readouterr()
+    # read with the default base, no IRI would name an entity of the main class
+    assert main(["metrics", "-k", str(kg_file), *tables]) == 1
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and out == ""
+    assert errors[0].startswith("error: line 1: IRI '<http://a.org/x#")
+    assert errors[0].endswith("does not start with the base IRI 'http://example.org/kg#'")
+    assert main(["metrics", "-k", str(kg_file), *tables, "--base-iri", "http://a.org/x#"]) == 0
+    assert "avg. root to leaf depth  1.0000" in capsys.readouterr().out
+
+
 def test_reshape_include_unmapped_then_generate(workdir, capsys):
     csv_file = workdir / "data" / "welding_operation.csv"
     schema_file = workdir / "schema.txt"

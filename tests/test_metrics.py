@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -606,14 +607,14 @@ def test_a_forest_holds_no_list_per_entity():
     def lists():
         return sum(type(x) is list for x in gc.get_objects())
 
-    grown, real = [], metrics_module._hang
+    grown, real = [], metrics_module._walk_up
 
     def spy(*args):
         grown.append(lists() - before)
         return real(*args)
 
     before = lists()
-    with mock.patch.object(metrics_module, "_hang", spy):
+    with mock.patch.object(metrics_module, "_walk_up", spy):
         depth_metrics(g, MAIN_CLASS)
     # flat lists over the entities, none per entity
     assert grown and max(grown) < 100, grown
@@ -629,6 +630,21 @@ def _shared_key_graph(approach, rows):
         row["machine_id"] = f"m{rng.randrange(10)}"
     s = reshape(o, d, m, u) if approach == "reshape" else baseline_schema(o, d, m, MAIN_CLASS)
     return generate_kg(s, d, m, MAIN_CLASS)
+
+
+@pytest.mark.parametrize(
+    "approach, rows, want",
+    [
+        ("baseline", 100, ((16, 20), 29)),
+        ("baseline", 1000, ((12, 16), 25)),
+        ("reshape", 100, ((6, 6), 109)),
+        ("reshape", 1000, ((4, 4), 220)),
+    ],
+)
+def test_bfs_count_is_pinned_on_rows_that_share_entities(approach, rows, want):
+    # the order of the sweeps decides how many run: a change to it shows
+    # here, not only when the count grows with the rows
+    assert _bfs_count(_shared_key_graph(approach, rows), MAIN_CLASS) == want
 
 
 def test_bfs_count_does_not_grow_with_rows_that_share_entities():

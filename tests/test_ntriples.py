@@ -3,11 +3,11 @@
 ``_reference_serialize`` and ``_reference_load`` are the plain versions of
 ``serialize_ntriples`` and ``load_ntriples``: a per-character escaper, a
 set of every line then ``sorted``, and a reader that strips the base IRI
-from every term it meets. The package's versions format each entity once,
-escape through one translate table only the literals that need it, and
-keep one string per local name; on every graph here they must write the
-same bytes and read back an equal graph, with the same entity order and
-the same ``ParseError`` line.
+from every term it meets and rejects a term without it. The package's
+versions format each entity once, escape through one translate table only
+the literals that need it, and keep one string per local name; on every
+graph here they must write the same bytes and read back an equal graph,
+with the same entity order and the same ``ParseError`` line.
 
 The reader is given a schema in some tests and none in others: it reads
 the same graph either way, the reference's.
@@ -164,7 +164,9 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI) -> KnowledgeGra
         name = iri[1:-1]
         if _REF_IRI_FORBIDDEN.intersection(name):
             raise ParseError(f"IRI {iri!r} holds a character N-Triples forbids", lineno)
-        return name[len(base_iri):] if name.startswith(base_iri) else name
+        if not name.startswith(base_iri):
+            raise ParseError(f"IRI {iri!r} does not start with the base IRI {base_iri!r}", lineno)
+        return name[len(base_iri):]
 
     entities: dict[str, tuple[str, bool]] = {}
     objects: set[tuple[str, str, str]] = set()
@@ -440,6 +442,29 @@ def test_load_names_the_line_of_a_forbidden_iri_not_a_literal_holding_its_text()
     )
     with pytest.raises(ParseError, match="^line 3: IRI .* holds a character N-Triples forbids$"):
         load_ntriples(text)
+    _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
+
+
+_OFF_BASE_LINES = [
+    "<http://other.org/kg#A/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/kg#A> .",
+    "<http://example.org/kg#A/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://other.org/kg#A> .",
+    "<http://example.org/kg#A/x> <http://other.org/kg#rel> <http://example.org/kg#A/x> .",
+    "<http://example.org/kg#A/x> <http://example.org/kg#rel> <http://other.org/kg#A/x> .",
+    '<http://example.org/kg#A/x> <http://other.org/kg#p> "v" .',
+    # the base IRI must start the term, not just appear in it
+    "<http://example.org/kg#A/x> <http://example.org/kg#rel> <urn:http://example.org/kg#A/x> .",
+]
+
+
+@pytest.mark.parametrize("per_block", [1, kggen._READ_CHARS])
+@pytest.mark.parametrize("template", _OFF_BASE_LINES)
+def test_load_rejects_an_iri_off_the_base_iri(monkeypatch, template, per_block):
+    monkeypatch.setattr(kggen, "_READ_CHARS", per_block)
+    text = f"{_TYPE_LINE}\n{template}\n{_TYPE_LINE}\n"
+    message = "^line 2: IRI '<(http://other.org|urn:).*>' does not start with the base IRI 'http://example.org/kg#'$"
+    with pytest.raises(ParseError, match=message) as info:
+        load_ntriples(text)
+    assert info.value.line == 2
     _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
 
 

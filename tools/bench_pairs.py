@@ -25,9 +25,9 @@ first run. At the end it prints one line per workload and
 end-to-end metric: both medians, the pairs won and lost, the ops each side
 failed over all its runs (parent/change), and a verdict:
 
-- ``gain`` when the change won at least 9 of every 10 pairs, the medians
-  differ, in its favour, by more than the parent's q3 - q1, and the change
-  failed no more ops than the parent;
+- ``gain`` when at least 10 pairs ran, the change won at least 9 of every
+  10 of them, the medians differ, in its favour, by more than the parent's
+  q3 - q1, and the change failed no more ops than the parent;
 - ``worse`` when the change's median is past the parent's by more than the
   metric's ``BENCHMARK.json`` bound, a share of the parent's median;
 - ``unresolved`` when the parent's q3 - q1 is wider than that bound, so the
@@ -100,7 +100,7 @@ def _verdict(row: dict, sign: int, bound: float) -> str:
     spread, allowed = parent["q3"] - parent["q1"], bound * abs(parent["median"])
     pairs = row["change_won"] + row["change_lost"] + row["tied"]
     no_more_failed = row["failed"]["change"] <= row["failed"]["parent"]
-    if 10 * row["change_won"] >= 9 * pairs and better_by > spread and no_more_failed:
+    if pairs >= 10 and 10 * row["change_won"] >= 9 * pairs and better_by > spread and no_more_failed:
         return "gain"
     if -better_by > allowed:
         return "worse"
