@@ -26,9 +26,12 @@ row becomes an object triple.
 
 ``_plans`` is the one definition of the plans, the empty-key rule
 included; ``generate_kg`` materializes them and ``metrics.data_coverage``
-walks them over the same tables. A graph is a set of triples, as RDF
-defines it, so a literal that several rows give is stored once, and it
-keeps no record of which table or row gave what.
+walks them over the same tables. A graph holds each distinct triple once,
+as RDF defines it, so a literal that several rows give is stored once, and
+it keeps no record of which table or row gave what. Its triples stay in
+the order they were first made, or first read, so that whatever reads them
+next walks them in row order; two graphs with the same triples are equal
+whatever their order.
 
 In N-Triples, literals are escaped by one rule, the ``str.translate``
 table ``_ESCAPES``; a literal is translated only when it holds one of that
@@ -71,14 +74,18 @@ class KnowledgeGraph:
     generated graph and its N-Triples read-back are equal.
 
     ``entities`` maps an entity id to its (class, dummy flag).
-    ``literals`` holds each distinct (subject, property, value) once, one
-    per N-Triples literal line. Which table or row gave what is not kept;
-    ``metrics.data_coverage`` derives it from the schema and the tables.
+    ``object_triples`` and ``literals`` are ordered sets, dicts whose
+    values are all None: each distinct (subject, relation, object) or
+    (subject, property, value) is a key once, in the order it was first
+    made or read, and a literal is one N-Triples literal line. Equality
+    ignores that order, as dict equality does. Which table or row gave what
+    is not kept; ``metrics.data_coverage`` derives it from the schema and
+    the tables.
     """
 
     entities: dict[str, tuple[str, bool]]
-    object_triples: set[tuple[str, str, str]]
-    literals: set[tuple[str, str, str]]
+    object_triples: dict[tuple[str, str, str], None]
+    literals: dict[tuple[str, str, str], None]
 
     @property
     def literal_triples(self) -> Iterator[tuple[str, str, str, None]]:
@@ -160,7 +167,8 @@ def _plans(s: KGSchema, d: Dataset, mc: str) -> list[_Plan]:
         dummies = main_dummies if on_main else []
         join = mc_key if mc_key and not on_main and mc_key in table.attributes else None
         present = {cls for cls, _ in entries}.union(dummies, [mc] if join else [])
-        # literals are a set, so their order is free
+        # attachment order is free: it orders only a row's literals, which the
+        # writer sorts and graph equality ignores
         attaches = [(prop, owner, src[1]) for prop, owner, src in s.data_attachments
                     if src[0] == tname and owner in present]
         plans.append(_Plan(tname, table.rows, entries, dummies, join, present, attaches))
@@ -179,8 +187,8 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
                     mc, s.class_keys[mc][0])
 
     entities: dict[str, tuple[str, bool]] = {}
-    objects: set[tuple[str, str, str]] = set()
-    literals: set[tuple[str, str, str]] = set()
+    objects: dict[tuple[str, str, str], None] = {}
+    literals: dict[tuple[str, str, str], None] = {}
     mc_id_by_key: dict[str, str] = {}
     kinds = {cls: (cls, False) for cls in {*s.classes, *s.class_tables, *s.class_keys}}
     kinds.update((cls, (cls, True)) for cls in plans[0].dummies)
@@ -207,10 +215,10 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
                     entities[eid] = kinds[cls]
             for prop, owner, attr in p.attaches:
                 if (sid := ids.get(owner)) is not None and (value := row[attr]):
-                    literals.add((sid, prop, value))
+                    literals[sid, prop, value] = None
             for rel, f, t in edges:
                 if (sf := ids.get(f)) is not None and (st := ids.get(t)) is not None:
-                    objects.add((sf, rel, st))
+                    objects[sf, rel, st] = None
 
     return KnowledgeGraph(entities, objects, literals)
 
@@ -366,7 +374,8 @@ def load_ntriples(
     ``_blocks`` and split into lines as ``str.splitlines`` splits the whole
     document, whose list of lines is never built.
 
-    The graph read back equals the one written; ``schema`` is ignored, and
+    Entities and triples keep the order of their first line. The graph
+    read back equals the one written; ``schema`` is ignored, and
     kept for ``perfbench/pipeline.py``, which passes it. Raises
     :class:`ParseError` with the line number on a line that is not a
     triple (a blank-node label N-Triples' ``BLANK_NODE_LABEL`` does not
@@ -390,8 +399,8 @@ def load_ntriples(
 
     kinds: dict[tuple[str, bool], tuple[str, bool]] = {}
     entities: dict[str, tuple[str, bool]] = {}
-    objects: set[tuple[str, str, str]] = set()
-    literals: set[tuple[str, str, str]] = set()
+    objects: dict[tuple[str, str, str], None] = {}
+    literals: dict[tuple[str, str, str], None] = {}
     lineno = 0
     for lines in map(str.splitlines, _blocks(source)):
         start = lineno + 1
@@ -409,7 +418,7 @@ def load_ntriples(
                     value = obj_t[1:-1]
                     if "\\" in value:
                         value = _unescape_literal(value, lineno)
-                    literals.add((subj, names.get(pred_t) or name(pred_t), value))
+                    literals[subj, names.get(pred_t) or name(pred_t), value] = None
                 elif pred_t == _TYPE_TERM:
                     if obj_t[0] == "_":
                         raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
@@ -418,7 +427,7 @@ def load_ntriples(
                         kinds[key] = (names.get(obj_t) or name(obj_t), key[1])
                     entities[subj] = kinds[key]
                 else:
-                    objects.add((subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)))
+                    objects[subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)] = None
         finally:
             # one search over the block's new IRIs, also before another error in it;
             # no term holds ">", so a "<" past each term's first is a fault, and

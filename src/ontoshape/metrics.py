@@ -67,9 +67,12 @@ it, and the count of BFS, stop growing with the rows. On
 ``SynthConfig(10, rows)`` with program and machine keys drawn from 10
 values each, 1,000 to 4,000 rows take 25 BFS on baseline graphs and 220 on
 reshaped ones, where every core node's eccentricity equals the diameter,
-so no bound prunes and each core node takes its own BFS. The core's lists
-are in entity order, so the count does not depend on the order in which a
-process hashes the triples.
+so no bound prunes and each core node takes its own BFS. A graph keeps
+each distinct triple once, in the order it was first made or read, and
+equal graphs may differ in that order; the core's lists are sorted into
+entity order, so neither the depths nor the count depend on it. Row order
+only speeds up the passes over the triples, which then read the entities'
+strings and array slots about in turn.
 
 ``ROWS`` is the one definition of the report rows, in report order: (label,
 report field, divisor into the shown unit, how repeated runs combine).
@@ -220,7 +223,10 @@ class _Eccentricities:
         for node in order:
             d = dist[node]
             reach = second if node == far else best
-            low, high = max(d + base, reach - d), d + reach
+            # low is max(d + base, reach - d), without a call per node
+            low, high = d + base, d + reach
+            if low < reach - d:
+                low = reach - d
             if lo[node] < low:
                 lo[node] = low
             if hi[node] > high:

@@ -11,13 +11,14 @@ key on a secondary table, unkeyed classes mapped to secondary tables,
 several classes mapped to one table, keys on tables no class maps to and
 sources missing from the dataset, both must build the same graph, in the
 same entity order, or raise the same error, and must skip or leave
-free-standing the same rows. The reference keeps one literal per source
-row, with its (table, attribute, row), and the key columns it consumed;
-its distinct triples are compared with the package's graph, and its key
-and literal sources with the (table, attribute) pairs that the metrics'
-plan walk covers, which must log nothing. On the same inputs, the report
-on a generated graph and on its N-Triples read-back must agree in every
-field.
+free-standing the same rows. The reference keeps each object triple with
+the (table, row) that first makes it, one literal per source row, with
+its (table, attribute, row), and the key columns it consumed. Its
+distinct triples are compared with the package's graph, which must list
+them in the order of the rows that first make them, and its key and
+literal sources with the (table, attribute) pairs that the metrics' plan
+walk covers, which must log nothing. On the same inputs, the report on a
+generated graph and on its N-Triples read-back must agree in every field.
 """
 
 from __future__ import annotations
@@ -57,15 +58,17 @@ def _reference_check_schema_sources(s: KGSchema, d: Dataset) -> None:
 def _reference_generate_kg(
     s: KGSchema, d: Dataset, m: MappingSet, mc: str
 ) -> tuple[KnowledgeGraph, frozenset[tuple[str, str]]]:
-    """The graph, whose literals are (subject, property, value, (table,
-    attribute, row)), and the (table, attribute) key columns consumed."""
+    """The graph, whose object triples map to the (table, row) that first
+    makes them and whose literals are (subject, property, value, (table,
+    attribute, row)), one per source row, and the (table, attribute) key
+    columns consumed."""
     if mc not in s.classes:
         raise SchemaError(f"main class {mc!r} is not part of the schema")
     _reference_check_schema_sources(s, d)
     main_name = d.main_table
 
     entities: dict[str, tuple[str, bool]] = {}
-    objects: set[tuple[str, str, str]] = set()
+    objects: dict[tuple[str, str, str], tuple[str, int]] = {}
     literals: list[tuple[str, str, str, tuple[str, str, int]]] = []
     key_sources: set[tuple[str, str]] = set()
     mc_id_by_key: dict[str, str] = {}
@@ -154,9 +157,9 @@ def _reference_generate_kg(
                 sf = ids.get(f)
                 st = ids.get(t)
                 if sf is not None and st is not None:
-                    objects.add((sf, rel, st))
+                    objects.setdefault((sf, rel, st), (tname, j))
 
-    return KnowledgeGraph(entities, objects, set(literals)), frozenset(key_sources)
+    return KnowledgeGraph(entities, objects, dict.fromkeys(literals)), frozenset(key_sources)
 
 
 _TABLES = ["t0", "t1", "t2"]
@@ -213,10 +216,10 @@ class _Records(logging.Handler):
 
 
 def _projected_reference(s, d, m, mc) -> KnowledgeGraph:
-    """The reference's graph as the package keeps one: its literals'
-    distinct triples."""
+    """The reference's graph as the package keeps one: its distinct
+    triples."""
     g, _ = _reference_generate_kg(s, d, m, mc)
-    return KnowledgeGraph(g.entities, g.object_triples, {t[:3] for t in g.literals})
+    return KnowledgeGraph(g.entities, dict.fromkeys(g.object_triples), dict.fromkeys(t[:3] for t in g.literals))
 
 
 def _reference_covered(s, d, mc) -> frozenset[tuple[str, str]]:
@@ -274,3 +277,31 @@ def test_report_on_the_read_back_equals_the_report_on_the_generated_graph(inputs
         return
     back = load_ntriples(serialize_ntriples(g))
     assert build_report(back, s, d, m, mc) == build_report(g, s, d, m, mc)
+
+
+def _row_ranks(made) -> dict[tuple[str, str, str], int]:
+    """Each distinct triple of the reference's (triple, source) pairs
+    ``made``, with the rank, in materialization order, of the first row
+    that makes it."""
+    rows: dict[tuple[str, int], int] = {}
+    ranks: dict[tuple[str, str, str], int] = {}
+    for triple, (tname, *_, j) in made:
+        ranks.setdefault(triple, rows.setdefault((tname, j), len(rows)))
+    return ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_inputs())
+def test_triples_keep_the_order_of_the_rows_that_first_make_them(inputs):
+    s, d, mc = inputs
+    m = MappingSet({}, {})
+    try:
+        g = generate_kg(s, d, m, mc)
+    except (DatasetError, SchemaError):
+        return
+    ref, _ = _reference_generate_kg(s, d, m, mc)
+    literals = [(t[:3], t[3]) for t in ref.literals]
+    for got, made in ((g.object_triples, ref.object_triples.items()), (g.literals, literals)):
+        ranks = _row_ranks(made)
+        order = [ranks[triple] for triple in got]
+        assert order == sorted(order)

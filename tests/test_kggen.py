@@ -60,7 +60,7 @@ def test_reshaped_fixture_kg(reshaped, dataset_2, mappings_wx):
     assert len(by_class["WeldingOperation"]) == 2
     assert len(by_class["WeldingProgram"]) == 2
     assert len(g.entities) == 4
-    assert g.object_triples == {
+    assert g.object_triples.keys() == {
         ("WeldingOperation/op1", "executes", "WeldingProgram/pg1"),
         ("WeldingOperation/op2", "executes", "WeldingProgram/pg2"),
     }
@@ -122,14 +122,52 @@ def test_repeated_key_values_merge(reshaped, mappings_wx):
     assert ("WeldingOperation/op3", "executes", "WeldingProgram/pg1") in g.object_triples
 
 
+def _shared_program_dataset():
+    rows = [
+        {"operation_id": "op1", "program_id": "pg1", "current_mean": "1", "current_array": "a"},
+        {"operation_id": "op2", "program_id": "pg2", "current_mean": "2", "current_array": "b"},
+        {"operation_id": "op3", "program_id": "pg1", "current_mean": "3", "current_array": "c"},
+    ]
+    t = Table("welding_operation", list(rows[0]), rows)
+    return Dataset({t.name: t}, t.name)
+
+
+def test_triples_come_in_the_order_of_their_rows(reshaped, mappings_wx):
+    g = generate_kg(reshaped, _shared_program_dataset(), mappings_wx, MC)
+    assert list(g.object_triples) == [
+        ("WeldingOperation/op1", "executes", "WeldingProgram/pg1"),
+        ("WeldingOperation/op2", "executes", "WeldingProgram/pg2"),
+        ("WeldingOperation/op3", "executes", "WeldingProgram/pg1"),
+    ]
+    # each row gives its operation two literals and its program one; row 2's
+    # program literal is row 0's, so it is not made again
+    first_row = {"WeldingOperation/op1": 0, "WeldingProgram/pg1": 0, "WeldingOperation/op2": 1,
+                 "WeldingProgram/pg2": 1, "WeldingOperation/op3": 2}
+    assert [first_row[subj] for subj, _, _ in g.literals] == [0, 0, 0, 1, 1, 1, 2, 2]
+
+
+def test_a_triple_made_twice_keeps_its_first_place(reshaped, mappings_wx):
+    d = _shared_program_dataset()
+    d.tables["welding_operation"].rows[2]["operation_id"] = "op1"  # row 2 makes row 0's edge again
+    g = generate_kg(reshaped, d, mappings_wx, MC)
+    assert list(g.object_triples) == [
+        ("WeldingOperation/op1", "executes", "WeldingProgram/pg1"),
+        ("WeldingOperation/op2", "executes", "WeldingProgram/pg2"),
+    ]
+    literals = list(g.literals)
+    row_1 = literals.index(("WeldingOperation/op2", "hasCurrentMeanValue", "2"))
+    assert literals.index(("WeldingProgram/pg1", "hasWeldingProgramID", "pg1")) < row_1
+    assert literals.index(("WeldingOperation/op1", "hasCurrentMeanValue", "3")) > row_1
+
+
 def test_empty_dataset_empty_kg(reshaped, mappings_wx):
     t = Table("welding_operation",
               ["operation_id", "program_id", "current_mean", "current_array"], [])
     d = Dataset({t.name: t}, t.name)
     g = generate_kg(reshaped, d, mappings_wx, MC)
     assert g.entities == {}
-    assert g.object_triples == set()
-    assert g.literals == set()
+    assert g.object_triples == {}
+    assert g.literals == {}
 
 
 def test_empty_key_skips_row(reshaped, mappings_wx, caplog):
@@ -227,7 +265,7 @@ def test_secondary_row_without_match_is_free_standing(caplog):
 
 
 def test_serialize_single_entity():
-    g = KnowledgeGraph({"C/x": ("C", False)}, set(), set())
+    g = KnowledgeGraph({"C/x": ("C", False)}, {}, {})
     assert serialize_ntriples(g) == (
         "<http://example.org/kg#C/x> "
         "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
@@ -236,7 +274,7 @@ def test_serialize_single_entity():
 
 
 def test_serialize_rejects_bad_base_iri():
-    g = KnowledgeGraph({}, set(), set())
+    g = KnowledgeGraph({}, {}, {})
     with pytest.raises(ValueError, match="base IRI"):
         serialize_ntriples(g, "http://example.org/kg")
 
@@ -294,17 +332,17 @@ def test_load_rejects_escape_outside_ntriples(escape):
 def test_literal_values_survive_round_trip(value):
     g = KnowledgeGraph(
         {"C/x": ("C", False)},
-        set(),
-        {("C/x", "hasV", value)},
+        {},
+        {("C/x", "hasV", value): None},
     )
     back = load_ntriples(serialize_ntriples(g))
-    assert back.literals == {("C/x", "hasV", value)}
+    assert back.literals.keys() == {("C/x", "hasV", value)}
 
 
 @settings(max_examples=100, deadline=None)
 @given(key=st.text(min_size=1))
 def test_entity_keys_survive_round_trip(key):
     eid = mint_entity_id("C", key)
-    g = KnowledgeGraph({eid: ("C", False)}, set(), set())
+    g = KnowledgeGraph({eid: ("C", False)}, {}, {})
     back = load_ntriples(serialize_ntriples(g))
     assert back.entities == {eid: ("C", False)}

@@ -77,7 +77,7 @@ def test_coverage_vacuous():
 def test_dummy_counts(ontology_wx, mappings_wx, dataset_2, userinfo_main):
     (rs, gr), (bs, gb) = _fixture_graphs(ontology_wx, mappings_wx, dataset_2, userinfo_main)
     # kg_counts leaves dummies out of its entity count
-    for s, g, dummies in ((rs, gr, 0), (bs, gb, 8), (rs, KnowledgeGraph({}, set(), set()), 0)):
+    for s, g, dummies in ((rs, gr, 0), (bs, gb, 8), (rs, KnowledgeGraph({}, {}, {}), 0)):
         assert len(g.entities) - kg_counts(g, s)[3] == dummies
 
 
@@ -150,7 +150,7 @@ def test_report_matches_the_per_row_literal_rules(inputs):
 
 def test_kg_counts_empty():
     s = KGSchema("M", {"M"}, set())
-    g = KnowledgeGraph({}, set(), set())
+    g = KnowledgeGraph({}, {}, {})
     assert kg_counts(g, s) == (1, 0, 0, 0)
 
 
@@ -163,8 +163,8 @@ def test_depths_fixture(ontology_wx, mappings_wx, dataset_2, userinfo_main):
 
 
 def test_depths_trivial():
-    assert depth_metrics(KnowledgeGraph({}, set(), set()), MC) == (0, 0)
-    single = KnowledgeGraph({"M/x": ("M", False)}, set(), set())
+    assert depth_metrics(KnowledgeGraph({}, {}, {}), MC) == (0, 0)
+    single = KnowledgeGraph({"M/x": ("M", False)}, {}, {})
     assert depth_metrics(single, "M") == (0, 0)
 
 
@@ -177,14 +177,14 @@ def test_depths_cycle_component():
         ("Y1", "r", "Z1"),
         ("Z1", "r", "X1"),
     }
-    g = KnowledgeGraph(entities, edges, set())
+    g = KnowledgeGraph(entities, dict.fromkeys(edges), {})
     assert depth_metrics(g, "M") == (2, 2)
 
 
 def test_depths_ignore_direction_and_parallel_edges():
     entities = {"M/a": ("M", False), "C/b": ("C", False)}
     edges = {("M/a", "p", "C/b"), ("C/b", "q", "M/a")}
-    g = KnowledgeGraph(entities, edges, set())
+    g = KnowledgeGraph(entities, dict.fromkeys(edges), {})
     assert depth_metrics(g, "M") == (1, 1)
 
 
@@ -194,7 +194,7 @@ def test_global_depth_spans_components_without_main_entities():
         "C/b": ("C", False), "C/c": ("C", False), "C/d": ("C", False),
     }
     edges = {("C/b", "r", "C/c"), ("C/c", "r", "C/d")}
-    g = KnowledgeGraph(entities, edges, set())
+    g = KnowledgeGraph(entities, dict.fromkeys(edges), {})
     # the main entity is isolated; the other component still sets the global
     assert depth_metrics(g, "M") == (0, 2)
 
@@ -249,7 +249,7 @@ def _random_kg(rng, max_entities=50):
         for _ in range(rng.randint(0, 3 * n)):
             a, b = rng.sample(ids, 2)
             edges.add((a, f"r{rng.randint(0, 2)}", b))
-    return KnowledgeGraph(entities, edges, set())
+    return KnowledgeGraph(entities, dict.fromkeys(edges), {})
 
 
 def test_depths_match_floyd_warshall_oracle():
@@ -296,7 +296,7 @@ def _sparse_graphs(draw):
         pairs.add((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
     mains = draw(st.sets(st.integers(0, n - 1), max_size=4))
     entities = {f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}
-    return KnowledgeGraph(entities, {(f"e{a}", "r", f"e{b}") for a, b in pairs}, set())
+    return KnowledgeGraph(entities, {(f"e{a}", "r", f"e{b}"): None for a, b in pairs}, {})
 
 
 @settings(max_examples=300, deadline=None)
@@ -321,7 +321,7 @@ def _with_redundant_triples(draw, family):
     for v in draw(st.sets(st.integers(0, n - 1), max_size=3)):
         triples.add((f"e{v}", "r", f"e{v}"))
     entities = {f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}
-    return KnowledgeGraph(entities, triples, set())
+    return KnowledgeGraph(entities, dict.fromkeys(triples), {})
 
 
 @st.composite
@@ -525,7 +525,7 @@ def _plain(draw, family):
     """A graph of ``family``, one triple per pair."""
     n, pairs, mains = draw(family)
     entities = {f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}
-    return KnowledgeGraph(entities, {(f"e{a}", "r", f"e{b}") for a, b in pairs}, set())
+    return KnowledgeGraph(entities, {(f"e{a}", "r", f"e{b}"): None for a, b in pairs}, {})
 
 
 @st.composite
@@ -538,7 +538,7 @@ def _trees_with_pairs_both_ways(draw):
     both = draw(st.sets(st.sampled_from(sorted(pairs)), min_size=1, max_size=3))
     triples = {(f"e{a}", "r", f"e{b}") for a, b in pairs} | {(f"e{b}", "r", f"e{a}") for a, b in both}
     mains = draw(st.sets(st.integers(0, n - 1), max_size=4))
-    return KnowledgeGraph({f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}, triples, set())
+    return KnowledgeGraph({f"e{i}": ("M" if i in mains else "C", False) for i in range(n)}, dict.fromkeys(triples), {})
 
 
 @st.composite
@@ -551,7 +551,7 @@ def _isolated_mains_and_self_loops(draw):
     for i in range(n, n + extra):
         entities[f"e{i}"] = ("M" if i == n or draw(st.booleans()) else "C", False)
     loops = draw(st.sets(st.integers(0, n + extra - 1), min_size=1, max_size=3)) | {n + extra - 1}
-    return KnowledgeGraph(entities, g.object_triples | {(f"e{v}", "r", f"e{v}") for v in loops}, set())
+    return KnowledgeGraph(entities, g.object_triples | {(f"e{v}", "r", f"e{v}"): None for v in loops}, {})
 
 
 @settings(max_examples=200, deadline=None)
@@ -695,6 +695,21 @@ def test_depths_do_not_depend_on_entity_order(g, rnd):
     for order in (items[::-1], shuffled):
         reordered = KnowledgeGraph(dict(order), g.object_triples, g.literals)
         assert depth_metrics(reordered, "M") == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.one_of(_sparse_graphs(), _with_redundant_triples(_forests())), rnd=st.randoms())
+def test_depths_and_bfs_count_do_not_depend_on_triple_order(g, rnd):
+    # a graph keeps its triples in the order they were made; the core's
+    # lists are sorted, so neither the depths nor the sweeps may follow it
+    triples = list(g.object_triples)
+    shuffled = triples[:]
+    rnd.shuffle(shuffled)
+    want = _bfs_count(g, "M")
+    for order in (triples[::-1], shuffled):
+        reordered = KnowledgeGraph(g.entities, dict.fromkeys(order), g.literals)
+        assert reordered == g
+        assert _bfs_count(reordered, "M") == want
 
 
 def test_root_never_exceeds_global():

@@ -7,7 +7,9 @@ from every term it meets and rejects a term without it. The package's
 versions format each entity once, escape through one translate table only
 the literals that need it, and keep one string per local name; on every
 graph here they must write the same bytes and read back an equal graph,
-with the same entity order and the same ``ParseError`` line.
+with its entities and triples in the same order, the order of their first
+lines, and the same ``ParseError`` line. A graph equals one with the same
+entities and triples in any other order.
 
 The reader is given a schema in some tests and none in others: it reads
 the same graph either way, the reference's.
@@ -169,8 +171,8 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI) -> KnowledgeGra
         return name[len(base_iri):]
 
     entities: dict[str, tuple[str, bool]] = {}
-    objects: set[tuple[str, str, str]] = set()
-    literals: set[tuple[str, str, str]] = set()
+    objects: dict[tuple[str, str, str], None] = {}
+    literals: dict[tuple[str, str, str], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -183,14 +185,14 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI) -> KnowledgeGra
         subj = subj_t if subj_t.startswith("_:") else local(subj_t)
         if obj_t.startswith('"'):
             value = _reference_unescape(obj_t[1:-1], lineno)
-            literals.add((subj, local(f"<{pred_iri}>"), value))
+            literals[subj, local(f"<{pred_iri}>"), value] = None
         elif pred_iri == RDF_TYPE_IRI:
             if obj_t.startswith("_:"):
                 raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
             entities[subj] = (local(obj_t), subj.startswith("_:"))
         else:
             pred = local(f"<{pred_iri}>")
-            objects.add((subj, pred, obj_t if obj_t.startswith("_:") else local(obj_t)))
+            objects[subj, pred, obj_t if obj_t.startswith("_:") else local(obj_t)] = None
     return KnowledgeGraph(entities, objects, literals)
 
 
@@ -222,11 +224,11 @@ def _graphs(draw) -> KnowledgeGraph:
         entities[f"_:dummy_{cls}_row{row}"] = (cls, True)
     ends = [*entities, *draw(st.lists(st.sampled_from(_MISSING), max_size=2))]
     if not ends:
-        return KnowledgeGraph(entities, set(), set())
+        return KnowledgeGraph(entities, {}, {})
     end = st.sampled_from(ends)
-    objects = draw(st.sets(st.tuples(end, _NAMES, end), max_size=12))
-    literals = draw(st.sets(st.tuples(end, _NAMES, _VALUES), max_size=10))
-    return KnowledgeGraph(entities, objects, literals)
+    objects = draw(st.lists(st.tuples(end, _NAMES, end), max_size=12, unique=True))
+    literals = draw(st.lists(st.tuples(end, _NAMES, _VALUES), max_size=10, unique=True))
+    return KnowledgeGraph(entities, dict.fromkeys(objects), dict.fromkeys(literals))
 
 
 def _holds_surrogate(value: str) -> bool:
@@ -248,7 +250,7 @@ def _document(g: KnowledgeGraph, base: str = DEFAULT_BASE_IRI) -> str | None:
 
 @settings(max_examples=300, deadline=None)
 @given(g=_graphs(), base=_BASES)
-@example(g=KnowledgeGraph({}, set(), set()), base=DEFAULT_BASE_IRI)
+@example(g=KnowledgeGraph({}, {}, {}), base=DEFAULT_BASE_IRI)
 def test_serializer_matches_reference(g, base):
     document = _document(g, base)
     if document is not None:
@@ -256,7 +258,7 @@ def test_serializer_matches_reference(g, base):
 
 
 def test_serializer_escapes_line_breaks_and_controls():
-    g = KnowledgeGraph({}, set(), {("C/x", "p", "\x85\u2028\u2029\x00\x1f\x7f\t\"\\")})
+    g = KnowledgeGraph({}, {}, {("C/x", "p", "\x85\u2028\u2029\x00\x1f\x7f\t\"\\"): None})
     line = (
         '<http://example.org/kg#C/x> <http://example.org/kg#p> '
         '"\\u0085\\u2028\\u2029\\u0000\\u001F\x7f\\t\\"\\\\" .\n'
@@ -282,6 +284,8 @@ def _assert_same_read(text: str, base: str, schema: KGSchema | None) -> None:
     got = load_ntriples(text, base, schema)
     assert got == want
     assert list(got.entities) == list(want.entities)
+    assert list(got.object_triples) == list(want.object_triples)
+    assert list(got.literals) == list(want.literals)
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,6 +299,36 @@ def test_loader_matches_reference(g, base, schema):
     assert back.entities == g.entities
     assert back.object_triples == g.object_triples
     assert back.literals == g.literals
+
+
+def test_loader_keeps_document_order():
+    lines = [
+        '<http://example.org/kg#B/2> <http://example.org/kg#p> "z" .',
+        "<http://example.org/kg#B/2> <http://example.org/kg#rel> <http://example.org/kg#A/1> .",
+        '<http://example.org/kg#A/1> <http://example.org/kg#p> "a" .',
+        "<http://example.org/kg#A/1> <http://example.org/kg#rel> _:dummy_C_row0 .",
+        '<http://example.org/kg#B/2> <http://example.org/kg#p> "z" .',
+        "<http://example.org/kg#B/2> <http://example.org/kg#rel> <http://example.org/kg#A/1> .",
+        '_:dummy_C_row0 <http://example.org/kg#q> "m" .',
+    ]
+    back = load_ntriples("\n".join(lines) + "\n")
+    # a repeated line keeps the place of its first
+    assert list(back.object_triples) == [("B/2", "rel", "A/1"), ("A/1", "rel", "_:dummy_C_row0")]
+    assert list(back.literals) == [("B/2", "p", "z"), ("A/1", "p", "a"), ("_:dummy_C_row0", "q", "m")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_graphs())
+def test_graph_equals_its_read_back_and_its_reversed_copy(g):
+    document = _document(g)
+    if document is not None:
+        assert load_ntriples(document) == g
+    reversed_copy = KnowledgeGraph(
+        dict(reversed(g.entities.items())),
+        dict.fromkeys(reversed(g.object_triples)),
+        dict.fromkeys(reversed(g.literals)),
+    )
+    assert reversed_copy == g
 
 
 _GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
@@ -472,7 +506,7 @@ def test_load_rejects_an_iri_off_the_base_iri(monkeypatch, template, per_block):
     "base", ["http://x y/", "http://example.org/{kg}#", "http://example.org/kg\\#", "http://ex\tample/", "http://x/<kg>#"]
 )
 def test_writer_rejects_a_base_iri_n_triples_forbids(base):
-    g = KnowledgeGraph({"A/1": ("A", False)}, set(), set())
+    g = KnowledgeGraph({"A/1": ("A", False)}, {}, {})
     with pytest.raises(ValueError, match="holds a character N-Triples forbids in an IRI"):
         serialize_ntriples(g, base)
     chunks: list[str] = []
@@ -526,8 +560,8 @@ def test_loader_matches_reference_on_lines_padded_with_unicode_spaces(g, schema,
 
 def test_loader_keeps_one_object_per_name_and_class():
     entities = {"A/1": ("A", False), "A/2": ("A", False), "B/1": ("B", False), "_:dummy_A_row1": ("A", True)}
-    objects = {("A/1", "rel", "B/1"), ("A/2", "rel", "B/1"), ("_:dummy_A_row1", "rel", "A/1")}
-    literals = {(subj, prop, f"{subj} {prop}") for subj in entities for prop in ("p", "q")}
+    objects = dict.fromkeys([("A/1", "rel", "B/1"), ("A/2", "rel", "B/1"), ("_:dummy_A_row1", "rel", "A/1")])
+    literals = {(subj, prop, f"{subj} {prop}"): None for subj in entities for prop in ("p", "q")}
     back = load_ntriples(serialize_ntriples(KnowledgeGraph(entities, objects, literals)), DEFAULT_BASE_IRI, _SCHEMA)
     assert back.literals == literals
     groups = {
@@ -565,7 +599,7 @@ def test_sink_gets_the_document_bytes_on_golden_cases(name):
 @settings(max_examples=200, deadline=None)
 @given(g=_graphs(), base=_BASES, per_chunk=st.sampled_from([1, 2, 5]))
 @example(
-    g=KnowledgeGraph({"A/0": ("A", False), "A/00": ("A", False)}, set(), {("A/0", "p", "\ud800")}),
+    g=KnowledgeGraph({"A/0": ("A", False), "A/00": ("A", False)}, {}, {("A/0", "p", "\ud800"): None}),
     base=DEFAULT_BASE_IRI,
     per_chunk=1,
 )
@@ -590,16 +624,16 @@ def test_sink_gets_the_document_in_chunks_of_whole_lines(g, base, per_chunk):
 
 def test_sink_gets_no_more_than_one_chunk_per_write():
     entities = {f"A/{i}": ("A", False) for i in range(2 * _CHUNK_LINES + 7)}
-    chunks = _streamed(KnowledgeGraph(entities, set(), set()))
+    chunks = _streamed(KnowledgeGraph(entities, {}, {}))
     assert [c.count("\n") for c in chunks] == [_CHUNK_LINES, _CHUNK_LINES, 7]
 
 
 def test_sink_of_an_empty_graph_gets_no_write():
-    assert _streamed(KnowledgeGraph({}, set(), set())) == []
+    assert _streamed(KnowledgeGraph({}, {}, {})) == []
 
 
 def test_sink_chunks_count_bytes_not_characters():
-    g = KnowledgeGraph({"A/x": ("A", False)}, set(), {("A/x", "p", "grüße ✓ \U0001F600")})
+    g = KnowledgeGraph({"A/x": ("A", False)}, {}, {("A/x", "p", "grüße ✓ \U0001F600"): None})
     document = serialize_ntriples(g)
     size = sum(len(c.encode("utf-8")) for c in _streamed(g))
     assert size == len(document.encode("utf-8")) == len(document) + 1 + 1 + 2 + 3  # ü, ß, ✓, 😀
@@ -665,8 +699,8 @@ def test_loader_reads_drawn_files_as_their_text(tmp_path_factory, g, schema, dat
 
 def test_loader_reads_a_large_file_in_less_memory_than_the_file(tmp_path):
     entities = {f"A/{i:06d}": ("A", False) for i in range(6000)}
-    objects = {(f"A/{i:06d}", "next", f"A/{i + 1:06d}") for i in range(5999)}
-    literals = {(eid, prop, f"{prop} of {eid} ✓") for eid in entities for prop in ("p", "q")}
+    objects = {(f"A/{i:06d}", "next", f"A/{i + 1:06d}"): None for i in range(5999)}
+    literals = {(eid, prop, f"{prop} of {eid} ✓"): None for eid in entities for prop in ("p", "q")}
     g = KnowledgeGraph(entities, objects, literals)
     path = tmp_path / "kg.nt"
     path.write_text(serialize_ntriples(g).replace("\n", "\r\n"), encoding="utf-8", newline="")
@@ -688,8 +722,8 @@ def test_loader_reads_a_large_text_in_less_memory_than_the_text():
     # the text twin of the test above: the document is held by the caller,
     # and the read must not add a list of all its lines beside it
     entities = {f"A/{i:06d}": ("A", False) for i in range(6000)}
-    objects = {(f"A/{i:06d}", "next", f"A/{i + 1:06d}") for i in range(5999)}
-    literals = {(eid, prop, f"{prop} of {eid} ✓") for eid in entities for prop in ("p", "q")}
+    objects = {(f"A/{i:06d}", "next", f"A/{i + 1:06d}"): None for i in range(5999)}
+    literals = {(eid, prop, f"{prop} of {eid} ✓"): None for eid in entities for prop in ("p", "q")}
     g = KnowledgeGraph(entities, objects, literals)
     text = serialize_ntriples(g).replace("\n", "\r\n")
     size = len(text.encode("utf-8"))
@@ -708,7 +742,7 @@ def test_loader_reads_a_large_text_in_less_memory_than_the_text():
 @pytest.mark.parametrize("value", ["\ud800", "a\udfffb", "\n\ud800\\"])
 def test_writer_rejects_a_surrogate_before_writing_anything(value):
     entities = {f"A/{i}": ("A", False) for i in range(2 * _CHUNK_LINES)}
-    g = KnowledgeGraph(entities, set(), {("A/1", "p", "fine"), ("A/7", "q", value)})
+    g = KnowledgeGraph(entities, {}, dict.fromkeys([("A/1", "p", "fine"), ("A/7", "q", value)]))
     message = "literal of 'A/7' 'q' holds a surrogate code point"
     with pytest.raises(ValueError, match=message):
         serialize_ntriples(g)
