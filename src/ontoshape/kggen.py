@@ -24,6 +24,15 @@ free-standing. Attribute values become literal triples on their owner's
 entity, and every schema edge whose two endpoint entities exist for the
 row becomes an object triple.
 
+A row's entities fill a list of slots whose layout is fixed once per
+plan: the entries, then the dummies, then, unless the joined main entity
+takes the anchor's slot, one slot for it. Each schema edge and attachment
+is resolved to its slots once per plan, so a row finds its entities by
+index. A row whose join misses leaves out the edges and attachments of
+the join's own slot; on a table mapped to the main class its anchor keeps
+the row-numbered main entity. An id names one class, so an entity minted
+again keeps its kind and its first place.
+
 ``_plans`` is the one definition of the plans, the empty-key rule
 included; ``generate_kg`` materializes them and ``metrics.data_coverage``
 walks them over the same tables. A graph holds each distinct triple once,
@@ -190,35 +199,49 @@ def generate_kg(s: KGSchema, d: Dataset, m: MappingSet, mc: str) -> KnowledgeGra
     objects: dict[tuple[str, str, str], None] = {}
     literals: dict[tuple[str, str, str], None] = {}
     mc_id_by_key: dict[str, str] = {}
-    kinds = {cls: (cls, False) for cls in {*s.classes, *s.class_tables, *s.class_keys}}
-    kinds.update((cls, (cls, True)) for cls in plans[0].dummies)
 
     for p in plans:
-        prefix = "row" if p is plans[0] else f"{p.name}_row"
-        edges = [e for e in s.edges if e[1] in p.present and e[2] in p.present]
+        on_main = p is plans[0]
+        prefix = "row" if on_main else f"{p.name}_row"
+        # a row's slots: the entries, the dummies, then the joined main entity,
+        # unless it takes the anchor's slot on a table mapped to the main class
+        slot = {cls: i for i, (cls, _) in enumerate(p.entries)}
+        slot.update((cls, len(slot)) for cls in p.dummies)
+        kinds = [(cls, False) for cls, _ in p.entries] + [(cls, True) for cls in p.dummies]
+        heads = [f"_:dummy_{cls}_" for cls in p.dummies]
+        own_slot = p.join is not None and p.entries[0][0] != mc
+        if p.join is not None:
+            slot.setdefault(mc, len(slot))
+        edges = [(rel, slot[f], slot[t]) for rel, f, t in s.edges if f in p.present and t in p.present]
+        attaches = [(prop, slot[owner], attr) for prop, owner, attr in p.attaches]
+        # a row whose join misses leaves out what reads the join's own slot
+        missed = len(kinds)
+        missed_edges = [e for e in edges if e[1] != missed and e[2] != missed] if own_slot else edges
+        missed_attaches = [a for a in attaches if a[1] != missed] if own_slot else attaches
         for j, row in p.kept_rows(warn=True):
             number = f"{prefix}{j}"
-            ids = {cls: mint_entity_id(cls, number if attr is None else row[attr]) for cls, attr in p.entries}
-            for cls in p.dummies:
-                ids[cls] = f"_:dummy_{cls}_{number}"
+            ids = [mint_entity_id(cls, number if attr is None else row[attr]) for cls, attr in p.entries]
+            ids += [head + number for head in heads]
+            row_edges, row_attaches = edges, attaches
             if p.join is not None:
                 mcid = mc_id_by_key.get(row[p.join])
                 if mcid is None:
                     log.warning("%s row %d: no main entity matches %s=%r; free-standing entity",
                                 p.name, j, p.join, row[p.join])
+                    row_edges, row_attaches = missed_edges, missed_attaches
+                elif own_slot:
+                    ids.append(mcid)
                 else:
-                    ids[mc] = mcid
-            elif main_key is not None and p is plans[0]:
-                mc_id_by_key[row[main_key]] = ids[mc]
-            for cls, eid in ids.items():
-                if eid not in entities:
-                    entities[eid] = kinds[cls]
-            for prop, owner, attr in p.attaches:
-                if (sid := ids.get(owner)) is not None and (value := row[attr]):
-                    literals[sid, prop, value] = None
-            for rel, f, t in edges:
-                if (sf := ids.get(f)) is not None and (st := ids.get(t)) is not None:
-                    objects[sf, rel, st] = None
+                    ids[0] = mcid
+            elif main_key is not None and on_main:
+                mc_id_by_key[row[main_key]] = ids[0]
+            # an id names one class, so writing one again keeps its kind and its place
+            entities.update(zip(ids, kinds))
+            for prop, i, attr in row_attaches:
+                if value := row[attr]:
+                    literals[ids[i], prop, value] = None
+            for rel, f, t in row_edges:
+                objects[ids[f], rel, ids[t]] = None
 
     return KnowledgeGraph(entities, objects, literals)
 
@@ -338,9 +361,9 @@ _PN_CHARS_U = (
 )
 _PN_CHARS = _PN_CHARS_U + "0-9\\-\u00b7\u0300-\u036f\u203f\u2040"
 _BLANK = f"_:[{_PN_CHARS_U}0-9][{_PN_CHARS}.]*(?<!\\.)"
-_NT_LINE = re.compile(
-    rf'\s*(<[^>]*>|{_BLANK})\s+(<[^>]*>)\s+(<[^>]*>|{_BLANK}|"[^"\\]*(?:\\.[^"\\]*)*")\s*\.\s*\Z'
-)
+# one triple line; compiled on the first read, not at import, whose classes
+# take milliseconds, and kept after it by ``re.compile``'s own cache
+_NT_LINE = rf'\s*(<[^>]*>|{_BLANK})\s+(<[^>]*>)\s+(<[^>]*>|{_BLANK}|"[^"\\]*(?:\\.[^"\\]*)*")\s*\.\s*\Z'
 _TYPE_TERM = f"<{RDF_TYPE_IRI}>"
 # the characters taken from a document, or read from a file, per piece when reading
 _READ_CHARS = 1 << 16
@@ -401,12 +424,13 @@ def load_ntriples(
     entities: dict[str, tuple[str, bool]] = {}
     objects: dict[tuple[str, str, str], None] = {}
     literals: dict[tuple[str, str, str], None] = {}
+    match_line = re.compile(_NT_LINE).match
     lineno = 0
     for lines in map(str.splitlines, _blocks(source)):
         start = lineno + 1
         try:
             for lineno, raw in enumerate(lines, start):
-                match = _NT_LINE.match(raw)
+                match = match_line(raw)
                 if match is None:
                     line = raw.strip()
                     if not line:
@@ -442,7 +466,7 @@ def load_ntriples(
                         why = f"does not start with the base IRI {base_iri!r}"
                         break
                 # the first line holding it as a term named it: each line before named all its terms
-                matches = (_NT_LINE.match(raw) for raw in lines)
+                matches = map(match_line, lines)
                 line = next(n for n, m in enumerate(matches, start) if m and bad in m.groups())
                 raise ParseError(f"IRI {bad!r} {why}", line)
             fresh.clear()

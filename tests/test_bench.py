@@ -7,6 +7,7 @@ import dataclasses
 import io
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,6 +109,32 @@ def test_storage_bytes_are_the_utf8_size_of_the_document(small_inputs):
     for approach, schema in (("baseline", baseline_schema(o, d, m, u.main_class)), ("reshape", reshape(o, d, m, u))):
         document = serialize_ntriples(generate_kg(schema, d, m, u.main_class))
         assert run_one(approach, o, d, m, u).storage_bytes == len(document.encode("utf-8")) > len(document)
+
+
+# a baseline graph of about 4,000 lines, so the writer sends it in three chunks
+THREE_CHUNKS = SynthConfig(n_attributes=6, n_rows=120, chain_depth=2, n_entity_classes=1)
+
+
+def test_storage_bytes_count_an_ascii_chunk_by_its_length_and_encode_the_others():
+    o, d, m, u = generate_synthetic(THREE_CHUNKS)
+    main = d.main
+    rows = [dict(row) for row in main.rows]
+    rows[57]["attr000"] = "grüße ✓"
+    d = Dataset({**d.tables, main.name: Table(main.name, main.attributes, rows)}, d.main_table)
+    chunks = []
+    graph = generate_kg(baseline_schema(o, d, m, u.main_class), d, m, u.main_class)
+    serialize_ntriples(graph, out=SimpleNamespace(write=chunks.append))
+    assert len(chunks) == 3 and sum(not chunk.isascii() for chunk in chunks) == 1
+    document = "".join(chunks)
+    assert run_one("baseline", o, d, m, u).storage_bytes == len(document.encode("utf-8")) > len(document)
+
+
+def test_storage_bytes_of_an_ascii_document_are_its_length():
+    o, d, m, u = generate_synthetic(THREE_CHUNKS)
+    for approach, schema in (("baseline", baseline_schema(o, d, m, u.main_class)), ("reshape", reshape(o, d, m, u))):
+        document = serialize_ntriples(generate_kg(schema, d, m, u.main_class))
+        assert document.isascii()
+        assert run_one(approach, o, d, m, u).storage_bytes == len(document)
 
 
 def test_experiment_runs_at_most_one_bfs_per_class(monkeypatch):

@@ -22,6 +22,7 @@ from ontoshape.metrics import _covered
 from ontoshape.ontology import parse_ontology
 from ontoshape.reshape import KGSchema, baseline_schema, reshape
 from ontoshape.tabular import Dataset, Table
+from test_generate_reference import _projected_reference, _run
 
 MC = "WeldingOperation"
 
@@ -262,6 +263,28 @@ def test_secondary_row_without_match_is_free_standing(caplog):
     assert "free-standing" in caplog.text
     assert "Sensor/s9" in g.entities
     assert not any(rel == "hasSensor" for _, rel, _ in g.object_triples)
+
+
+def test_a_table_mapped_to_the_main_class_joins_into_the_anchors_slot():
+    # "extra" is mapped to the main class M and holds M's key column k: a
+    # row that joins puts its literals on the main entity in place of
+    # minting M/extra_row<j>; a row that does not keeps that entity
+    s = KGSchema(
+        "M", {"M", "S"}, {("has", "M", "S")},
+        {("p", "M", ("extra", "v")), ("q", "M", ("main", "w"))},
+        {"M": ("main", "k"), "S": ("extra", "s")}, {"M": "extra"},
+    )
+    main = Table("main", ["k", "w"], [{"k": "k1", "w": "1"}])
+    extra = Table("extra", ["k", "v", "s"], [{"k": "k1", "v": "a", "s": "x"}, {"k": "k9", "v": "b", "s": "y"}])
+    d = Dataset({"main": main, "extra": extra}, "main")
+    got, events = _run(generate_kg, s, d, "M")
+    assert (got, events) == _run(_projected_reference, s, d, "M")
+    entities, objects, literals, _ = got
+    assert entities == [("M/k1", ("M", False)), ("S/x", ("S", False)),
+                        ("M/extra_row1", ("M", False)), ("S/y", ("S", False))]
+    assert ("M/k1", "p", "a") in literals and ("M/extra_row1", "p", "b") in literals
+    assert list(objects) == [("M/k1", "has", "S/x"), ("M/extra_row1", "has", "S/y")]
+    assert events == [("free-standing", "extra", 1, "k", "k9")]
 
 
 def test_serialize_single_entity():
