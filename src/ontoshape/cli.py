@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--kg", required=True, help="N-Triples file")
     p.add_argument("-s", "--schema", required=True, help="schema file the graph was generated from")
     _add_input_flags(p, ontology=False)
-    p.add_argument("--base-iri", default=kggen.DEFAULT_BASE_IRI)
+    p.add_argument("--base-iri", default=kggen.DEFAULT_BASE_IRI, help="the base IRI the graph was written with")
     p.add_argument("--out", help="write the text report here instead of stdout")
     p.set_defaults(func=_cmd_metrics)
 

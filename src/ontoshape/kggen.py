@@ -68,6 +68,7 @@ from typing import NamedTuple, Protocol, TextIO
 
 from .errors import DatasetError, ParseError, SchemaError
 from .mapping import MappingSet
+from .ontology import _IDENT
 from .reshape import KGSchema, _percent_encode
 from .tabular import Dataset
 
@@ -264,6 +265,16 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20"{}|^`\\]')
 
 
+def _check_base_iri(base_iri: str) -> None:
+    """Raise ``ValueError`` unless ``base_iri`` ends in ``#`` or ``/`` and
+    holds no character N-Triples forbids in an IRI: the one rule for the
+    writer and the reader."""
+    if not base_iri.endswith(("#", "/")):
+        raise ValueError(f"base IRI {base_iri!r} must end with '#' or '/'")
+    if _IRI_FORBIDDEN.search(base_iri) or "<" in base_iri or ">" in base_iri:
+        raise ValueError(f"base IRI {base_iri!r} holds a character N-Triples forbids in an IRI")
+
+
 # N-Triples' ECHAR set; \u and \U are decoded separately
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 # one escape: \u or \U with the characters its code takes, or any other
@@ -321,10 +332,7 @@ def serialize_ntriples(
     each ending in a newline, and None is returned; the document is never
     built, and an empty graph writes nothing.
     """
-    if not base_iri.endswith(("#", "/")):
-        raise ValueError("base IRI must end with '#' or '/'")
-    if _IRI_FORBIDDEN.search(base_iri) or "<" in base_iri or ">" in base_iri:
-        raise ValueError(f"base IRI {base_iri!r} holds a character N-Triples forbids in an IRI")
+    _check_base_iri(base_iri)
 
     def term(local: str) -> str:
         return local if local.startswith("_:") else f"<{base_iri}{local}>"
@@ -406,9 +414,13 @@ def load_ntriples(
     there (a control, a space, a backquote, a backslash or one of
     ``<>"{}|^``), on an IRI that does not start with ``base_iri`` (the
     ``rdf:type`` predicate of a class line is not a name, so it is exempt),
-    on a blank node as a class, or on a literal with an escape N-Triples
-    does not define or that names a surrogate.
+    on a blank node as a class or a class whose name is no identifier (the
+    sign of a base IRI cut short, such as ``http://a.org/`` for a file
+    written with ``http://a.org/x#``), or on a literal with an escape
+    N-Triples does not define or that names a surrogate. A ``base_iri``
+    the writer would reject raises ``ValueError`` before anything is read.
     """
+    _check_base_iri(base_iri)
     # one string per name and one tuple per class, however many lines repeat it
     names: dict[str, str] = {}
     # the IRI terms first named in this block
@@ -448,7 +460,10 @@ def load_ntriples(
                         raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
                     key = (obj_t, subj_t[0] == "_")
                     if key not in kinds:
-                        kinds[key] = (names.get(obj_t) or name(obj_t), key[1])
+                        cls = names.get(obj_t) or name(obj_t)
+                        if not _IDENT.match(cls):
+                            raise ParseError(f"class {obj_t} is not the base IRI {base_iri!r} plus an identifier", lineno)
+                        kinds[key] = (cls, key[1])
                     entities[subj] = kinds[key]
                 else:
                     objects[subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)] = None

@@ -1,18 +1,23 @@
-"""Summary arithmetic of ``tools/bench_pairs.py``: spreads, win counts,
-verdicts and the closing table."""
+"""``tools/bench_pairs.py``: the summary arithmetic of end-to-end pairs
+(spreads, win counts, verdicts and the closing table), the one pair loop
+both modes share, and the stage grid at a tiny size, whose counts for each
+family are the closed-form ones of ``perfbench.workloads.expected``."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -82,7 +87,7 @@ def test_table_has_one_line_per_workload_and_metric():
     ]
 
 
-def _checkouts(tmp_path):
+def _sides(tmp_path):
     """A parent and a change checkout, each declaring workload "w" and
     naming its side in ``src/side``."""
     bench = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
@@ -91,7 +96,11 @@ def _checkouts(tmp_path):
         (tmp_path / side / "src" / "side").write_text(side)
         (tmp_path / side / "perfbench").mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
-    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seconds", "1"]
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+
+
+def _checkouts(tmp_path):
+    return _sides(tmp_path) + ["--seconds", "1"]
 
 
 def _side(checkout):
@@ -99,11 +108,16 @@ def _side(checkout):
     return (checkout / "src" / "side").read_text()
 
 
+def _seed(argv):
+    """The seed a perfbench run is given."""
+    return int(argv[argv.index("--seed") + 1])
+
+
 def test_main_ends_with_the_table(tmp_path, monkeypatch, capsys):
     speed = {"parent": 2.0, "change": 1.0}
     monkeypatch.setattr(
         bench_pairs, "_run",
-        lambda checkout, workload, seed, seconds: _run(seed, _side(checkout), speed[_side(checkout)], 5.0)["result"],
+        lambda checkout, argv, env: _run(_seed(argv), _side(checkout), speed[_side(checkout)], 5.0)["result"],
     )
     out = tmp_path / "pairs.json"
     argv = _checkouts(tmp_path) + ["--runs", "w=1-2", "--out", str(out)]
@@ -133,8 +147,8 @@ def test_each_pipeline_line_ends_with_its_verdict(verdict, tmp_path, monkeypatch
     values = dict(enumerate(VERDICT_CASES[verdict], start=1))
     monkeypatch.setattr(
         bench_pairs, "_run",
-        lambda checkout, workload, seed, seconds: _run(
-            seed, _side(checkout), values[seed][_side(checkout) == "change"], 5.0)["result"],
+        lambda checkout, argv, env: _run(
+            _seed(argv), _side(checkout), values[_seed(argv)][_side(checkout) == "change"], 5.0)["result"],
     )
     argv = _checkouts(tmp_path) + ["--runs", "w=1-10", "--out", str(tmp_path / "pairs.json")]
     assert bench_pairs.main(argv) == 0
@@ -223,7 +237,8 @@ def test_a_seed_given_twice_for_one_workload_is_rejected_before_the_first_run(tm
 
 
 def test_pairs_done_before_a_failing_run_are_written(tmp_path, monkeypatch):
-    def run(checkout, workload, seed, seconds):
+    def run(checkout, argv, env):
+        seed = _seed(argv)
         if seed == 3:
             raise subprocess.CalledProcessError(1, "perfbench/run.py")
         return _run(seed, _side(checkout), 1.0, 5.0)["result"]
@@ -239,21 +254,36 @@ def test_pairs_done_before_a_failing_run_are_written(tmp_path, monkeypatch):
     assert doc["summary"]["w"]["pipeline_s"]["tied"] == 2
 
 
-def test_each_side_runs_from_fresh_copies_in_both_directories(tmp_path, monkeypatch):
+def _stage_result(argv):
+    """What a stage run of ``argv`` prints, every time 1 ms."""
+    family, rows = argv[argv.index("--measure") + 1:argv.index("--measure") + 3]
+    stage = {"ms": 1.0, "raw_ms": 1.0, "us_per_entity": 100.0, "peak_mb": 1.0}
+    return {"family": family, "rows": int(rows), "key_values": [1, 1], "entities": 10, "object_triples": 9,
+            "literals": 3, "stages": {name: dict(stage) for name in bench_pairs.STAGES}}
+
+
+@pytest.mark.parametrize(
+    "mode", [["--runs", "w=1-4", "--seconds", "1"], ["--stages", "2", "--rounds", "4"]], ids=["runs", "stages"]
+)
+def test_each_side_runs_from_fresh_copies_in_both_directories(mode, tmp_path, monkeypatch):
     ran = []
 
-    def run(checkout, workload, seed, seconds):
+    def run(checkout, argv, env):
         side = _side(checkout)
         # a copy made for this run: nothing a run leaves behind is seen by the next
         assert not (checkout / "perfbench" / "left_behind").exists()
         (checkout / "perfbench" / "left_behind").write_text(side)
         assert json.loads((checkout / "BENCHMARK.json").read_text())["workloads"] == [{"name": "w"}]
         ran.append((side, checkout))
-        return _run(seed, side, 1.0, 5.0)["result"]
+        if "--measure" in argv:
+            # the stage child is this tool's own file, run in the copy
+            assert argv[0] == str(ROOT / "tools" / "bench_pairs.py")
+            return _stage_result(argv)
+        return _run(_seed(argv), side, 1.0, 5.0)["result"]
 
     monkeypatch.setattr(bench_pairs, "_run", run)
     out = tmp_path / "pairs.json"
-    argv = _checkouts(tmp_path) + ["--runs", "w=1-4", "--out", str(out)]
+    argv = _sides(tmp_path) + mode + ["--out", str(out)]
     assert bench_pairs.main(argv) == 0
     given = {tmp_path / "parent", tmp_path / "change"}
     assert not given & {checkout for _, checkout in ran}
@@ -261,8 +291,123 @@ def test_each_side_runs_from_fresh_copies_in_both_directories(tmp_path, monkeypa
     assert len(places) == 2
     for side in ("parent", "change"):
         assert {checkout for s, checkout in ran if s == side} == places
-    # the directories alternate pair by pair, and the record names them
+    # the directories and the first side alternate pair by pair within each
+    # workload or family and size, and the record names them
     doc = json.loads(out.read_text())
-    parent_dirs = [r["dir"] for r in doc["runs"] if r["side"] == "parent"]
-    assert parent_dirs == ["a", "b", "a", "b"]
+    groups = {(r.get("workload"), r.get("family"), r.get("rows")) for r in doc["runs"]}
+    assert len(groups) == (1 if mode[0] == "--runs" else len(bench_pairs.FAMILIES))
+    for group in groups:
+        runs = [r for r in doc["runs"] if (r.get("workload"), r.get("family"), r.get("rows")) == group]
+        parent_dirs = [r["dir"] for r in runs if r["side"] == "parent"]
+        assert parent_dirs == ["a", "b", "a", "b"]
+        assert [r["side"] for r in runs if r["first"]] == ["parent", "change", "parent", "change"]
     assert not any((place / "perfbench").exists() for place in places)  # removed at the end
+
+
+def test_a_size_given_twice_is_rejected_before_the_first_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: calls.append(args))
+    out = tmp_path / "stages.json"
+    argv = _sides(tmp_path) + ["--stages", "2", "4", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "size 2 is given twice; pairs are matched by round" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--runs", "w=1", "--stages", "2"], "argument --stages: not allowed with argument --runs"),
+    (["--stages", "2", "--seconds", "1"], "--seconds goes only with --runs"),
+    (["--runs", "w=1", "--rounds", "2"], "--rounds goes only with --stages"),
+    (["--runs", "w=1", "--best", "2"], "--best goes only with --stages or --measure"),
+    (["--stages", "2", "--rounds", "0"], "--stages, --rounds and --best must be positive"),
+])
+def test_the_two_modes_exclude_each_other_and_each_others_options(extra, message, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: calls.append(args))
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_sides(tmp_path) + extra + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.fixture()
+def perfbench_importable(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import expected
+
+    return expected
+
+
+def _check_run(run, exp):
+    assert (run["entities"], run["object_triples"], run["literals"]) == (exp.entities, exp.objects, exp.literal_lines)
+    assert list(run["stages"]) == list(bench_pairs.STAGES)
+    for stage in run["stages"].values():
+        assert stage["ms"] > 0 and stage["raw_ms"] > 0 and stage["peak_mb"] > 0
+        assert stage["us_per_entity"] == pytest.approx(1e3 * stage["ms"] / exp.entities)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_run_counts_what_the_closed_form_gives(perfbench_importable, rows):
+    exp = perfbench_importable("baseline", bench_pairs.ATTRIBUTES, rows, 4, (rows, rows))
+    run = bench_pairs._measure("forest", rows, best=2)
+    assert run["key_values"] == [rows, rows]
+    _check_run(run, exp)
+
+
+@pytest.mark.parametrize("rows", [3, 40])
+def test_a_shared_key_run_counts_what_the_closed_form_gives_for_the_drawn_keys(perfbench_importable, tmp_path, rows):
+    from perfbench.workloads import WORKLOADS, build_fixture
+
+    w = WORKLOADS["shared_keys"]
+    drawn = build_fixture(dataclasses.replace(w, rows=rows), bench_pairs.SHARED_KEYS_SEED, tmp_path).key_values
+    exp = perfbench_importable("baseline", w.attrs, rows, w.depth, drawn)
+    run = bench_pairs._measure("shared_keys", rows, best=2)
+    assert run["key_values"] == list(drawn)
+    # at 40 rows, keys drawn from 10 values repeat, so rows share entities
+    assert rows < 40 or max(drawn) < rows
+    _check_run(run, exp)
+
+
+def test_a_round_gives_each_stage_both_sides_and_a_ratio(tmp_path, capsys):
+    out = tmp_path / "stages.json"
+    assert bench_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--stages", "2",
+                             "--rounds", "1", "--best", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert [(r["family"], r["side"], r["first"]) for r in doc["runs"]] == [
+        (family, side, side == "parent") for family in bench_pairs.FAMILIES for side in ("parent", "change")
+    ]
+    assert list(doc["summary"]) == list(bench_pairs.FAMILIES)
+    forest = doc["summary"]["forest"]["2"]
+    assert (forest["entities"], forest["object_triples"], forest["literals"]) == (490, 488, 124)
+    for sizes in doc["summary"].values():
+        for name in bench_pairs.STAGES:
+            assert set(sizes["2"][name]) == {"parent", "change", "change_over_parent"}
+            assert sizes["2"][name]["change_over_parent"]["median"] > 0
+    runs, stages = 2 * len(bench_pairs.FAMILIES), len(bench_pairs.FAMILIES) * len(bench_pairs.STAGES)
+    assert len(capsys.readouterr().out.splitlines()) == runs + stages
+
+
+def test_a_stage_run_fails_when_it_would_import_another_checkout(tmp_path):
+    # a copy of the checkout, run with a PYTHONPATH naming the original
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+    argv = [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--measure", "forest", "1", "--best", "1"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: ontoshape would be imported from {ROOT / 'src' / 'ontoshape' / '__init__.py'},"
+        f" not from {tmp_path.resolve() / 'src' / 'ontoshape'}"
+    ]
+    # the copy's own src/ and the copy, but perfbench from elsewhere
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "src"), str(ROOT)])
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        f"error: perfbench would be imported from {ROOT / 'perfbench' / '__init__.py'},"
+        f" not from {tmp_path.resolve() / 'perfbench'}"
+    ]

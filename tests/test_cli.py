@@ -142,6 +142,28 @@ def test_metrics_rejects_a_graph_written_with_another_base_iri(workdir, capsys):
     assert "avg. root to leaf depth  1.0000" in capsys.readouterr().out
 
 
+def test_metrics_rejects_a_base_iri_that_the_written_one_extends(tmp_path, capsys):
+    fx, schema_file, kg_file = tmp_path / "fx", tmp_path / "schema.txt", tmp_path / "kg.nt"
+    inputs = ["-d", str(fx / "data"), "-m", str(fx / "mappings.csv")]
+    tables = ["-s", str(schema_file), *inputs]
+    assert main(["synth", "--attrs", "3", "--rows", "2", "--out", str(fx)]) == 0
+    assert main(["baseline", "-o", str(fx / "ontology.osf"), *inputs, "-u", str(fx / "userinfo.json"),
+                 "--out", str(schema_file)]) == 0
+    assert main(["generate", *tables, "--base-iri", "http://a.org/x#", "--out", str(kg_file)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "-k", str(kg_file), *tables, "--base-iri", "http://a.org/x#"]) == 0
+    assert "max. root to leaf depth  4.0000" in capsys.readouterr().out
+    # every IRI starts with these two, but class names would read as "#C" or "x#C"
+    for base, error in [
+        ("http://a.org/x", "error: base IRI 'http://a.org/x' must end with '#' or '/'"),
+        ("http://a.org/", "error: line 2: class <http://a.org/x#MachineID> is not the base IRI 'http://a.org/'"
+                          " plus an identifier"),
+    ]:
+        assert main(["metrics", "-k", str(kg_file), *tables, "--base-iri", base]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and [line for line in err.splitlines() if line.startswith("error:")] == [error]
+
+
 def test_reshape_include_unmapped_then_generate(workdir, capsys):
     csv_file = workdir / "data" / "welding_operation.csv"
     schema_file = workdir / "schema.txt"

@@ -161,7 +161,15 @@ def _ref_blank_label_ok(term: str) -> bool:
 _REF_IRI_FORBIDDEN = {chr(c) for c in range(0x21)} | set('<>"{}|^`\\')
 
 
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
 def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI) -> KnowledgeGraph:
+    if not base_iri.endswith(("#", "/")):
+        raise ValueError(f"base IRI {base_iri!r} must end with '#' or '/'")
+    if _REF_IRI_FORBIDDEN.intersection(base_iri):
+        raise ValueError(f"base IRI {base_iri!r} holds a character N-Triples forbids in an IRI")
+
     def local(iri: str) -> str:
         name = iri[1:-1]
         if _REF_IRI_FORBIDDEN.intersection(name):
@@ -189,7 +197,10 @@ def _reference_load(text: str, base_iri: str = DEFAULT_BASE_IRI) -> KnowledgeGra
         elif pred_iri == RDF_TYPE_IRI:
             if obj_t.startswith("_:"):
                 raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
-            entities[subj] = (local(obj_t), subj.startswith("_:"))
+            cls = local(obj_t)
+            if not _REF_IDENT.match(cls):
+                raise ParseError(f"class {obj_t} is not the base IRI {base_iri!r} plus an identifier", lineno)
+            entities[subj] = (cls, subj.startswith("_:"))
         else:
             pred = local(f"<{pred_iri}>")
             objects[subj, pred, obj_t if obj_t.startswith("_:") else local(obj_t)] = None
@@ -276,10 +287,10 @@ def test_escape_class_matches_the_translate_table():
 def _assert_same_read(text: str, base: str, schema: KGSchema | None) -> None:
     try:
         want = _reference_load(text, base)
-    except ParseError as err:
-        with pytest.raises(ParseError) as info:
+    except (ParseError, ValueError) as err:
+        with pytest.raises(type(err)) as info:
             load_ntriples(text, base, schema)
-        assert (info.value.line, str(info.value)) == (err.line, str(err))
+        assert (getattr(info.value, "line", None), str(info.value)) == (getattr(err, "line", None), str(err))
         return
     got = load_ntriples(text, base, schema)
     assert got == want
@@ -502,9 +513,10 @@ def test_load_rejects_an_iri_off_the_base_iri(monkeypatch, template, per_block):
     _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
 
 
-@pytest.mark.parametrize(
-    "base", ["http://x y/", "http://example.org/{kg}#", "http://example.org/kg\\#", "http://ex\tample/", "http://x/<kg>#"]
-)
+_FORBIDDEN_BASES = ["http://x y/", "http://example.org/{kg}#", "http://example.org/kg\\#", "http://ex\tample/", "http://x/<kg>#"]
+
+
+@pytest.mark.parametrize("base", _FORBIDDEN_BASES)
 def test_writer_rejects_a_base_iri_n_triples_forbids(base):
     g = KnowledgeGraph({"A/1": ("A", False)}, {}, {})
     with pytest.raises(ValueError, match="holds a character N-Triples forbids in an IRI"):
@@ -513,6 +525,31 @@ def test_writer_rejects_a_base_iri_n_triples_forbids(base):
     with pytest.raises(ValueError, match="holds a character N-Triples forbids in an IRI"):
         serialize_ntriples(g, base, out=SimpleNamespace(write=chunks.append))
     assert chunks == []
+
+
+@pytest.mark.parametrize("base", [*_FORBIDDEN_BASES, "http://example.org/kg", "http://a.org/x", ""])
+def test_load_rejects_a_base_iri_the_writer_rejects_before_reading(base):
+    with pytest.raises(ValueError, match="^base IRI ") as info:
+        load_ntriples(f"{_TYPE_LINE}\nnot a triple\n", base)
+    with pytest.raises(ValueError) as writer:
+        serialize_ntriples(KnowledgeGraph({}, {}, {}), base)
+    assert str(info.value) == str(writer.value)
+    _assert_same_read(_TYPE_LINE + "\n", base, None)
+
+
+@pytest.mark.parametrize("per_block", [1, kggen._READ_CHARS])
+@pytest.mark.parametrize("base", ["http://example.org/", "http://", "http:/"])
+def test_load_rejects_a_class_read_with_a_base_cut_short(monkeypatch, base, per_block):
+    # read with a base that the written one extends, a class name keeps the
+    # rest of the written base, "kg#A", and is no identifier
+    monkeypatch.setattr(kggen, "_READ_CHARS", per_block)
+    g = KnowledgeGraph({"A/x": ("A", False), "_:dummy_B_row0": ("B", True)}, {("A/x", "rel", "_:dummy_B_row0"): None}, {})
+    text = serialize_ntriples(g)
+    first = next(n for n, line in enumerate(text.splitlines(), 1) if RDF_TYPE_IRI in line)
+    with pytest.raises(ParseError, match=f"^line {first}: class <http://example.org/kg#[AB]> is not the base IRI") as info:
+        load_ntriples(text, base)
+    assert info.value.line == first
+    _assert_same_read(text, base, None)
 
 
 def test_load_decodes_escapes_next_to_the_surrogate_range():
