@@ -260,9 +260,9 @@ _ESCAPES = str.maketrans({
 # surrogate, which the writer rejects
 _NEEDS_ESCAPE = re.compile(f"[{re.escape(''.join(map(chr, _ESCAPES)))}\ud800-\udfff]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
-# what N-Triples forbids in an IRI besides "<" and ">": controls, space, "{}|^`
-# and the backslash, which would start an escape the writer never writes
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20"{}|^`\\]')
+# what N-Triples forbids in an IRI: controls, space, <>"{}|^` and the
+# backslash, which would start an escape the writer never writes
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
 
 def _check_base_iri(base_iri: str) -> None:
@@ -271,7 +271,7 @@ def _check_base_iri(base_iri: str) -> None:
     writer and the reader."""
     if not base_iri.endswith(("#", "/")):
         raise ValueError(f"base IRI {base_iri!r} must end with '#' or '/'")
-    if _IRI_FORBIDDEN.search(base_iri) or "<" in base_iri or ">" in base_iri:
+    if _IRI_FORBIDDEN.search(base_iri):
         raise ValueError(f"base IRI {base_iri!r} holds a character N-Triples forbids in an IRI")
 
 
@@ -282,7 +282,11 @@ _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'":
 _ESCAPE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)", re.DOTALL)
 
 
-def _unescape_literal(value: str, lineno: int) -> str:
+class _Fault(Exception):
+    """A read fault, with its message only; ``load_ntriples`` adds the line."""
+
+
+def _unescape_literal(value: str) -> str:
     def one(escape: re.Match) -> str:
         body = escape[1]
         if body[0] in "uU":
@@ -294,10 +298,10 @@ def _unescape_literal(value: str, lineno: int) -> str:
                 or int(code, 16) > sys.maxunicode
                 or 0xD800 <= int(code, 16) <= 0xDFFF
             ):
-                raise ParseError(f"bad escape {escape[0]!r} in literal", lineno)
+                raise _Fault(f"bad escape {escape[0]!r} in literal")
             return chr(int(code, 16))
         if body not in _ECHARS:
-            raise ParseError(f"bad escape {escape[0]!r} in literal", lineno)
+            raise _Fault(f"bad escape {escape[0]!r} in literal")
         return _ECHARS[body]
 
     return _ESCAPE.sub(one, value)
@@ -417,19 +421,29 @@ def load_ntriples(
     on a blank node as a class or a class whose name is no identifier (the
     sign of a base IRI cut short, such as ``http://a.org/`` for a file
     written with ``http://a.org/x#``), or on a literal with an escape
-    N-Triples does not define or that names a surrogate. A ``base_iri``
-    the writer would reject raises ``ValueError`` before anything is read.
+    N-Triples does not define or that names a surrogate. Each IRI is
+    checked where a line first names it, so the first fault in line and
+    naming order is the one raised, whatever the size of the blocks: on a
+    line, the subject's IRI, then the literal's escapes, then the
+    predicate's IRI, then the object's. A ``base_iri`` the writer would
+    reject raises ``ValueError`` before anything is read.
     """
     _check_base_iri(base_iri)
+    head, forbidden = "<" + base_iri, _IRI_FORBIDDEN.search
     # one string per name and one tuple per class, however many lines repeat it
     names: dict[str, str] = {}
-    # the IRI terms first named in this block
-    fresh: list[str] = []
 
     def name(term: str) -> str:
-        if term[0] == "<":
-            fresh.append(term)
-        names[term] = got = term if term[0] == "_" else term[1:-1].removeprefix(base_iri)
+        """The local name of a term first met, once its IRI passes both checks."""
+        if term[0] == "_":
+            got = term
+        elif forbidden(term, 1, len(term) - 1):
+            raise _Fault(f"IRI {term!r} holds a character N-Triples forbids")
+        elif not term.startswith(head):
+            raise _Fault(f"IRI {term!r} does not start with the base IRI {base_iri!r}")
+        else:
+            got = term[len(head):-1]
+        names[term] = got
         return got
 
     kinds: dict[tuple[str, bool], tuple[str, bool]] = {}
@@ -438,52 +452,35 @@ def load_ntriples(
     literals: dict[tuple[str, str, str], None] = {}
     match_line = re.compile(_NT_LINE).match
     lineno = 0
-    for lines in map(str.splitlines, _blocks(source)):
-        start = lineno + 1
-        try:
-            for lineno, raw in enumerate(lines, start):
+    try:
+        for lines in map(str.splitlines, _blocks(source)):
+            for lineno, raw in enumerate(lines, lineno + 1):
                 match = match_line(raw)
                 if match is None:
                     line = raw.strip()
                     if not line:
                         continue
-                    raise ParseError(f"not a recognized triple: {line!r}", lineno)
+                    raise _Fault(f"not a recognized triple: {line!r}")
                 subj_t, pred_t, obj_t = match.groups()
                 subj = names.get(subj_t) or name(subj_t)
                 if obj_t[0] == '"':
                     value = obj_t[1:-1]
                     if "\\" in value:
-                        value = _unescape_literal(value, lineno)
+                        value = _unescape_literal(value)
                     literals[subj, names.get(pred_t) or name(pred_t), value] = None
                 elif pred_t == _TYPE_TERM:
                     if obj_t[0] == "_":
-                        raise ParseError(f"blank node {obj_t} cannot be a class", lineno)
+                        raise _Fault(f"blank node {obj_t} cannot be a class")
                     key = (obj_t, subj_t[0] == "_")
                     if key not in kinds:
                         cls = names.get(obj_t) or name(obj_t)
                         if not _IDENT.match(cls):
-                            raise ParseError(f"class {obj_t} is not the base IRI {base_iri!r} plus an identifier", lineno)
+                            raise _Fault(f"class {obj_t} is not the base IRI {base_iri!r} plus an identifier")
                         kinds[key] = (cls, key[1])
                     entities[subj] = kinds[key]
                 else:
                     objects[subj, names.get(pred_t) or name(pred_t), names.get(obj_t) or name(obj_t)] = None
-        finally:
-            # one search over the block's new IRIs, also before another error in it;
-            # no term holds ">", so a "<" past each term's first is a fault, and
-            # with one "<" per term, each term that starts with the base counts once
-            joined, head = "".join(fresh), "<" + base_iri
-            if _IRI_FORBIDDEN.search(joined) or joined.count("<") != len(fresh) or joined.count(head) != len(fresh):
-                for bad in fresh:
-                    if _IRI_FORBIDDEN.search(bad) or bad.count("<") > 1:
-                        why = "holds a character N-Triples forbids"
-                        break
-                    if not bad.startswith(head):
-                        why = f"does not start with the base IRI {base_iri!r}"
-                        break
-                # the first line holding it as a term named it: each line before named all its terms
-                matches = map(match_line, lines)
-                line = next(n for n, m in enumerate(matches, start) if m and bad in m.groups())
-                raise ParseError(f"IRI {bad!r} {why}", line)
-            fresh.clear()
+    except _Fault as fault:
+        raise ParseError(str(fault), lineno) from None
 
     return KnowledgeGraph(entities, objects, literals)

@@ -304,6 +304,43 @@ def test_each_side_runs_from_fresh_copies_in_both_directories(mode, tmp_path, mo
     assert not any((place / "perfbench").exists() for place in places)  # removed at the end
 
 
+def test_seconds_default_to_the_run_seconds_of_the_change_s_benchmark(tmp_path, monkeypatch):
+    sides = _sides(tmp_path)
+    for side, run_seconds in (("parent", 9), ("change", 7)):
+        path = tmp_path / side / "BENCHMARK.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "run_seconds": run_seconds}))
+    given = []
+
+    def run(checkout, argv, env):
+        given.append(argv[argv.index("--seconds") + 1])
+        return _run(_seed(argv), _side(checkout), 1.0, 5.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(sides + ["--runs", "w=1-2", "--out", str(out)]) == 0
+    assert given == ["7.0"] * 4
+    assert json.loads(out.read_text())["seconds"] == 7.0
+
+
+def test_a_stage_summary_keeps_both_sides_counts_where_they_differ(tmp_path, monkeypatch, capsys):
+    def run(checkout, argv, env):
+        result = _stage_result(argv)
+        if _side(checkout) == "change":
+            result["entities"] = 12  # a change that alters the graph
+        return result
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "stages.json"
+    assert bench_pairs.main(_sides(tmp_path) + ["--stages", "2", "--rounds", "2", "--out", str(out)]) == 0
+    for size in json.loads(out.read_text())["summary"].values():
+        # the counts both sides share stay one number
+        assert {key: size["2"][key] for key in bench_pairs.COUNTS} == {
+            "entities": {"parent": 10, "change": 12}, "object_triples": 9, "literals": 3}
+    table = capsys.readouterr().out.splitlines()[-len(bench_pairs.FAMILIES) * (1 + len(bench_pairs.STAGES)):]
+    assert [line for line in table if line.endswith(" differ")] == [
+        f"{family} 2 rows entities: parent 10 change 12 differ" for family in bench_pairs.FAMILIES]
+
+
 def test_a_size_given_twice_is_rejected_before_the_first_run(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(bench_pairs, "_run", lambda *args: calls.append(args))

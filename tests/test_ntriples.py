@@ -466,8 +466,9 @@ _OTHER_ERRORS = [
 @pytest.mark.parametrize("per_block", [1, kggen._READ_CHARS])
 @pytest.mark.parametrize("other", _OTHER_ERRORS)
 def test_load_reports_the_first_of_an_iri_error_and_another_error(monkeypatch, other, per_block):
-    # IRIs are checked after each block, so a later error in the same block
-    # must not be reported in place of an earlier IRI error, nor after it
+    # the first fault in line and naming order wins, whatever the block
+    # size: an IRI fault and another fault, on lines 2 and 3 in either order,
+    # give line 2's, whether each line is a block or both share one
     monkeypatch.setattr(kggen, "_READ_CHARS", per_block)
     bad_iri = _IRI_LINES[0].format(" ")
     for first, second in ((bad_iri, other), (other, bad_iri)):
@@ -488,6 +489,37 @@ def test_load_names_the_line_of_a_forbidden_iri_not_a_literal_holding_its_text()
     with pytest.raises(ParseError, match="^line 3: IRI .* holds a character N-Triples forbids$"):
         load_ntriples(text)
     _assert_same_read(text, DEFAULT_BASE_IRI, _SCHEMA)
+
+
+_RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+_RDF_TYPE_LINE = f"<{_RDF}A/x> <{_RDF}type> <{_RDF}A> ."
+
+
+@pytest.mark.parametrize("per_block", [1, kggen._READ_CHARS])
+def test_load_with_the_rdf_namespace_as_base_keeps_rdf_type_exempt_on_class_lines(monkeypatch, per_block):
+    # with this base, rdf:type is a name too: class lines stay class lines,
+    # with their checks, and only a literal under it reads as the property "type"
+    monkeypatch.setattr(kggen, "_READ_CHARS", per_block)
+    text = "\n".join([
+        _RDF_TYPE_LINE,
+        f'<{_RDF}A/x> <{_RDF}type> "v" .',
+        f"_:dummy_B_row0 <{_RDF}type> <{_RDF}B> .",
+        f"<{_RDF}A/x> <{_RDF}rel> _:dummy_B_row0 .",
+    ]) + "\n"
+    back = load_ntriples(text, _RDF)
+    assert back.entities == {"A/x": ("A", False), "_:dummy_B_row0": ("B", True)}
+    assert list(back.literals) == [("A/x", "type", "v")]
+    assert list(back.object_triples) == [("A/x", "rel", "_:dummy_B_row0")]
+    _assert_same_read(text, _RDF, None)
+    for bad, message in [
+        (f"<{_RDF}A/y> <{_RDF}type> _:c .", "blank node _:c cannot be a class"),
+        (f"<{_RDF}A/y> <{_RDF}type> <{_RDF}A/y> .", f"class <{_RDF}A/y> is not the base IRI '{_RDF}' plus an identifier"),
+    ]:
+        text = f"{_RDF_TYPE_LINE}\n{bad}\n"
+        with pytest.raises(ParseError) as info:
+            load_ntriples(text, _RDF)
+        assert (info.value.line, str(info.value)) == (2, f"line 2: {message}")
+        _assert_same_read(text, _RDF, None)
 
 
 _OFF_BASE_LINES = [

@@ -21,12 +21,13 @@ is rewritten after every pair, so a run that fails keeps the pairs before
 it. At the end one line per summary row is printed.
 
 **End to end**, ``--runs WORKLOAD=FIRST-LAST ... --seconds S`` (default
-25): for each workload and each seed of its range, a pair runs
-``perfbench/run.py --trace 0``. The summary gives, per workload and
-end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
-how many pairs the change won, lost and tied, whether every change run beat
-every parent run, and each side's failed ops. A workload that
-``BENCHMARK.json`` does not declare, a seed range that is empty or not
+the ``run_seconds`` of the change's ``BENCHMARK.json``, so pairs run as
+long as the benchmark's runs): for each workload and each seed of its
+range, a pair runs ``perfbench/run.py --trace 0``. The summary gives, per
+workload and end-to-end metric of ``BENCHMARK.json``, each side's median
+and quartiles, how many pairs the change won, lost and tied, whether every
+change run beat every parent run, and each side's failed ops. A workload
+that ``BENCHMARK.json`` does not declare, a seed range that is empty or not
 numeric, or a seed given twice for one workload (pairs are matched by
 seed), is rejected before the first run. Each printed line gives both
 medians, the pairs won and lost, the ops each side failed over all its runs
@@ -65,11 +66,12 @@ and just after the stage's calls, and also given in µs per entity. Each
 stage then runs once more under ``tracemalloc``, started just before the
 call, for its peak of traced memory. The run also records the distinct
 values of each key column and the graph's entity and triple counts, which
-do not depend on the host. The summary gives, per family, size and stage,
-each side's median over the rounds of the scaled time, of µs per entity and
-of the peak, and the median and quartiles over the rounds of change /
-parent time. A size given twice (pairs are matched by round) is rejected
-before the first run.
+do not depend on the host. The summary gives, per family and size, those
+counts, both sides' where they differ (then the two sides did different
+work, and a printed line says so), and per stage each side's median over
+the rounds of the scaled time, of µs per entity and of the peak, and the
+median and quartiles over the rounds of change / parent time. A size given
+twice (pairs are matched by round) is rejected before the first run.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ _COPIED = ("src", "perfbench", "BENCHMARK.json")
 # the stages timed, in run order; each reads what the ones before made
 STAGES = ("generate_kg", "serialize_ntriples", "load_ntriples", "depth_metrics")
 FAMILIES = ("forest", "shared_keys")
+# what a stage run counts of its graph
+COUNTS = ("entities", "object_triples", "literals")
 ATTRIBUTES = 60
 # the shared-key family's fixture seed: the draw is the same on both sides
 SHARED_KEYS_SEED = 1
@@ -291,10 +295,10 @@ def _table(summary: dict) -> list[str]:
 def _stage_summary(runs: list[dict]) -> dict:
     out: dict = {}
     for (family, rows), pairs in _paired(runs, ("family", "rows"), "round").items():
-        first = pairs[0]["change"]
-        size = out.setdefault(family, {})[str(rows)] = {
-            key: first[key] for key in ("entities", "object_triples", "literals")
-        }
+        size = out.setdefault(family, {})[str(rows)] = {}
+        for key in COUNTS:
+            parent, change = pairs[0]["parent"][key], pairs[0]["change"][key]
+            size[key] = change if parent == change else {"parent": parent, "change": change}
         for name in STAGES:
             row = size[name] = {}
             for side in ("parent", "change"):
@@ -307,16 +311,20 @@ def _stage_summary(runs: list[dict]) -> dict:
 
 
 def _stage_table(summary: dict) -> list[str]:
-    return [
-        f"{family} {rows} rows {name}: parent {row['parent']['ms']:.1f} ms"
-        f" ({row['parent']['us_per_entity']:.2f} us/entity, {row['parent']['peak_mb']:.1f} MB) change {row['change']['ms']:.1f} ms"
-        f" ({row['change']['us_per_entity']:.2f} us/entity, {row['change']['peak_mb']:.1f} MB)"
-        f" change/parent {row['change_over_parent']['median']:.3f}"
-        for family, sizes in summary.items()
-        for rows, size in sizes.items()
-        for name in STAGES
-        for row in [size[name]]
-    ]
+    lines = []
+    for family, sizes in summary.items():
+        for rows, size in sizes.items():
+            lines += [f"{family} {rows} rows {key}: parent {count['parent']} change {count['change']} differ"
+                      for key in COUNTS if isinstance(count := size[key], dict)]
+            lines += [
+                f"{family} {rows} rows {name}: parent {row['parent']['ms']:.1f} ms"
+                f" ({row['parent']['us_per_entity']:.2f} us/entity, {row['parent']['peak_mb']:.1f} MB) change {row['change']['ms']:.1f} ms"
+                f" ({row['change']['us_per_entity']:.2f} us/entity, {row['change']['peak_mb']:.1f} MB)"
+                f" change/parent {row['change_over_parent']['median']:.3f}"
+                for name in STAGES
+                for row in [size[name]]
+            ]
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--stages", nargs="+", type=int, metavar="ROWS")
     mode.add_argument("--measure", nargs=2, metavar=("FAMILY", "ROWS"),
                       help="make one stage run in this process and print it")
-    p.add_argument("--seconds", type=float, help="with --runs; default 25")
+    p.add_argument("--seconds", type=float, help="with --runs; default BENCHMARK.json's run_seconds")
     p.add_argument("--rounds", type=int, help="with --stages; default 5")
     p.add_argument("--best", type=int, help="with --stages or --measure; default 3")
     args = p.parse_args(argv)
@@ -364,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
                 if (workload, seed) in given:
                     p.error(f"{workload} seed {seed} is given twice; pairs are matched by seed")
                 given.add((workload, seed))
-        seconds = 25.0 if args.seconds is None else args.seconds
+        seconds = float(bench["run_seconds"]) if args.seconds is None else args.seconds
         doc = {"seconds": seconds, "runs": [], "summary": {}}
         pairs = [((workload,), {"workload": workload, "seed": seed},
                   ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
