@@ -437,12 +437,13 @@ def load_ntriples(
         """The local name of a term first met, once its IRI passes both checks."""
         if term[0] == "_":
             got = term
+        # the base passed _check_base_iri, so only the local name needs the search
+        elif term.startswith(head) and not forbidden(term, len(head), len(term) - 1):
+            got = term[len(head):-1]
         elif forbidden(term, 1, len(term) - 1):
             raise _Fault(f"IRI {term!r} holds a character N-Triples forbids")
-        elif not term.startswith(head):
-            raise _Fault(f"IRI {term!r} does not start with the base IRI {base_iri!r}")
         else:
-            got = term[len(head):-1]
+            raise _Fault(f"IRI {term!r} does not start with the base IRI {base_iri!r}")
         names[term] = got
         return got
 

@@ -24,15 +24,12 @@ message and line as a reader that checks every line that way.
 The schema builders read the ontology through three maps built once per
 ``Ontology``: ``_direct``, the smallest relation per (domain, range) pair,
 and the sorted successor (``_succ``) and neighbour (``_und``) tuples per
-class. One BFS (``_bfs``) runs over either, following edge direction for
-which classes a class reaches (``directed_reach``) or ignoring it for
-distances (``undirected_distances``), each memoised per ontology and
-read-only. The BFS runs level by level from all its sources at once, so
-every class of a level gets the same hop count, from the nearest source;
-``reshape`` finds owners by one unmemoised BFS from all its schema
-classes. Lexicographically smallest shortest walks over the memoised
-distances stop at reached classes; each step takes the first neighbour,
-in sorted order, that is one hop closer.
+class. One BFS (``_bfs``) runs over any such adjacency, level by level from
+all its sources at once, so every class of a level gets the same hop count,
+from the nearest source. ``directed_reach`` is memoised per ontology and
+read-only. ``shortest_walks`` runs one BFS over the adjacency it is given
+and walks the lexicographically smallest shortest walks, each stopping at
+a reached class and stepping to the first neighbour one hop closer.
 
 Ontology values are treated as immutable once constructed; all query
 functions are pure up to memoisation.
@@ -41,9 +38,8 @@ functions are pure up to memoisation.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .errors import ParseError
 
@@ -78,9 +74,6 @@ class Ontology:
         init=False, repr=False, compare=False, default_factory=dict
     )
     _direct: dict[tuple[str, str], str] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _dist: dict[str, MappingProxyType] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     _reach: dict[str, frozenset[str]] = field(
@@ -191,7 +184,7 @@ def _require_declared(o: Ontology, *names: str) -> None:
 def _bfs(adj: Mapping[str, Iterable[str]], *sources: str) -> dict[str, int]:
     """Hop count from the nearest of ``sources`` to every class reachable in
     ``adj``, in the order the BFS reaches them: pass ``Ontology._succ`` to
-    follow edge direction, ``Ontology._und`` to ignore it."""
+    follow edge direction, ``Ontology._und`` or a part of it to ignore it."""
     dist = dict.fromkeys(sources, 0)
     level = list(dist)
     hops = 0
@@ -207,15 +200,6 @@ def _bfs(adj: Mapping[str, Iterable[str]], *sources: str) -> dict[str, int]:
     return dist
 
 
-def undirected_distances(o: Ontology, source: str) -> MappingProxyType:
-    """Read-only distance from ``source`` to every reachable class, edge
-    direction ignored. The BFS runs once per ontology and source."""
-    if (dist := o._dist.get(source)) is None:
-        _require_declared(o, source)
-        dist = o._dist[source] = MappingProxyType(_bfs(o._und, source))
-    return dist
-
-
 def directed_reach(o: Ontology, source: str) -> frozenset[str]:
     """Every class ``source`` reaches along edge direction, itself included.
     The BFS runs once per ontology and source."""
@@ -225,18 +209,17 @@ def directed_reach(o: Ontology, source: str) -> frozenset[str]:
     return reach
 
 
-def shortest_walks(o: Ontology, target: str, sources: list[str]) -> set[str]:
+def shortest_walks(adj: Mapping[str, Sequence[str]], target: str, sources: list[str]) -> set[str]:
     """``target`` plus every class on the lexicographically smallest shortest
-    undirected walk to it from each source that reaches it. A walk stops at
+    walk over ``adj`` to it from each source that reaches it. A walk stops at
     the first class already reached: the next hop depends on (target, class)."""
-    dist = undirected_distances(o, target)
-    und = o._und
+    dist = _bfs(adj, target)
     reached = {target}
     for node in sources:
         while node in dist and node not in reached:
             reached.add(node)
             step = dist[node] - 1
-            for node in und[node]:  # the first neighbour one hop closer
+            for node in adj[node]:  # the first neighbour one hop closer
                 if dist[node] == step:
                     break
     return reached

@@ -33,9 +33,7 @@ from urllib.parse import quote, unquote
 
 from .errors import ParseError, SchemaError
 from .mapping import MappingSet, UserInfo
-from .ontology import (
-    _IDENT, _NAME, Ontology, _bfs, _check_ident, directed_reach, shortest_walks, undirected_distances,
-)
+from .ontology import _IDENT, _NAME, Ontology, _bfs, _check_ident, directed_reach, shortest_walks
 from .tabular import Dataset, list_attributes
 
 log = logging.getLogger(__name__)
@@ -326,7 +324,9 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
     kept as-is. Attribute-mapped classes carry their own value through a
     single ``hasValue`` attachment and are keyed by their first attribute,
     the main table's columns before the others; the connector classes
-    carry nothing and will materialize as dummies.
+    carry nothing and will materialize as dummies. The cost is one peel of
+    the unmapped leaves, which leaves each part with no cycle whole, and
+    one BFS per mapped class only over the rest of a part that keeps one.
     """
     if mc not in o.classes:
         raise SchemaError(f"main class {mc!r} is not declared in the ontology")
@@ -344,20 +344,36 @@ def baseline_schema(o: Ontology, d: Dataset, m: MappingSet, mc: str) -> KGSchema
 
     names = sorted({mc} | {cls for _, _, cls in attr_classes} | set(table_classes))
     classes = set(names)
-    unconnected = []
-    for i, ci in enumerate(names):
-        dist = undirected_distances(o, ci)
-        unconnected += [(ci, cj) for cj in names[i + 1 :] if cj not in dist]
-        classes |= shortest_walks(o, ci, names[i + 1 :])
-    if unconnected:
-        log.warning("no path connects %d mapped class pairs, first %s; the schema stays disconnected",
-                    len(unconnected), unconnected[:3])
+    # no shortest walk between mapped classes enters a pendant tree of unmapped ones: peel them
+    deg = {c: len(nbrs) - (c in nbrs) for c, nbrs in o._und.items()}  # self-loops left out
+    peeled = [c for c, k in deg.items() if k < 2 and c not in classes]
+    for c in peeled:
+        deg[c] = -1
+        for n in o._und[c]:
+            deg[n] -= 1
+            if deg[n] == 1 and n not in classes:
+                peeled.append(n)
+    core = {c: tuple(n for n in nbrs if n != c and deg[n] >= 0) for c, nbrs in o._und.items() if deg[c] >= 0}
+    first: dict[str, str] = {}  # core class -> the first mapped class of its component
+    parts: dict[str, tuple[dict, list[str]]] = {}  # that class -> (the component, its mapped classes)
+    for c in names:
+        if c not in first:
+            part = parts[c] = (_bfs(core, c), [])
+            first.update(dict.fromkeys(part[0], c))
+        parts[first[c]][1].append(c)
+    # a part with no cycle (deg now counts core neighbours) has only mapped leaves: it lies between them
+    for part, mapped in parts.values():
+        if sum(deg[n] for n in part) < 2 * len(part):
+            classes.update(part)
+        else:
+            for i, ci in enumerate(mapped):
+                classes |= shortest_walks(core, ci, mapped[i + 1 :])
+    unconnected = (len(names) ** 2 - sum(len(mapped) ** 2 for _, mapped in parts.values())) // 2
+    if unconnected:  # a row with no pair has none after it: the first three pairs are in the first three rows
+        pairs = [(ci, cj) for i, ci in enumerate(names[:3]) for cj in names[i + 1 :] if first[ci] != first[cj]]
+        log.warning("no path connects %d mapped class pairs, first %s; the schema stays disconnected", unconnected, pairs[:3])
 
-    edges = {
-        (rel, dom, rng)
-        for rel, dom, rng in o.object_properties
-        if dom in classes and rng in classes
-    }
+    edges = {(rel, dom, rng) for rel, dom, rng in o.object_properties if dom in classes and rng in classes}
 
     attachments = set()
     class_keys: dict[str, tuple[str, str]] = {}

@@ -3,12 +3,14 @@
 ``_reference_baseline`` is the plain version: one BFS per mapped class in
 every call, then one lexicographically smallest shortest walk for every
 pair of mapped classes, listing every pair no path connects. The
-package's version reads memoised distance maps and walks each mapped
-class's later classes toward it in one pass, stopping every walk at the
-first class an earlier walk reached. On every ontology here, including
-tie-heavy and disconnected ones, and across several mapped subsets that
-share one ``Ontology``, it must build the same ``KGSchema`` and report the
-same unconnected pairs.
+package's version peels unmapped leaves first, takes each component of
+what is left that has no cycle whole, walks only in components that keep
+one, and counts unconnected pairs from component sizes. On every ontology
+here, including tie-heavy and disconnected ones, trees with a few chords,
+forests, and ontologies with self-loops and long pendant chains of
+unmapped classes, and across several mapped subsets that share one
+``Ontology``, it must build the same ``KGSchema`` and report the same
+unconnected pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontoshape.mapping import MappingSet
-from ontoshape.ontology import Ontology, undirected_distances
+from ontoshape.ontology import Ontology
 from ontoshape.reshape import KGSchema, _claim_key, _main_table_first, baseline_schema, identifier_stem
 from ontoshape.tabular import Dataset, Table
 
@@ -170,5 +172,72 @@ def test_baseline_matches_pairwise_reference(data):
             {mc} | set(expected.class_tables) | {cls for _, cls, _ in expected.data_attachments}
         )
         assert [
-            (a, b) for a, b in combinations(names, 2) if b not in undirected_distances(o, a)
+            (a, b) for a, b in combinations(names, 2) if b not in _reference_distances(o, a)
         ] == unconnected
+
+
+@st.composite
+def _trees(draw, size: int, chords: int) -> set[tuple[str, str, str]]:
+    """The properties of a random tree over ``size`` classes, each edge in a
+    random direction, plus up to ``chords`` more edges between any two of
+    them. Names are shuffled, so sorted order does not follow the tree."""
+    names = draw(st.permutations([f"T{i:02d}" for i in range(size)]))
+    pairs = [(names[i], names[draw(st.integers(0, i - 1))]) for i in range(1, size)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=chords))
+    return {(f"r_{a}_{b}", a, b) if draw(st.booleans()) else (f"r_{b}_{a}", b, a) for a, b in pairs}
+
+
+def _ontology(props: set[tuple[str, str, str]], extra: tuple[str, ...] = ()) -> Ontology:
+    classes = {c for _, dom, rng in props for c in (dom, rng)} | set(extra)
+    return Ontology(frozenset(classes), frozenset(props), frozenset())
+
+
+@st.composite
+def _chorded_trees(draw) -> Ontology:
+    """A tree of 2 to 16 classes with 0 to 3 chords."""
+    return _ontology(draw(_trees(draw(st.integers(2, 16)), draw(st.integers(0, 3)))))
+
+
+@st.composite
+def _forests(draw) -> Ontology:
+    """Two to four trees with no edge between them, and up to two lone classes."""
+    props = set()
+    for k in range(draw(st.integers(2, 4))):
+        tree = draw(_trees(draw(st.integers(2, 6)), 0))
+        props |= {(f"{rel}_{k}", f"{dom}_{k}", f"{rng}_{k}") for rel, dom, rng in tree}
+    return _ontology(props, tuple(f"Lone{i}" for i in range(draw(st.integers(0, 2)))))
+
+
+@st.composite
+def _pendant_chains(draw) -> Ontology:
+    """A tree with up to two chords, one to three chains of up to eight
+    classes hanging from its classes, and self-loops on some classes."""
+    props = draw(_trees(draw(st.integers(2, 8)), 2))
+    for k in range(draw(st.integers(1, 3))):
+        prev = draw(st.sampled_from(sorted({c for _, dom, rng in props for c in (dom, rng)})))
+        for j in range(draw(st.integers(1, 8))):
+            node = f"P{k}_{j}"
+            props.add((f"p_{prev}_{node}", prev, node) if draw(st.booleans()) else (f"p_{node}_{prev}", node, prev))
+            prev = node
+    names = sorted({c for _, dom, rng in props for c in (dom, rng)})
+    props |= {(f"self_{c}", c, c) for c in draw(st.lists(st.sampled_from(names), max_size=4))}
+    return _ontology(props)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_baseline_matches_pairwise_reference_on_trees_forests_and_pendant_chains(data):
+    o = data.draw(st.one_of(_chorded_trees(), _forests(), _pendant_chains()))
+    logger = logging.getLogger("ontoshape.reshape")
+    for _ in range(data.draw(st.integers(1, 3))):
+        d, m, mc = data.draw(_inputs(o))
+        expected, unconnected = _reference_baseline(o, d, m, mc)
+        handler = _Records()
+        logger.addHandler(handler)
+        try:
+            got = baseline_schema(o, d, m, mc)
+        finally:
+            logger.removeHandler(handler)
+        assert got == expected
+        warned = [r.args for r in handler.records if "disconnected" in r.getMessage()]
+        assert warned == ([(len(unconnected), unconnected[:3])] if unconnected else [])

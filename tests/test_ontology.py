@@ -23,7 +23,6 @@ from ontoshape.ontology import (
     parse_ontology,
     serialize_ontology,
     shortest_walks,
-    undirected_distances,
 )
 
 from conftest import ONTOLOGY_W
@@ -154,14 +153,14 @@ def _shortest_path(o, src, dst):
     """What ``shortest_walks`` reaches from ``src`` alone toward ``dst``;
     None when ``src`` cannot reach ``dst``. Position along a shortest path
     is fixed by distance, so the node set names the path."""
-    got = shortest_walks(o, dst, [src])
+    got = shortest_walks(o._und, dst, [src])
     return got if src in got else None
 
 
 def test_shortest_path_unreachable():
     o = parse_ontology("class A\nclass B\n")
     assert _shortest_path(o, "A", "B") is None
-    assert shortest_walks(o, "B", ["A"]) == {"B"}
+    assert shortest_walks(o._und, "B", ["A"]) == {"B"}
 
 
 def test_shortest_path_undirected(ontology_w):
@@ -176,12 +175,6 @@ def test_shortest_path_tie_break_is_lexicographic():
     )
     assert _shortest_path(o, "A", "D") == {"A", "B", "D"}
     assert _shortest_path(o, "D", "A") == {"D", "B", "A"}
-
-
-def test_undirected_distances_requires_declared_class():
-    o = parse_ontology("class A\n")
-    with pytest.raises(ValueError, match="undeclared class Nope"):
-        undirected_distances(o, "Nope")
 
 
 _names = st.sampled_from("ABCDEFGH")
@@ -206,7 +199,7 @@ def small_ontologies(draw):
 def test_shortest_path_matches_exhaustive_enumeration(o):
     pool = sorted(o.classes)
     for dst in pool:
-        dist = undirected_distances(o, dst)
+        dist = ontology_module._bfs(o._und, dst)
         for src in pool:
             paths = _enumerate_simple_paths(o, src, dst, undirected=True)
             if not paths:
@@ -243,7 +236,7 @@ def test_walks_from_several_sources_are_the_union_of_single_walks(o, data):
     expected = {target}
     for src in sources:
         expected |= _shortest_path(o, src, target) or set()
-    assert shortest_walks(o, target, sources) == expected
+    assert shortest_walks(o._und, target, sources) == expected
 
 
 def _queue_bfs(adj, *sources):
@@ -311,39 +304,25 @@ def test_walks_match_generator_walks_on_tie_heavy_layers(o, data):
     pool = sorted(o.classes)
     target = data.draw(st.sampled_from(pool))
     sources = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10))
-    assert shortest_walks(o, target, sources) == _generator_walks(o, target, sources)
+    assert shortest_walks(o._und, target, sources) == _generator_walks(o, target, sources)
 
 
 @settings(max_examples=100, deadline=None)
 @given(o=small_ontologies())
-def test_distance_memo_matches_a_fresh_bfs_on_every_call(o):
+def test_reach_memo_matches_a_fresh_bfs_on_every_call(o):
     for _ in range(2):
         for c in sorted(o.classes):
-            got = undirected_distances(o, c)
-            assert dict(got) == ontology_module._bfs(o._und, c)
-            assert got is undirected_distances(o, c)
             reach = directed_reach(o, c)
             assert reach == set(ontology_module._bfs(o._succ, c))
             assert reach is directed_reach(o, c)
 
 
-def test_distance_map_is_read_only(ontology_w):
-    dist = undirected_distances(ontology_w, "WeldingOperation")
-    with pytest.raises(TypeError):
-        dist["WeldingOperation"] = 5
-    with pytest.raises(TypeError):
-        del dist["WeldingOperation"]
-    assert undirected_distances(ontology_w, "WeldingOperation")["WeldingOperation"] == 0
-
-
-def test_equality_ignores_the_distance_memo():
+def test_equality_ignores_the_reach_memo():
     warm = parse_ontology(ONTOLOGY_W)
     for c in sorted(warm.classes):
-        undirected_distances(warm, c)
         directed_reach(warm, c)
     cold = parse_ontology(ONTOLOGY_W)
     assert warm == cold
-    assert cold._dist == {} and len(warm._dist) == len(warm.classes)
     assert cold._reach == {} and len(warm._reach) == len(warm.classes)
 
 

@@ -30,6 +30,7 @@ from ontoshape.reshape import (
 )
 from ontoshape.syndata import SynthConfig, generate_synthetic
 from ontoshape.tabular import Dataset, Table
+from test_baseline_reference import _reference_baseline
 
 
 def test_package_attribute_reshape_is_the_submodule():
@@ -37,7 +38,7 @@ def test_package_attribute_reshape_is_the_submodule():
     import ontoshape.reshape as r
 
     assert isinstance(r, types.ModuleType) and ontoshape.reshape is r
-    assert r.reshape is reshape and callable(r.undirected_distances)
+    assert r.reshape is reshape and callable(r.shortest_walks)
 
 
 def _single_table(attributes, rows=()):
@@ -493,6 +494,55 @@ def test_baseline_covers_full_chain(ontology_w, dataset_2):
     )
     s = baseline_schema(ontology_w, dataset_2, m, "WeldingOperation")
     assert s.classes == ontology_w.classes  # the whole four-hop chain survives
+
+
+def _bfs_adjacencies(monkeypatch) -> list:
+    """Every adjacency ``_bfs`` is handed from here on."""
+    handed = []
+    real = ontology_module._bfs
+
+    def counted(adj, *sources):
+        handed.append(adj)
+        return real(adj, *sources)
+
+    # reshape imports _bfs by name, so both modules are patched
+    monkeypatch.setattr(ontology_module, "_bfs", counted)
+    monkeypatch.setattr(reshape_module, "_bfs", counted)
+    return handed
+
+
+@pytest.mark.parametrize(
+    "cfg", [SynthConfig(30, 2, chain_depth=1), SynthConfig(60, 2), SynthConfig(20, 2, chain_depth=3, n_entity_classes=4)]
+)
+def test_baseline_on_a_synthetic_tree_runs_no_bfs_over_the_ontology(monkeypatch, cfg):
+    o, d, m, u = generate_synthetic(cfg)
+    # every other value column unmapped: its chain hangs from the main class and peels
+    m = MappingSet(m.table_map, {ta: c for ta, c in m.attribute_map.items() if ta[1][-1] not in "13579"})
+    handed = _bfs_adjacencies(monkeypatch)
+    s = baseline_schema(o, d, m, u.main_class)
+    assert not [adj for adj in handed if adj is o._und]
+    # one BFS labels the one component, and the core it runs over is the schema
+    assert len(handed) == 1 and set(handed[0]) == s.classes
+    assert "Value001" not in s.classes and "Chain001L1" not in s.classes
+
+
+def test_baseline_on_a_chorded_ontology_hands_bfs_only_core_classes(monkeypatch):
+    o, d, m, u = generate_synthetic(SynthConfig(6, 2, chain_depth=3))
+    # two chords close cycles through the chains; the chains of Value004 and
+    # Value005 lose their columns, and only Value005's stays a pendant tree
+    chords = {("c1", "Chain000L2", "Chain001L2"), ("c2", "Chain002L1", "Chain004L2")}
+    o = Ontology(o.classes, o.object_properties | chords, o.data_properties)
+    m = MappingSet(m.table_map, {ta: c for ta, c in m.attribute_map.items() if c not in ("Value004", "Value005")})
+    core = o.classes - {"Value004", "Value005", "Chain005L1", "Chain005L2"}
+    handed = _bfs_adjacencies(monkeypatch)
+    s = baseline_schema(o, d, m, u.main_class)
+    assert s == _reference_baseline(o, d, m, u.main_class)[0]
+    # one BFS labels the component, then one per mapped class walks it:
+    # Operation, ProgramID, MachineID and Value000 to Value003
+    assert len(handed) == 1 + 7
+    for adj in handed:
+        assert adj is not o._und
+        assert set(adj) <= core and all(set(nbrs) <= core for nbrs in adj.values())
 
 
 def test_reshaped_is_smaller_than_baseline(ontology_wx, mappings_wx, dataset_2, userinfo_main):
